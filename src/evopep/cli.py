@@ -13,7 +13,7 @@ import logging
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
@@ -47,24 +47,18 @@ _DEFAULTS = {
     "pool_size": GaConfig.pool_size,
     "tournament": GaConfig.tournament_k,
     "tau": GaConfig.tau,
-    "rates": "0.40,0.35,0.10,0.15",
+    "rates": ",".join(
+        str(rate)
+        for rate in (
+            GaConfig.rate_nterm_cterm_cx,
+            GaConfig.rate_two_point_cx,
+            GaConfig.rate_flip,
+            GaConfig.rate_conflict,
+        )
+    ),
     "jobs": 1,
     "dropout": 0.0,
     "noise": 0,
-}
-
-_COERCE = {
-    "seed": str,
-    "runs": int,
-    "generations": int,
-    "population": int,
-    "pool_size": int,
-    "tournament": int,
-    "tau": float,
-    "rates": str,
-    "jobs": int,
-    "dropout": float,
-    "noise": int,
 }
 
 SEQUENCE_COLUMNS = (
@@ -87,19 +81,6 @@ METRIC_COLUMNS = (
     "avg_len_predicted",
     "n_spectra",
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one sequencing invocation needs."""
-
-    mgf_path: str
-    ga: GaConfig
-    runs: int
-    seed: str
-    jobs: int
-    output: str | None
-    complements: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +132,7 @@ def _effective_options(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in _load_config_file(config_path).items():
-            options[key] = _COERCE[key](raw)
+            options[key] = type(_DEFAULTS[key])(raw)
     for key in _DEFAULTS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -225,29 +206,21 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, int, int, str]):
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     options = _effective_options(args)
-    manifest = RunManifest(
-        mgf_path=args.input,
-        ga=_ga_config(options),
-        runs=options["runs"],
-        seed=options["seed"],
-        jobs=options["jobs"],
-        output=args.output,
-        complements=not args.no_complements,
-    )
-    pre_cfg = PreprocessConfig(tolerance=manifest.ga.tau)
-    spectra = parse_mgf(Path(manifest.mgf_path).read_text(encoding="utf-8"))
+    ga = _ga_config(options)
+    pre_cfg = PreprocessConfig(tolerance=ga.tau)
+    spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
     prepared = [
-        preprocess(spec, pre_cfg, complements=manifest.complements)
+        preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
     ]
     tasks = []
     for spec_index, spec in enumerate(prepared):
-        for run_index in range(manifest.runs):
-            run_seed = _seed_value(f"{manifest.seed}|{spec_index}|{run_index}")
+        for run_index in range(options["runs"]):
+            run_seed = _seed_value(f"{options['seed']}|{spec_index}|{run_index}")
             tasks.append(
                 (
                     spec,
-                    replace(manifest.ga, seed=run_seed),
+                    replace(ga, seed=run_seed),
                     spec_index,
                     run_index,
                     _spectrum_id(spec, spec_index),
@@ -266,8 +239,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         else:
             rows[(outcome[0], outcome[1])] = outcome[2]
 
-    if manifest.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
+    if options["jobs"] > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
             futures = [(task, pool.submit(_sequence_job, task)) for task in tasks]
             for task, future in futures:
                 try:
@@ -283,7 +256,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
     lines = ["\t".join(SEQUENCE_COLUMNS)]
     lines.extend(rows[key] for key in sorted(rows))
-    _write_output("\n".join(lines) + "\n", manifest.output)
+    _write_output("\n".join(lines) + "\n", args.output)
     if tasks and failures == len(tasks):
         print("error: all sequencing runs failed", file=sys.stderr)
         return 2
@@ -293,10 +266,14 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
     """Predictions keyed by (spectrum_id, run_index), plus the run list."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    body = [
+        (number, line.split("\t"))
+        for number, line in enumerate(lines, start=1)
+        if line.strip() and not line.startswith("#")
+    ]
     if not body:
         raise ValueError(f"results file {path} is empty")
-    header = body[0].split("\t")
+    header = body[0][1]
     required = {"spectrum_id", "run_index", "predicted_peptide"}
     if not required.issubset(header):
         raise ValueError(
@@ -307,10 +284,23 @@ def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
     pep_col = header.index("predicted_peptide")
     predictions: dict[tuple[str, int], str] = {}
     runs: set[int] = set()
-    for line in body[1:]:
-        parts = line.split("\t")
-        run_index = int(parts[run_col])
-        predictions[(parts[id_col], run_index)] = parts[pep_col]
+    for number, parts in body[1:]:
+        if len(parts) < len(header):
+            raise ValueError(
+                f"{path}:{number}: {len(parts)} fields, header has {len(header)}"
+            )
+        try:
+            run_index = int(parts[run_col])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{number}: run_index {parts[run_col]!r} is not an integer"
+            ) from None
+        key = (parts[id_col], run_index)
+        if key in predictions:
+            raise ValueError(
+                f"{path}:{number}: repeated row for spectrum {key[0]!r} run {run_index}"
+            )
+        predictions[key] = parts[pep_col]
         runs.add(run_index)
     if not predictions:
         raise ValueError(f"results file {path} has a header but no rows")

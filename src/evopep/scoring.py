@@ -82,22 +82,20 @@ class Individual:
     @classmethod
     def score(cls, peptide: str, spec: Spectrum, tau: float) -> "Individual":
         # Converged GA populations re-create the same strings constantly, so
-        # scores are memoized per spectrum (scores are pure in the peptide).
-        cache = spec.__dict__.setdefault("_individual_cache", {})
+        # scores are memoized in ``spec.scores`` (scores are pure in the
+        # peptide); ``evolve`` empties that memo when its run ends.
         key = (peptide, tau)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        result = fitness(peptide, spec, tau)
-        individual = cls(
-            peptide=peptide,
-            fitness=result.fitness,
-            nterm=result.nterm,
-            cterm=result.cterm,
-            delta_mass=result.delta_mass,
-        )
-        cache[key] = individual
-        return individual
+        cached = spec.scores.get(key)
+        if cached is None:
+            result = fitness(peptide, spec, tau)
+            cached = spec.scores[key] = cls(
+                peptide=peptide,
+                fitness=result.fitness,
+                nterm=result.nterm,
+                cterm=result.cterm,
+                delta_mass=result.delta_mass,
+            )
+        return cached
 
 
 def _ion_arrays(seq: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,27 +157,14 @@ def _leading_pair_count(flags: np.ndarray) -> int:
     return max(run - 1, 0)
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    assignment: PeakAssignment
-    matched_intensity: float
-    n_unmatched: int
-    nterm: int
-    cterm: int
-
-
-def _evaluate(seq: str, spec: Spectrum, tau: float) -> _Evaluation:
+def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
+    """Matched intensity, unmatched b/y count, nterm and cterm of a sequence."""
     b, y, internal = _ion_arrays(seq)
     n_by = len(b) + len(y)
-    ions = np.concatenate([b, y, internal])
     mz = spec.mz_array
-    nearest, dist = _nearest_peaks(mz, ions)
+    nearest, dist = _nearest_peaks(mz, np.concatenate([b, y, internal]))
     matched = dist <= tau
-
-    peak_ids = np.unique(nearest[matched])
-    matched_intensity = float(spec.intensity_array[peak_ids].sum()) if len(
-        peak_ids
-    ) else 0.0
+    matched_intensity = float(spec.intensity_array[np.unique(nearest[matched])].sum())
     n_unmatched = int((~matched[:n_by]).sum())
 
     # A terminus-anchored ion only counts when the matched peak's precursor
@@ -199,20 +184,7 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> _Evaluation:
     cterm = _leading_pair_count(
         corroborated(matched[len(b) : n_by], nearest[len(b) : n_by])
     )
-
-    assignment = PeakAssignment(
-        matched_peaks=tuple(int(i) for i in peak_ids),
-        b_matched=tuple(bool(f) for f in matched[: len(b)]),
-        y_matched=tuple(bool(f) for f in matched[len(b) : n_by]),
-        internal_matched=tuple(bool(f) for f in matched[n_by:]),
-    )
-    return _Evaluation(
-        assignment=assignment,
-        matched_intensity=matched_intensity,
-        n_unmatched=n_unmatched,
-        nterm=nterm,
-        cterm=cterm,
-    )
+    return matched_intensity, n_unmatched, nterm, cterm
 
 
 def match_peaks(
@@ -223,24 +195,17 @@ def match_peaks(
     An ion matches when the nearest peak lies within the tolerance; a peak may
     satisfy several ions but contributes its intensity only once.
     """
-    groups = [
-        np.array(theo.b_ions, dtype=np.float64),
-        np.array(theo.y_ions, dtype=np.float64),
-        np.array(theo.internal_ions, dtype=np.float64),
-    ]
-    mz = spec.mz_array
-    flags: list[tuple[bool, ...]] = []
-    peak_ids: set[int] = set()
-    for ions in groups:
-        nearest, dist = _nearest_peaks(mz, ions)
-        matched = dist <= tau
-        flags.append(tuple(bool(f) for f in matched))
-        peak_ids.update(int(i) for i in nearest[matched])
+    n_b = len(theo.b_ions)
+    n_by = n_b + len(theo.y_ions)
+    ions = np.array(theo.b_ions + theo.y_ions + theo.internal_ions, dtype=np.float64)
+    nearest, dist = _nearest_peaks(spec.mz_array, ions)
+    matched = dist <= tau
+    flags = tuple(matched.tolist())
     return PeakAssignment(
-        matched_peaks=tuple(sorted(peak_ids)),
-        b_matched=flags[0],
-        y_matched=flags[1],
-        internal_matched=flags[2],
+        matched_peaks=tuple(np.unique(nearest[matched]).tolist()),
+        b_matched=flags[:n_b],
+        y_matched=flags[n_b:n_by],
+        internal_matched=flags[n_by:],
     )
 
 
@@ -254,8 +219,8 @@ def nterm_cterm_scores(peptide: str, spec: Spectrum, tau: float) -> tuple[int, i
     seq = validate_peptide(peptide)
     if len(seq) < 2:
         raise InvalidPeptideError("scores require length >= 2")
-    ev = _evaluate(seq, spec, tau)
-    return ev.nterm, ev.cterm
+    _, _, nterm, cterm = _evaluate(seq, spec, tau)
+    return nterm, cterm
 
 
 def fitness_from_terms(
@@ -282,23 +247,23 @@ def fitness(peptide: str, spec: Spectrum, tau: float) -> MatchResult:
     total = spec.total_intensity
     if total <= 0:
         raise InvalidSpectrumError("spectrum has no positive intensity")
-    ev = _evaluate(seq, spec, tau)
+    matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, tau)
     precursor = spec.precursor_mass
     delta = precursor - parent_mass(seq)
     value = fitness_from_terms(
-        intensity_fraction=ev.matched_intensity / total,
+        intensity_fraction=matched_intensity / total,
         delta_penalty=abs(delta) / precursor,
-        nterm=ev.nterm,
-        cterm=ev.cterm,
-        n_unmatched=ev.n_unmatched,
+        nterm=nterm,
+        cterm=cterm,
+        n_unmatched=n_unmatched,
         length=len(seq),
     )
     return MatchResult(
-        matched_intensity_sum=ev.matched_intensity,
+        matched_intensity_sum=matched_intensity,
         total_intensity_sum=total,
-        n_unmatched=ev.n_unmatched,
+        n_unmatched=n_unmatched,
         delta_mass=delta,
-        nterm=ev.nterm,
-        cterm=ev.cterm,
+        nterm=nterm,
+        cterm=cterm,
         fitness=value,
     )

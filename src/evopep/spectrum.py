@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -66,33 +67,29 @@ class Spectrum:
     pepmass: float
     charge: int
     peaks: tuple[Peak, ...]
+    # Memo of ``Individual.score``, keyed by (peptide, tau); ``evolve`` empties
+    # it when a run ends.
+    scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def precursor_mass(self) -> float:
         return precursor_mass(self.pepmass, self.charge)
 
-    @property
+    @cached_property
     def mz_array(self) -> np.ndarray:
-        cached = self.__dict__.get("_mz_array")
-        if cached is None:
-            cached = np.array([p.mz for p in self.peaks], dtype=np.float64)
-            self.__dict__["_mz_array"] = cached
-        return cached
+        return np.array([p.mz for p in self.peaks], dtype=np.float64)
 
-    @property
+    @cached_property
     def intensity_array(self) -> np.ndarray:
-        cached = self.__dict__.get("_intensity_array")
-        if cached is None:
-            cached = np.array([p.intensity for p in self.peaks], dtype=np.float64)
-            self.__dict__["_intensity_array"] = cached
-        return cached
+        return np.array([p.intensity for p in self.peaks], dtype=np.float64)
 
     @property
     def total_intensity(self) -> float:
         return float(self.intensity_array.sum())
 
     def __getstate__(self):
-        # Cached arrays are rebuilt on demand; keep pickles lean.
+        # Cached arrays are rebuilt on demand and the memo starts empty; keep
+        # pickles lean.
         return (self.title, self.pepmass, self.charge, self.peaks)
 
     def __setstate__(self, state):
@@ -101,6 +98,7 @@ class Spectrum:
         object.__setattr__(self, "pepmass", pepmass)
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "peaks", peaks)
+        object.__setattr__(self, "scores", {})
 
 
 def make_spectrum(

@@ -181,6 +181,23 @@ def test_evaluate_empty_results_errors(tmp_path):
     assert run("evaluate", empty, truth) == 2
 
 
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ("s1\t0\n", "r.tsv:2:"),  # fewer fields than the header
+        ("s1\tfirst\tLGVTLYK\n", "r.tsv:2:"),  # non-integer run_index
+        ("s1\t0\tLGVTLYK\n\ns1\t0\tAAAK\n", "r.tsv:4: repeated row for spectrum 's1' run 0"),
+    ],
+    ids=["short-row", "non-integer-run", "repeated-row"],
+)
+def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
+    truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
+    header = "spectrum_id\trun_index\tpredicted_peptide\n"
+    results = write(tmp_path / "r.tsv", header + rows)
+    assert run("evaluate", results, truth) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_preprocess_round_trip(tmp_path, peptide_file, capsys):
     mgf, _ = synth(tmp_path, peptide_file, "--noise", "40")
     out = tmp_path / "pp.mgf"

@@ -121,6 +121,17 @@ def test_shared_peak_counted_once():
     assert result.matched_peaks == (0,)
 
 
+def test_match_peaks_agrees_with_fitness(ladder_aaal):
+    intensities = ladder_aaal.intensity_array
+    for pep in ("AAALAAADAR", "AAALAGGWR", "LGVTLYK", "GGGGK", "DAAAALAAAR"):
+        assignment = match_peaks(theoretical_spectrum(pep), ladder_aaal, TAU)
+        result = fitness(pep, ladder_aaal, TAU)
+        matched = intensities[list(assignment.matched_peaks)].sum()
+        assert matched == result.matched_intensity_sum
+        flags = assignment.b_matched + assignment.y_matched
+        assert flags.count(False) == result.n_unmatched
+
+
 def test_nterm_cterm_ground_truth(ladder_aaal):
     assert nterm_cterm_scores("AAALAAADAR", ladder_aaal, TAU) == (8, 8)
 

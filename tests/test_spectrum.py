@@ -1,4 +1,5 @@
 import logging
+import pickle
 import random
 
 import pytest
@@ -209,6 +210,16 @@ def test_add_complements_bounded_growth():
     )
     out = add_complements(spec)
     assert len(out.peaks) <= 2 * len(spec.peaks)
+
+
+def test_pickle_round_trip_starts_empty_memo():
+    spec = make_spectrum("pk", 500.0, 2, peaks((171.11, 4.0), (310.18, 16.0)))
+    spec.scores[("GK", 0.5)] = None
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec
+    assert again.scores == {}
+    assert again.mz_array.tolist() == spec.mz_array.tolist()
+    assert again.intensity_array.tolist() == spec.intensity_array.tolist()
 
 
 def test_pipeline_preserves_metadata():
