@@ -12,6 +12,7 @@ import argparse
 import logging
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -209,6 +210,11 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     ga = _ga_config(options)
     pre_cfg = PreprocessConfig(tolerance=ga.tau)
     spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
+    ids = [_spectrum_id(spec, index) for index, spec in enumerate(spectra)]
+    repeated = [sid for sid, count in Counter(ids).items() if count > 1]
+    if repeated:
+        # Their result rows could not be told apart by `evaluate`.
+        raise ValueError(f"{args.input}: spectrum id {repeated[0]!r} is repeated")
     prepared = [
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
@@ -223,7 +229,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
                     replace(ga, seed=run_seed),
                     spec_index,
                     run_index,
-                    _spectrum_id(spec, spec_index),
+                    ids[spec_index],
                 )
             )
     rows: dict[tuple[int, int], str] = {}
@@ -253,6 +259,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
                 record(task, _sequence_job(task), None)
             except (EvolutionError, ValueError) as exc:
                 record(task, None, exc)
+            if task[3] == options["runs"] - 1:
+                # Runs of one spectrum share part of their peptides, so the
+                # score memo lives until the spectrum's last run.
+                task[0].scores.clear()
 
     lines = ["\t".join(SEQUENCE_COLUMNS)]
     lines.extend(rows[key] for key in sorted(rows))

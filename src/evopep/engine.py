@@ -308,78 +308,73 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
     """Run the full GA on one (preprocessed) spectrum.
 
     Returns the all-time best individual by fitness and a per-generation
-    trace. Identical seeds produce identical results. The spectrum's score
-    memo is emptied when the run ends.
+    trace. Identical seeds produce identical results.
     """
-    try:
-        rng = random.Random(cfg.seed)
-        pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
-        if not pool.candidates:
-            raise EvolutionError(
-                f"initialization pool for spectrum {spec.title!r} is empty; "
-                "the spectrum may be degenerate or the precursor mass unreachable"
-            )
-        population = _initial_population(pool.candidates, cfg)
-        best = max(population, key=lambda ind: ind.fitness)
-        trace = [_trace_row(0, population)]
+    rng = random.Random(cfg.seed)
+    pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
+    if not pool.candidates:
+        raise EvolutionError(
+            f"initialization pool for spectrum {spec.title!r} is empty; "
+            "the spectrum may be degenerate or the precursor mass unreachable"
+        )
+    population = _initial_population(pool.candidates, cfg)
+    best = max(population, key=lambda ind: ind.fitness)
+    trace = [_trace_row(0, population)]
 
-        for generation in range(1, cfg.generations + 1):
-            pools = select_pools(population, cfg, rng)
-            target = cfg.population - cfg.elitism
-            offspring: list[Individual] = []
-            while len(offspring) < target:
-                op = choose_operator(cfg, rng)
-                if op == OPERATOR_NTERM_CTERM and (
-                    not pools.nterm_pool or not pools.cterm_pool
-                ):
-                    op = OPERATOR_TWO_POINT
-                if op == OPERATOR_NTERM_CTERM:
-                    offspring.append(
-                        nterm_cterm_crossover(
-                            rng.choice(pools.nterm_pool),
-                            rng.choice(pools.cterm_pool),
-                            rng.choice(pools.helper),
-                            spec,
-                            cfg.tau,
-                            rng,
-                            cfg.relaxed_cx_bound,
-                        )
-                    )
-                elif op == OPERATOR_TWO_POINT:
-                    o1, o2 = two_point_crossover(
-                        rng.choice(pools.tournament),
-                        rng.choice(pools.tournament),
+    for generation in range(1, cfg.generations + 1):
+        pools = select_pools(population, cfg, rng)
+        target = cfg.population - cfg.elitism
+        offspring: list[Individual] = []
+        while len(offspring) < target:
+            op = choose_operator(cfg, rng)
+            if op == OPERATOR_NTERM_CTERM and (
+                not pools.nterm_pool or not pools.cterm_pool
+            ):
+                op = OPERATOR_TWO_POINT
+            if op == OPERATOR_NTERM_CTERM:
+                offspring.append(
+                    nterm_cterm_crossover(
+                        rng.choice(pools.nterm_pool),
+                        rng.choice(pools.cterm_pool),
+                        rng.choice(pools.helper),
                         spec,
                         cfg.tau,
                         rng,
+                        cfg.relaxed_cx_bound,
                     )
-                    offspring.append(o1)
-                    if len(offspring) < target:
-                        offspring.append(o2)
-                elif op == OPERATOR_FLIP:
-                    offspring.append(
-                        flip_aa_mutation(
-                            rng.choice(pools.tournament), spec, cfg.tau, rng
-                        )
+                )
+            elif op == OPERATOR_TWO_POINT:
+                o1, o2 = two_point_crossover(
+                    rng.choice(pools.tournament),
+                    rng.choice(pools.tournament),
+                    spec,
+                    cfg.tau,
+                    rng,
+                )
+                offspring.append(o1)
+                if len(offspring) < target:
+                    offspring.append(o2)
+            elif op == OPERATOR_FLIP:
+                offspring.append(
+                    flip_aa_mutation(
+                        rng.choice(pools.tournament), spec, cfg.tau, rng
                     )
-                else:
-                    offspring.append(
-                        conflict_mass_mutation(
-                            rng.choice(pools.tournament), spec, cfg.tau, rng
-                        )
+                )
+            else:
+                offspring.append(
+                    conflict_mass_mutation(
+                        rng.choice(pools.tournament), spec, cfg.tau, rng
                     )
-            population = offspring + _select_elites(population, cfg.elitism)
-            generation_best = max(population, key=lambda ind: ind.fitness)
-            if generation_best.fitness > best.fitness:
-                best = generation_best
-            trace.append(_trace_row(generation, population))
+                )
+        population = offspring + _select_elites(population, cfg.elitism)
+        generation_best = max(population, key=lambda ind: ind.fitness)
+        if generation_best.fitness > best.fitness:
+            best = generation_best
+        trace.append(_trace_row(generation, population))
 
-        return EvolveResult(
-            best=best, trace=tuple(trace), generations_used=cfg.generations
-        )
-    finally:
-        # Runs of one spectrum share few peptides: free the memo with the run.
-        spec.scores.clear()
+    return EvolveResult(
+        best=best, trace=tuple(trace), generations_used=cfg.generations
+    )
 
 
 def _trace_row(generation: int, population: list[Individual]) -> TraceRow:

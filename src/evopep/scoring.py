@@ -82,8 +82,7 @@ class Individual:
     @classmethod
     def score(cls, peptide: str, spec: Spectrum, tau: float) -> "Individual":
         # Converged GA populations re-create the same strings constantly, so
-        # scores are memoized in ``spec.scores`` (scores are pure in the
-        # peptide); ``evolve`` empties that memo when its run ends.
+        # scores are memoized in ``spec.scores`` (pure in the peptide).
         key = (peptide, tau)
         cached = spec.scores.get(key)
         if cached is None:

@@ -61,14 +61,17 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Peak list plus precursor metadata. Immutable after construction."""
+    """Peak list plus precursor metadata.
+
+    Peaks and metadata are immutable. ``scores`` is a mutable memo of
+    ``Individual.score``, keyed by (peptide, tau); it is left out of equality,
+    ``repr`` and pickling, and whoever owns the spectrum decides when to empty it.
+    """
 
     title: str
     pepmass: float
     charge: int
     peaks: tuple[Peak, ...]
-    # Memo of ``Individual.score``, keyed by (peptide, tau); ``evolve`` empties
-    # it when a run ends.
     scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

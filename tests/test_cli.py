@@ -1,7 +1,7 @@
 import pytest
 
 from evopep.cli import main
-from evopep.engine import GaConfig
+from evopep.engine import GaConfig, evolve
 
 
 def run(*argv):
@@ -113,6 +113,34 @@ def test_sequence_output_shape(tmp_path, peptide_file):
     ]
     assert len(lines) == 5  # 2 spectra x 2 runs + header
     assert all(row.split("\t")[7] == "2" for row in lines[1:])
+
+
+def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypatch):
+    import evopep.cli
+
+    calls = []
+
+    def spy(spec, cfg):
+        calls.append((spec, len(spec.scores)))
+        return evolve(spec, cfg)
+
+    monkeypatch.setattr(evopep.cli, "evolve", spy)
+    mgf, _ = synth(tmp_path, peptide_file)
+    assert run(
+        "sequence", str(mgf), "--runs", "2", "--generations", "2",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    # The second run of each spectrum starts from the first run's scores, and
+    # the memo is emptied after the spectrum's last run.
+    assert [size > 0 for _, size in calls] == [False, True, False, True]
+    assert all(spec.scores == {} for spec, _ in calls)
+
+
+def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):
+    mgf, _ = synth(tmp_path, peptide_file)
+    twice = write(tmp_path / "twice.mgf", mgf.read_text() * 2)
+    assert run("sequence", twice, "--runs", "1", "--generations", "0") == 2
+    assert "spectrum id 'synth-00000' is repeated" in capsys.readouterr().err
 
 
 def test_sequence_generations_zero(tmp_path, peptide_file):

@@ -238,7 +238,6 @@ def test_evolve_deterministic(aaal_spectrum):
     a = evolve(aaal_spectrum, cfg)
     b = evolve(aaal_spectrum, cfg)
     assert a == b
-    assert aaal_spectrum.scores == {}  # the memo lives for one run
 
 
 def test_evolve_population_invariants(aaal_spectrum):
