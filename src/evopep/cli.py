@@ -14,6 +14,7 @@ import random
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -545,6 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidPeptideError,
         ValueError,
         OSError,
+        BrokenProcessPool,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

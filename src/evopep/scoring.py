@@ -23,14 +23,13 @@ from .chem import (
     parent_mass,
     validate_peptide,
 )
-from .spectrum import Spectrum
+from .spectrum import Spectrum, nearest_peaks
 
 # Singly protonated fragments: a b-ion is a prefix plus one proton, a y-ion a
 # suffix plus water and one proton, so complementary pairs sum to
 # parent mass + 2 protons.
 B_ION_OFFSET = PROTON_MASS
 Y_ION_OFFSET = H2O_MASS + PROTON_MASS
-COMPLEMENT_OFFSET = 2 * PROTON_MASS
 
 
 class InvalidSpectrumError(ValueError):
@@ -129,25 +128,6 @@ def theoretical_spectrum(peptide: str) -> TheoreticalSpectrum:
     )
 
 
-def _nearest_peaks(
-    mz: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the closest peak to each target m/z, and the distance."""
-    if len(mz) == 0 or len(targets) == 0:
-        return (
-            np.zeros(len(targets), dtype=np.intp),
-            np.full(len(targets), np.inf),
-        )
-    idx = np.searchsorted(mz, targets)
-    left = np.clip(idx - 1, 0, len(mz) - 1)
-    right = np.clip(idx, 0, len(mz) - 1)
-    dist_left = np.abs(targets - mz[left])
-    dist_right = np.abs(mz[right] - targets)
-    take_left = dist_left <= dist_right
-    nearest = np.where(take_left, left, right)
-    return nearest, np.where(take_left, dist_left, dist_right)
-
-
 def _leading_pair_count(flags: np.ndarray) -> int:
     """Number of consecutive (j, j+1) pairs, from the start, with both true."""
     if len(flags) == 0 or not flags[0]:
@@ -160,29 +140,18 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, in
     """Matched intensity, unmatched b/y count, nterm and cterm of a sequence."""
     b, y, internal = _ion_arrays(seq)
     n_by = len(b) + len(y)
-    mz = spec.mz_array
-    nearest, dist = _nearest_peaks(mz, np.concatenate([b, y, internal]))
+    if not spec.peaks:
+        return 0.0, n_by, 0, 0
+    nearest, dist = nearest_peaks(spec.mz_array, np.concatenate([b, y, internal]))
     matched = dist <= tau
     matched_intensity = float(spec.intensity_array[np.unique(nearest[matched])].sum())
     n_unmatched = int((~matched[:n_by]).sum())
-
-    # A terminus-anchored ion only counts when the matched peak's precursor
-    # complement is itself corroborated by a peak; this filters random
-    # single-sided matches.
-    def corroborated(ion_matched: np.ndarray, ion_nearest: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(ion_matched), dtype=bool)
-        hit = np.flatnonzero(ion_matched)
-        if len(hit) == 0 or len(mz) == 0:
-            return out
-        partners = spec.precursor_mass + COMPLEMENT_OFFSET - mz[ion_nearest[hit]]
-        _, partner_dist = _nearest_peaks(mz, partners)
-        out[hit] = partner_dist <= 2 * tau
-        return out
-
-    nterm = _leading_pair_count(corroborated(matched[: len(b)], nearest[: len(b)]))
-    cterm = _leading_pair_count(
-        corroborated(matched[len(b) : n_by], nearest[len(b) : n_by])
-    )
+    # Noise peaks land on single b or y m/z values by chance, while a real
+    # cleavage usually shows both of its complementary ions; so only ions
+    # whose complement is observed extend a terminus-anchored run.
+    anchored = matched[:n_by] & (spec.partner_distance[nearest[:n_by]] <= 2 * tau)
+    nterm = _leading_pair_count(anchored[: len(b)])
+    cterm = _leading_pair_count(anchored[len(b) :])
     return matched_intensity, n_unmatched, nterm, cterm
 
 
@@ -197,7 +166,7 @@ def match_peaks(
     n_b = len(theo.b_ions)
     n_by = n_b + len(theo.y_ions)
     ions = np.array(theo.b_ions + theo.y_ions + theo.internal_ions, dtype=np.float64)
-    nearest, dist = _nearest_peaks(spec.mz_array, ions)
+    nearest, dist = nearest_peaks(spec.mz_array, ions)
     matched = dist <= tau
     flags = tuple(matched.tolist())
     return PeakAssignment(

@@ -63,7 +63,9 @@ class PreprocessConfig:
 class Spectrum:
     """Peak list plus precursor metadata.
 
-    Peaks and metadata are immutable. ``scores`` is a mutable memo of
+    Peaks and metadata are immutable. ``partner_distance`` holds, per peak, the
+    distance from its precursor complement to the nearest peak; preprocessing
+    and scoring both read it. ``scores`` is a mutable memo of
     ``Individual.score``, keyed by (peptide, tau); it is left out of equality,
     ``repr`` and pickling, and whoever owns the spectrum decides when to empty it.
     """
@@ -87,6 +89,17 @@ class Spectrum:
         return np.array([p.intensity for p in self.peaks], dtype=np.float64)
 
     @property
+    def partner_mz(self) -> np.ndarray:
+        """Precursor complement of each peak: b/y partners sum to
+        precursor_mass + 2 * proton."""
+        return self.precursor_mass + 2 * PROTON_MASS - self.mz_array
+
+    @cached_property
+    def partner_distance(self) -> np.ndarray:
+        """Distance from each peak's precursor complement to the nearest peak."""
+        return nearest_peaks(self.mz_array, self.partner_mz)[1]
+
+    @property
     def total_intensity(self) -> float:
         return float(self.intensity_array.sum())
 
@@ -102,6 +115,22 @@ class Spectrum:
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "peaks", peaks)
         object.__setattr__(self, "scores", {})
+
+
+def nearest_peaks(
+    mz: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the closest peak in sorted ``mz`` to each target m/z, and the
+    distance; ties go to the lower peak. Without peaks every index is -1 and
+    every distance inf."""
+    # side="left" gives mz[idx - 1] < target <= mz[idx], so with infinite
+    # sentinels at both ends neither distance is negative.
+    idx = np.searchsorted(mz, targets)
+    padded = np.concatenate(([-np.inf], mz, [np.inf]))
+    dist_left = targets - padded[idx]
+    dist_right = padded[idx + 1] - targets
+    take_left = dist_left <= dist_right
+    return idx - take_left, np.where(take_left, dist_left, dist_right)
 
 
 def make_spectrum(
@@ -331,27 +360,18 @@ def add_complements(
 ) -> Spectrum:
     """Insert missing complementary peaks.
 
-    Two singly-protonated b/y fragments of one precursor sum to
-    precursor_mass + 2 * proton; for each input peak lacking a partner within
-    the tolerance, a synthetic peak is inserted at the complementary m/z
-    carrying the originating peak's intensity. Idempotent up to the
+    For each input peak whose precursor complement (``Spectrum.partner_mz``)
+    has no peak within the tolerance, a synthetic peak is inserted at the
+    complement carrying the originating peak's intensity. Idempotent up to the
     tolerance. Complements at non-positive m/z are skipped.
     """
-    if not spec.peaks:
-        return spec
-    target_sum = spec.precursor_mass + 2 * PROTON_MASS
-    mz = spec.mz_array
-    added: list[Peak] = []
-    for peak in spec.peaks:
-        partner = target_sum - peak.mz
-        if partner <= 0:
-            continue
-        idx = int(np.searchsorted(mz, partner))
-        nearest = min(
-            abs(partner - mz[i]) for i in (idx - 1, idx) if 0 <= i < len(mz)
-        )
-        if nearest > cfg.tolerance:
-            added.append(Peak(mz=partner, intensity=peak.intensity, synthetic=True))
+    partners = spec.partner_mz
+    missing = (partners > 0) & (spec.partner_distance > cfg.tolerance)
+    added = [
+        Peak(mz=partner, intensity=peak.intensity, synthetic=True)
+        for peak, partner, add in zip(spec.peaks, partners.tolist(), missing)
+        if add
+    ]
     if not added:
         return spec
     return make_spectrum(

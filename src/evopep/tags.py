@@ -135,10 +135,9 @@ def adjust_mass(
     caller should discard it.
     """
     bound = residue_mass("G") + tau
-    best = seq
-    best_delta = abs(precursor - parent_mass(seq))
+    delta = precursor - parent_mass(seq)
+    best, best_delta = seq, abs(delta)
     for _ in range(max_iterations):
-        delta = precursor - parent_mass(seq)
         if abs(delta) < bound:
             return seq, True
         if delta > 0:
@@ -153,10 +152,10 @@ def adjust_mass(
                 return seq, False
             pos = rng.randrange(len(seq) - 1)
             seq = seq[:pos] + seq[pos + 1 :]
-        delta = abs(precursor - parent_mass(seq))
-        if delta < best_delta:
-            best, best_delta = seq, delta
-    if abs(precursor - parent_mass(seq)) < bound:
+        delta = precursor - parent_mass(seq)
+        if abs(delta) < best_delta:
+            best, best_delta = seq, abs(delta)
+    if abs(delta) < bound:
         return seq, True
     return best, False
 

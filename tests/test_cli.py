@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from evopep.cli import main
@@ -141,6 +143,22 @@ def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):
     twice = write(tmp_path / "twice.mgf", mgf.read_text() * 2)
     assert run("sequence", twice, "--runs", "1", "--generations", "0") == 2
     assert "spectrum id 'synth-00000' is repeated" in capsys.readouterr().err
+
+
+def _die(task):
+    os._exit(3)
+
+
+def test_sequence_dying_worker_errors(tmp_path, peptide_file, monkeypatch, capsys):
+    import evopep.cli
+
+    monkeypatch.setattr(evopep.cli, "_sequence_job", _die)
+    mgf, _ = synth(tmp_path, peptide_file)
+    assert run(
+        "sequence", str(mgf), "--runs", "1", "--generations", "0", "--jobs", "2",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sequence_generations_zero(tmp_path, peptide_file):

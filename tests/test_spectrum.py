@@ -2,7 +2,10 @@ import logging
 import pickle
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evopep import (
     MgfParseError,
@@ -17,6 +20,7 @@ from evopep import (
     preprocess,
 )
 from evopep.chem import PROTON_MASS
+from evopep.spectrum import nearest_peaks
 
 SIMPLE_MGF = """\
 BEGIN IONS
@@ -238,3 +242,35 @@ def test_preprocess_config_validation():
         PreprocessConfig(window_count=0)
     with pytest.raises(ValueError):
         PreprocessConfig(tolerance=0.0)
+
+
+# Peaks and targets on a 1/128 grid are exact in binary, so differences are
+# exact and a target halfway between two peaks is a true tie.
+grid_mz = st.lists(st.integers(1, 2**18), unique=True).map(
+    lambda ks: np.array(sorted(ks), dtype=np.float64) / 64
+)
+grid_targets = st.lists(st.integers(-64, 2**19 + 64)).map(
+    lambda ks: np.array(ks, dtype=np.float64) / 128
+)
+
+
+@given(grid_mz, grid_targets)
+def test_nearest_peaks_matches_brute_force(mz, targets):
+    targets = np.concatenate([targets, (mz[:-1] + mz[1:]) / 2])  # every tie
+    nearest, dist = nearest_peaks(mz, targets)
+    assert len(nearest) == len(dist) == len(targets)
+    if len(mz) == 0:
+        assert (nearest == -1).all() and np.isinf(dist).all()
+        return
+    gaps = np.abs(targets[:, None] - mz[None, :])
+    # argmin takes the first minimum: ties go to the lower peak.
+    assert nearest.tolist() == gaps.argmin(axis=1).tolist()
+    assert dist.tolist() == gaps.min(axis=1).tolist()
+
+
+@given(grid_mz.filter(len), st.floats(200.0, 3000.0), st.integers(1, 3))
+def test_partner_distance_matches_brute_force(mz, pepmass, charge):
+    spec = make_spectrum("p", pepmass, charge, [Peak(m, 1.0) for m in mz.tolist()])
+    partners = spec.precursor_mass + 2 * PROTON_MASS - mz
+    expected = np.abs(partners[:, None] - mz[None, :]).min(axis=1)
+    assert spec.partner_distance.tolist() == expected.tolist()
