@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import random
 import sys
 from collections import Counter
@@ -149,7 +150,7 @@ def _seed_value(seed: str) -> int | str:
         return seed
 
 
-def _ga_config(options: dict, seed: int | str | None = None) -> GaConfig:
+def _ga_config(options: dict) -> GaConfig:
     rates = _parse_rates(options["rates"])
     return GaConfig(
         pool_size=options["pool_size"],
@@ -161,7 +162,7 @@ def _ga_config(options: dict, seed: int | str | None = None) -> GaConfig:
         rate_flip=rates[2],
         rate_conflict=rates[3],
         tau=options["tau"],
-        seed=seed,
+        seed=options["seed"],
     )
 
 
@@ -194,16 +195,36 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_job(task: tuple[Spectrum, GaConfig, int, int, str]):
-    spec, cfg, spec_index, run_index, spectrum_id = task
-    result = evolve(spec, cfg)
-    best = result.best
-    row = (
-        f"{spectrum_id}\t{run_index}\t{best.peptide}\t{best.fitness:.6f}"
-        f"\t{best.nterm}\t{best.cterm}\t{best.delta_mass:.6f}"
-        f"\t{result.generations_used}"
-    )
-    return spec_index, run_index, row
+def _sequence_job(task: tuple[Spectrum, GaConfig, int, range, str]) -> list[str]:
+    """Result rows of one block of a spectrum's runs.
+
+    The runs share the spectrum's tag and score memos, which are emptied
+    before the job returns. Run ``r`` of spectrum ``i`` is seeded with
+    ``f"{cfg.seed}|{i}|{r}"``, so rows do not depend on how runs are blocked.
+    """
+    spec, cfg, spec_index, run_indices, spectrum_id = task
+    if spec.total_intensity <= 0:
+        logger.warning("skipping %s: spectrum has no positive intensity", spectrum_id)
+        return []
+    rows = []
+    for run_index in run_indices:
+        run_seed = _seed_value(f"{cfg.seed}|{spec_index}|{run_index}")
+        try:
+            result = evolve(spec, replace(cfg, seed=run_seed))
+        except (EvolutionError, ValueError) as exc:
+            logger.warning(
+                "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
+            )
+            continue
+        best = result.best
+        rows.append(
+            f"{spectrum_id}\t{run_index}\t{best.peptide}\t{best.fitness:.6f}"
+            f"\t{best.nterm}\t{best.cterm}\t{best.delta_mass:.6f}"
+            f"\t{result.generations_used}"
+        )
+    spec.scores.clear()
+    spec.tag_residues.clear()
+    return rows
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -220,55 +241,23 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
     ]
-    tasks = []
-    for spec_index, spec in enumerate(prepared):
-        for run_index in range(options["runs"]):
-            run_seed = _seed_value(f"{options['seed']}|{spec_index}|{run_index}")
-            tasks.append(
-                (
-                    spec,
-                    replace(ga, seed=run_seed),
-                    spec_index,
-                    run_index,
-                    ids[spec_index],
-                )
-            )
-    rows: dict[tuple[int, int], str] = {}
-    failures = 0
-
-    def record(task, outcome: tuple | None, error: Exception | None):
-        nonlocal failures
-        if outcome is None:
-            failures += 1
-            logger.warning(
-                "sequencing failed for %s run %d: %s", task[4], task[3], error
-            )
-        else:
-            rows[(outcome[0], outcome[1])] = outcome[2]
-
+    # A spectrum is the unit of work; with fewer spectra than workers its runs
+    # are split into contiguous blocks, one task each, so all workers get work.
+    runs = options["runs"]
+    blocks = min(runs, max(1, math.ceil(options["jobs"] / max(1, len(prepared)))))
+    tasks = [
+        (spec, ga, index, range(runs * b // blocks, runs * (b + 1) // blocks), ids[index])
+        for index, spec in enumerate(prepared)
+        for b in range(blocks)
+    ]
     if options["jobs"] > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
-            futures = [(task, pool.submit(_sequence_job, task)) for task in tasks]
-            for task, future in futures:
-                try:
-                    record(task, future.result(), None)
-                except (EvolutionError, ValueError) as exc:
-                    record(task, None, exc)
+            results = list(pool.map(_sequence_job, tasks))
     else:
-        for task in tasks:
-            try:
-                record(task, _sequence_job(task), None)
-            except (EvolutionError, ValueError) as exc:
-                record(task, None, exc)
-            if task[3] == options["runs"] - 1:
-                # Runs of one spectrum share part of their peptides, so the
-                # score memo lives until the spectrum's last run.
-                task[0].scores.clear()
-
-    lines = ["\t".join(SEQUENCE_COLUMNS)]
-    lines.extend(rows[key] for key in sorted(rows))
-    _write_output("\n".join(lines) + "\n", args.output)
-    if tasks and failures == len(tasks):
+        results = list(map(_sequence_job, tasks))
+    rows = [row for block in results for row in block]
+    _write_output("\n".join(["\t".join(SEQUENCE_COLUMNS), *rows]) + "\n", args.output)
+    if tasks and not rows:
         print("error: all sequencing runs failed", file=sys.stderr)
         return 2
     return 0

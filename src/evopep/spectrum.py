@@ -65,9 +65,10 @@ class Spectrum:
 
     Peaks and metadata are immutable. ``partner_distance`` holds, per peak, the
     distance from its precursor complement to the nearest peak; preprocessing
-    and scoring both read it. ``scores`` is a mutable memo of
-    ``Individual.score``, keyed by (peptide, tau); it is left out of equality,
-    ``repr`` and pickling, and whoever owns the spectrum decides when to empty it.
+    and scoring both read it. Two mutable memos, left out of equality, ``repr``
+    and pickling, are emptied by whoever owns the spectrum: ``scores`` maps
+    (peptide, tau) to ``Individual.score`` results, and ``tag_residues`` maps
+    tau to the residue strings of ``extract_tags`` (``build_init_pool``).
     """
 
     title: str
@@ -75,6 +76,9 @@ class Spectrum:
     charge: int
     peaks: tuple[Peak, ...]
     scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    tag_residues: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def precursor_mass(self) -> float:
@@ -104,17 +108,12 @@ class Spectrum:
         return float(self.intensity_array.sum())
 
     def __getstate__(self):
-        # Cached arrays are rebuilt on demand and the memo starts empty; keep
+        # Cached arrays are rebuilt on demand and the memos start empty; keep
         # pickles lean.
         return (self.title, self.pepmass, self.charge, self.peaks)
 
     def __setstate__(self, state):
-        title, pepmass, charge, peaks = state
-        object.__setattr__(self, "title", title)
-        object.__setattr__(self, "pepmass", pepmass)
-        object.__setattr__(self, "charge", charge)
-        object.__setattr__(self, "peaks", peaks)
-        object.__setattr__(self, "scores", {})
+        self.__init__(*state)
 
 
 def nearest_peaks(

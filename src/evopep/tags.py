@@ -106,8 +106,8 @@ def random_peptide(
     return body + rng.choice(TRYPTIC_TERMINALS)
 
 
-def random_sequence_from_tags(tags: list[Tag], rng: random.Random) -> str:
-    """Concatenate 2, 3 or 4 random tags and append a tryptic terminal.
+def random_sequence_from_tags(tags: list[str], rng: random.Random) -> str:
+    """Concatenate 2, 3 or 4 random tags' residues and append a tryptic terminal.
 
     Falls back to a fully random length-7..12 tryptic sequence when no tags
     are available.
@@ -115,7 +115,7 @@ def random_sequence_from_tags(tags: list[Tag], rng: random.Random) -> str:
     if not tags:
         return random_peptide(rng)
     count = rng.randint(2, 4)
-    body = "".join(rng.choice(tags).residues for _ in range(count))
+    body = "".join(rng.choice(tags) for _ in range(count))
     return body + rng.choice(TRYPTIC_TERMINALS)
 
 
@@ -168,17 +168,20 @@ def build_init_pool(
 ) -> InitPool:
     """Fill a pool of scored, mass-adjusted tag-based candidates.
 
-    Repeats extract -> concatenate -> append-terminal -> adjust until
-    ``pool_size`` valid candidates are collected, giving up after
-    50 * pool_size attempts (the pool is then returned partially filled, with
-    a warning).
+    Repeats concatenate -> append-terminal -> adjust until ``pool_size``
+    valid candidates are collected, giving up after 50 * pool_size attempts
+    (the pool is then returned partially filled, with a warning). Tags are
+    extracted on first use and kept in ``spec.tag_residues``.
     """
-    tags = extract_tags(spec, tau)
-    if not tags:
-        logger.warning(
-            "spectrum %r yielded no tags; falling back to random sequences",
-            spec.title,
-        )
+    tags = spec.tag_residues.get(tau)
+    if tags is None:
+        tags = [tag.residues for tag in extract_tags(spec, tau)]
+        spec.tag_residues[tau] = tags
+        if not tags:
+            logger.warning(
+                "spectrum %r yielded no tags; falling back to random sequences",
+                spec.title,
+            )
     candidates: list[Individual] = []
     seen: set[str] = set()
     attempts = 0

@@ -1,9 +1,12 @@
+import logging
 import os
 
 import pytest
 
-from evopep.cli import main
+from evopep.cli import SEQUENCE_COLUMNS, main
 from evopep.engine import GaConfig, evolve
+from evopep.spectrum import Peak, emit_mgf, make_spectrum, parse_mgf
+from evopep.tags import extract_tags
 
 
 def run(*argv):
@@ -119,23 +122,131 @@ def test_sequence_output_shape(tmp_path, peptide_file):
 
 def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
+    import evopep.tags
 
     calls = []
+    extracted = []
 
     def spy(spec, cfg):
         calls.append((spec, len(spec.scores)))
         return evolve(spec, cfg)
 
+    def extract_spy(spec, tau):
+        extracted.append(spec.title)
+        return extract_tags(spec, tau)
+
     monkeypatch.setattr(evopep.cli, "evolve", spy)
+    monkeypatch.setattr(evopep.tags, "extract_tags", extract_spy)
     mgf, _ = synth(tmp_path, peptide_file)
     assert run(
         "sequence", str(mgf), "--runs", "2", "--generations", "2",
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
-    # The second run of each spectrum starts from the first run's scores, and
-    # the memo is emptied after the spectrum's last run.
+    # The second run of each spectrum starts from the first run's scores and
+    # tags, and both memos are emptied after the spectrum's last run.
     assert [size > 0 for _, size in calls] == [False, True, False, True]
+    assert extracted == ["synth-00000", "synth-00001"]
     assert all(spec.scores == {} for spec, _ in calls)
+    assert all(spec.tag_residues == {} for spec, _ in calls)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its tasks, runs them here."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.tasks = []
+        _RecordingPool.started.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+def test_sequence_splits_runs_of_one_spectrum_across_jobs(
+    tmp_path, peptide_file, monkeypatch
+):
+    import evopep.cli
+
+    one = write(tmp_path / "one.txt", "LGVTLYK\n")
+    mgf, _ = synth(tmp_path, one)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.tsv"
+        assert run(
+            "sequence", str(mgf), "--seed", "3", "--runs", "4",
+            "--generations", "2", "--jobs", jobs, "-o", str(out),
+        ) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 5
+
+    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started.clear()
+    assert run(
+        "sequence", str(mgf), "--runs", "4", "--generations", "2", "--jobs", "2",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    (pool,) = _RecordingPool.started
+    assert [task[3] for task in pool.tasks] == [range(0, 2), range(2, 4)]
+
+
+def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):
+    import evopep.cli
+
+    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started.clear()
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = tmp_path / "r.tsv"
+    assert run("sequence", str(mgf), "--runs", "0", "--jobs", "2", "-o", str(out)) == 0
+    assert _RecordingPool.started == []
+    assert out.read_text().splitlines() == ["\t".join(SEQUENCE_COLUMNS)]
+
+
+def _zero_intensity_mgf(mgf):
+    """The first spectrum of ``mgf`` again, titled "zero", every intensity 0."""
+    spec = parse_mgf(mgf.read_text())[0]
+    zero = make_spectrum(
+        "zero", spec.pepmass, spec.charge, [Peak(p.mz, 0.0) for p in spec.peaks]
+    )
+    return emit_mgf([zero])
+
+
+def test_sequence_zero_intensity_spectrum_only_errors(
+    tmp_path, peptide_file, capsys, caplog
+):
+    mgf, _ = synth(tmp_path, peptide_file)
+    zero = write(tmp_path / "zero.mgf", _zero_intensity_mgf(mgf))
+    with caplog.at_level(logging.WARNING):
+        code = run("sequence", zero, "--runs", "3", "--generations", "1",
+                   "-o", str(tmp_path / "r.tsv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: all sequencing runs failed" in err
+    assert "Traceback" not in err
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == ["skipping zero: spectrum has no positive intensity"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sequence_zero_intensity_spectrum_skipped(tmp_path, peptide_file, capsys, jobs):
+    mgf, _ = synth(tmp_path, peptide_file)
+    mixed = write(tmp_path / "mixed.mgf", _zero_intensity_mgf(mgf) + mgf.read_text())
+    out = tmp_path / "r.tsv"
+    assert run(
+        "sequence", mixed, "--runs", "2", "--generations", "1", "--jobs", jobs,
+        "-o", str(out),
+    ) == 0
+    ids = [line.split("\t")[0] for line in out.read_text().splitlines()[1:]]
+    assert ids == ["synth-00000"] * 2 + ["synth-00001"] * 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):

@@ -20,7 +20,7 @@ from evopep import (
     preprocess,
 )
 from evopep.chem import PROTON_MASS
-from evopep.spectrum import nearest_peaks
+from evopep.spectrum import DUPLICATE_MZ_TOLERANCE, nearest_peaks
 
 SIMPLE_MGF = """\
 BEGIN IONS
@@ -219,9 +219,11 @@ def test_add_complements_bounded_growth():
 def test_pickle_round_trip_starts_empty_memo():
     spec = make_spectrum("pk", 500.0, 2, peaks((171.11, 4.0), (310.18, 16.0)))
     spec.scores[("GK", 0.5)] = None
+    spec.tag_residues[0.5] = ["GAG"]
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
     assert again.scores == {}
+    assert again.tag_residues == {}
     assert again.mz_array.tolist() == spec.mz_array.tolist()
     assert again.intensity_array.tolist() == spec.intensity_array.tolist()
 
@@ -274,3 +276,30 @@ def test_partner_distance_matches_brute_force(mz, pepmass, charge):
     partners = spec.precursor_mass + 2 * PROTON_MASS - mz
     expected = np.abs(partners[:, None] - mz[None, :]).min(axis=1)
     assert spec.partner_distance.tolist() == expected.tolist()
+
+
+# m/z on the 1e-6 grid that MGF text holds, so the merge of near-duplicate
+# peaks decides the same way on both sides of the round trip.
+@given(
+    st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip),
+    st.floats(100.0, 5000.0),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 5 * 10**9), st.floats(0.0, 1e6)), min_size=1),
+)
+def test_mgf_round_trip_at_six_decimals(title, pepmass, charge, raw):
+    spec = make_spectrum(title, pepmass, charge, [Peak(k / 1e6, i) for k, i in raw])
+    (again,) = parse_mgf(emit_mgf([spec]))
+    assert (again.title, again.charge) == (title, charge)
+    assert abs(again.pepmass - pepmass) <= 5e-7
+    assert [p.mz for p in again.peaks] == [p.mz for p in spec.peaks]
+    for a, b in zip(again.peaks, spec.peaks):
+        assert abs(a.intensity - b.intensity) <= 5e-7
+
+
+@given(st.lists(st.tuples(st.floats(100.0, 100.01), st.floats(0.0, 100.0)), max_size=40))
+def test_make_spectrum_idempotent(raw):
+    spec = make_spectrum("m", 500.0, 2, peaks(*raw))
+    again = make_spectrum(spec.title, spec.pepmass, spec.charge, spec.peaks)
+    assert again == spec
+    gaps = np.diff(spec.mz_array)
+    assert (gaps >= DUPLICATE_MZ_TOLERANCE).all()

@@ -1,4 +1,8 @@
 import random
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evopep import (
     Peak,
@@ -7,7 +11,14 @@ from evopep import (
     extract_tags,
     make_spectrum,
 )
-from evopep.chem import RESIDUE_MASSES, is_tryptic, parent_mass, residue_mass
+from evopep.chem import (
+    CANONICAL_ALPHABET,
+    RESIDUE_MASSES,
+    TRYPTIC_TERMINALS,
+    is_tryptic,
+    parent_mass,
+    residue_mass,
+)
 from evopep.tags import random_peptide, random_sequence_from_tags
 from tests.conftest import clean_spectrum
 
@@ -84,7 +95,7 @@ def test_extract_equals_brute_force_random_spectra():
 
 def test_random_sequence_from_tags_shape():
     spec = spectrum_at([200.0, 271.037, 384.121, 497.205, 554.226])
-    tags = extract_tags(spec, TAU)
+    tags = [tag.residues for tag in extract_tags(spec, TAU)]
     rng = random.Random(4)
     lengths = set()
     for _ in range(200):
@@ -148,6 +159,55 @@ def test_adjust_mass_rejects_two_residue_removal():
     precursor = 80.0  # far lighter than any 2-residue peptide
     out, ok = adjust_mass(seq, precursor, random.Random(2), TAU)
     assert not ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(CANONICAL_ALPHABET, min_size=1, max_size=20),
+    st.sampled_from(TRYPTIC_TERMINALS),
+    st.floats(-1500.0, 1500.0),
+    st.integers(0, 40),
+    st.integers(0, 2**32),
+)
+# Removing E from AEK overshoots (63 Da heavy -> 66 Da light) on the last
+# allowed step, so the best sequence seen is the first one, not the last.
+@example("AE", "K", -63.0, 1, 288)
+def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
+    seq = body + terminal
+    precursor = parent_mass(seq) + offset
+    seen = []
+
+    def recording_parent_mass(candidate):
+        seen.append(candidate)
+        return parent_mass(candidate)
+
+    with mock.patch("evopep.tags.parent_mass", recording_parent_mass):
+        out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU, max_iterations)
+    assert out[-1] == terminal
+    assert len(seen) <= max_iterations + 1
+    assert out in seen
+    delta = abs(precursor - parent_mass(out))
+    if ok:
+        assert delta < DELTA_BOUND
+    else:
+        assert delta == min(abs(precursor - parent_mass(s)) for s in seen)
+
+
+def test_build_init_pool_extracts_tags_once(monkeypatch):
+    import evopep.tags
+
+    spec = clean_spectrum("LGVTLYK")
+    calls = []
+
+    def extract_spy(spec, tau):
+        calls.append(tau)
+        return extract_tags(spec, tau)
+
+    monkeypatch.setattr(evopep.tags, "extract_tags", extract_spy)
+    for seed in range(3):
+        build_init_pool(spec, TAU, 20, random.Random(seed))
+    assert calls == [TAU]
+    assert spec.tag_residues == {TAU: [tag.residues for tag in extract_tags(spec, TAU)]}
 
 
 def test_build_init_pool_invariants():
