@@ -162,7 +162,6 @@ def _ga_config(options: dict) -> GaConfig:
         rate_flip=rates[2],
         rate_conflict=rates[3],
         tau=options["tau"],
-        seed=options["seed"],
     )
 
 
@@ -195,20 +194,17 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_job(task: tuple[Spectrum, GaConfig, int, range, str]) -> list[str]:
+def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list[str]:
     """Result rows of one block of a spectrum's runs.
 
     The runs share the spectrum's tag and score memos, which are emptied
     before the job returns. Run ``r`` of spectrum ``i`` is seeded with
-    ``f"{cfg.seed}|{i}|{r}"``, so rows do not depend on how runs are blocked.
+    ``f"{seed}|{i}|{r}"``, so rows do not depend on how runs are blocked.
     """
-    spec, cfg, spec_index, run_indices, spectrum_id = task
-    if spec.total_intensity <= 0:
-        logger.warning("skipping %s: spectrum has no positive intensity", spectrum_id)
-        return []
+    spec, cfg, seed, spec_index, run_indices, spectrum_id = task
     rows = []
     for run_index in run_indices:
-        run_seed = _seed_value(f"{cfg.seed}|{spec_index}|{run_index}")
+        run_seed = _seed_value(f"{seed}|{spec_index}|{run_index}")
         try:
             result = evolve(spec, replace(cfg, seed=run_seed))
         except (EvolutionError, ValueError) as exc:
@@ -241,23 +237,29 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
     ]
-    # A spectrum is the unit of work; with fewer spectra than workers its runs
-    # are split into contiguous blocks, one task each, so all workers get work.
-    runs = options["runs"]
-    blocks = min(runs, max(1, math.ceil(options["jobs"] / max(1, len(prepared)))))
+    for spec, sid in zip(prepared, ids):
+        if spec.total_intensity <= 0:
+            logger.warning("skipping %s: spectrum has no positive intensity", sid)
+    live = [index for index, spec in enumerate(prepared) if spec.total_intensity > 0]
+    # A spectrum is the unit of work. Its runs are split into contiguous
+    # blocks, one task each, so that the task count is a multiple of the
+    # worker count and every worker gets the same share of the runs.
+    runs, jobs = options["runs"], max(1, options["jobs"])
+    parts = min(runs, jobs // math.gcd(len(live), jobs))
+    blocks = [range(runs * b // parts, runs * (b + 1) // parts) for b in range(parts)]
     tasks = [
-        (spec, ga, index, range(runs * b // blocks, runs * (b + 1) // blocks), ids[index])
-        for index, spec in enumerate(prepared)
-        for b in range(blocks)
+        (prepared[index], ga, options["seed"], index, block, ids[index])
+        for index in live
+        for block in blocks
     ]
-    if options["jobs"] > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sequence_job, tasks))
     else:
         results = list(map(_sequence_job, tasks))
-    rows = [row for block in results for row in block]
+    rows = [row for task_rows in results for row in task_rows]
     _write_output("\n".join(["\t".join(SEQUENCE_COLUMNS), *rows]) + "\n", args.output)
-    if tasks and not rows:
+    if runs > 0 and prepared and not rows:
         print("error: all sequencing runs failed", file=sys.stderr)
         return 2
     return 0

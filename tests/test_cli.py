@@ -195,7 +195,34 @@ def test_sequence_splits_runs_of_one_spectrum_across_jobs(
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
     (pool,) = _RecordingPool.started
-    assert [task[3] for task in pool.tasks] == [range(0, 2), range(2, 4)]
+    assert [task[4] for task in pool.tasks] == [range(0, 2), range(2, 4)]
+
+
+@pytest.mark.parametrize(
+    "peptides, blocks",
+    [("LGVTLYK\nAAALAAADAR\n", 1), ("LGVTLYK\nAAALAAADAR\nGGK\n", 2)],
+)
+def test_sequence_task_count_is_multiple_of_jobs(
+    tmp_path, monkeypatch, peptides, blocks
+):
+    import evopep.cli
+
+    mgf, _ = synth(tmp_path, write(tmp_path / "peps.txt", peptides))
+    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started.clear()
+    assert run(
+        "sequence", str(mgf), "--runs", "4", "--generations", "1", "--jobs", "2",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    (pool,) = _RecordingPool.started
+    # Two spectra fill two workers whole; three are split into two blocks
+    # each, so each worker gets six runs rather than one getting eight.
+    assert len(pool.tasks) % 2 == 0
+    assert [(task[3], len(task[4])) for task in pool.tasks] == [
+        (spec, 4 // blocks)
+        for spec in range(peptides.count("\n"))
+        for _ in range(blocks)
+    ]
 
 
 def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):
@@ -219,14 +246,15 @@ def _zero_intensity_mgf(mgf):
     return emit_mgf([zero])
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sequence_zero_intensity_spectrum_only_errors(
-    tmp_path, peptide_file, capsys, caplog
+    tmp_path, peptide_file, capsys, caplog, jobs
 ):
     mgf, _ = synth(tmp_path, peptide_file)
     zero = write(tmp_path / "zero.mgf", _zero_intensity_mgf(mgf))
     with caplog.at_level(logging.WARNING):
-        code = run("sequence", zero, "--runs", "3", "--generations", "1",
-                   "-o", str(tmp_path / "r.tsv"))
+        code = run("sequence", zero, "--runs", "4", "--generations", "1",
+                   "--jobs", jobs, "-o", str(tmp_path / "r.tsv"))
     assert code == 2
     err = capsys.readouterr().err
     assert "error: all sequencing runs failed" in err
@@ -236,17 +264,22 @@ def test_sequence_zero_intensity_spectrum_only_errors(
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sequence_zero_intensity_spectrum_skipped(tmp_path, peptide_file, capsys, jobs):
+def test_sequence_zero_intensity_spectrum_skipped(
+    tmp_path, peptide_file, capsys, caplog, jobs
+):
     mgf, _ = synth(tmp_path, peptide_file)
     mixed = write(tmp_path / "mixed.mgf", _zero_intensity_mgf(mgf) + mgf.read_text())
     out = tmp_path / "r.tsv"
-    assert run(
-        "sequence", mixed, "--runs", "2", "--generations", "1", "--jobs", jobs,
-        "-o", str(out),
-    ) == 0
+    with caplog.at_level(logging.WARNING):
+        assert run(
+            "sequence", mixed, "--runs", "4", "--generations", "1", "--jobs", jobs,
+            "-o", str(out),
+        ) == 0
     ids = [line.split("\t")[0] for line in out.read_text().splitlines()[1:]]
-    assert ids == ["synth-00000"] * 2 + ["synth-00001"] * 2
+    assert ids == ["synth-00000"] * 4 + ["synth-00001"] * 4
     assert "Traceback" not in capsys.readouterr().err
+    skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    assert skipped == ["skipping zero: spectrum has no positive intensity"]
 
 
 def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):
