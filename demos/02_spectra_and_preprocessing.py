@@ -22,7 +22,7 @@ rng = random.Random(42)
 # 25 uniform-random noise peaks added.
 cfg = SynthConfig(dropout=0.10, noise_peaks=25)
 raw = synthesize_spectrum("AAALAAADAR", cfg, rng, title="demo-spectrum")
-print(f"raw spectrum: {len(raw.peaks)} peaks, precursor {raw.precursor_mass:.3f} Da")
+print(f"raw spectrum: {len(raw.mz)} peaks, precursor {raw.precursor_mass:.3f} Da")
 
 # Spectra serialize to Mascot Generic Format and parse back losslessly
 # (to 6 decimal places).
@@ -30,21 +30,21 @@ text = emit_mgf([raw])
 print("\nfirst MGF lines:")
 print("\n".join(text.splitlines()[:6]))
 again = parse_mgf(text)[0]
-assert len(again.peaks) == len(raw.peaks)
+assert len(again.mz) == len(raw.mz)
 
 # Preprocessing stage 1: windowed noise filtering. Windows with more than 9
 # peaks drop everything below their modal intensity.
 pcfg = PreprocessConfig()
 quiet = denoise(again, pcfg)
-print(f"\nafter denoise:    {len(quiet.peaks)} peaks")
+print(f"\nafter denoise:    {len(quiet.mz)} peaks")
 
 # Stage 2: square-root intensities, normalized to 1.0 per window.
 flat = normalize(quiet, pcfg)
-print(f"after normalize:  {len(flat.peaks)} peaks, max intensity "
-      f"{max(p.intensity for p in flat.peaks):.2f}")
+print(f"after normalize:  {len(flat.mz)} peaks, max intensity "
+      f"{flat.intensity.max():.2f}")
 
 # Stage 3: complementary-peak augmentation. Each fragment peak implies a
 # partner at precursor + 2*proton - m/z; missing partners are inserted.
 full = add_complements(flat, pcfg)
-synthetic = sum(p.synthetic for p in full.peaks)
-print(f"after complements: {len(full.peaks)} peaks ({synthetic} synthetic)")
+added = len(full.mz) - len(flat.mz)
+print(f"after complements: {len(full.mz)} peaks ({added} added)")

@@ -26,7 +26,7 @@ spec = preprocess(
 # A tag is three residues read off four peaks whose consecutive gaps each
 # match a residue mass within the tolerance.
 tags = extract_tags(spec, tau=0.5)
-print(f"extracted {len(tags)} tags from {len(spec.peaks)} peaks; first few:")
+print(f"extracted {len(tags)} tags from {len(spec.mz)} peaks; first few:")
 for tag in tags[:5]:
     print(f"  {tag.residues}  start m/z {tag.start_mz:8.3f}  peaks {tag.peak_indices}")
 

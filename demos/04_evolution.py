@@ -20,7 +20,7 @@ spec = preprocess(
     synthesize_spectrum(truth, SynthConfig(noise_peaks=20), random.Random(3)),
     PreprocessConfig(),
 )
-print(f"target peptide: {truth}  ({len(spec.peaks)} peaks after preprocessing)")
+print(f"target peptide: {truth}  ({len(spec.mz)} peaks after preprocessing)")
 
 # Default configuration: pool 1000, population 300, 50 generations, four
 # operators at rates 0.40/0.35/0.10/0.15, tournament size 7, three elites.

@@ -64,6 +64,9 @@ _DEFAULTS = {
     "noise": 0,
 }
 
+# Smallest accepted value of a count option, from a flag or a config file.
+_MINIMUM = {"runs": 0, "jobs": 1}
+
 SEQUENCE_COLUMNS = (
     "spectrum_id",
     "run_index",
@@ -113,8 +116,26 @@ def _rates_flag(text: str) -> str:
     return text
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _option_value(key: str, text: str):
+    """Convert an option's text to its default's type, within its minimum."""
+    value = type(_DEFAULTS[key])(text)
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
+    return value
+
+
+def _count_flag(key: str):
+    def parse(text: str) -> int:
+        try:
+            return _option_value(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
+def _load_config_file(path: str) -> dict:
+    values: dict = {}
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,7 +146,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{number}: unknown option {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _option_value(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     return values
 
 
@@ -134,8 +158,7 @@ def _effective_options(args: argparse.Namespace) -> dict:
     options = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        for key, raw in _load_config_file(config_path).items():
-            options[key] = type(_DEFAULTS[key])(raw)
+        options.update(_load_config_file(config_path))
     for key in _DEFAULTS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -189,7 +212,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for index, spec in enumerate(spectra):
         out = preprocess(spec, cfg, complements=not args.no_complements)
         processed.append(out)
-        print(f"{_spectrum_id(spec, index)}\t{len(spec.peaks)}\t{len(out.peaks)}")
+        print(f"{_spectrum_id(spec, index)}\t{len(spec.mz)}\t{len(out.mz)}")
     Path(args.output).write_text(emit_mgf(processed), encoding="utf-8")
     return 0
 
@@ -244,7 +267,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     # A spectrum is the unit of work. Its runs are split into contiguous
     # blocks, one task each, so that the task count is a multiple of the
     # worker count and every worker gets the same share of the runs.
-    runs, jobs = options["runs"], max(1, options["jobs"])
+    runs, jobs = options["runs"], options["jobs"]
     parts = min(runs, jobs // math.gcd(len(live), jobs))
     blocks = [range(runs * b // parts, runs * (b + 1) // parts) for b in range(parts)]
     tasks = [
@@ -427,7 +450,9 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         parser.add_argument("--seed", help="random seed (default 0)")
     if "runs" in names:
-        parser.add_argument("--runs", type=int, help="independent runs per spectrum")
+        parser.add_argument(
+            "--runs", type=_count_flag("runs"), help="independent runs per spectrum"
+        )
     if "generations" in names:
         parser.add_argument("--generations", type=int, help="GA generations")
     if "population" in names:
@@ -447,7 +472,9 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
             help="operator rates: nterm-cterm,two-point,flip,conflict",
         )
     if "jobs" in names:
-        parser.add_argument("--jobs", type=int, help="parallel worker count")
+        parser.add_argument(
+            "--jobs", type=_count_flag("jobs"), help="parallel worker count"
+        )
     if "output" in names:
         parser.add_argument("-o", "--output", help="output path (default stdout)")
     if "no_complements" in names:

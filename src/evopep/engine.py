@@ -12,7 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chem import CANONICAL_ALPHABET, CONFLICT_REPLACEMENTS, parent_mass
+from .chem import (
+    CANONICAL_ALPHABET,
+    CONFLICT_REPLACEMENTS,
+    MAX_PEPTIDE_LENGTH,
+    parent_mass,
+)
 from .scoring import Individual
 from .spectrum import Spectrum
 from .tags import adjust_mass, build_init_pool
@@ -170,22 +175,27 @@ def nterm_cterm_crossover(
     from the prefix plus a shrinking tail of the C parent; when too light,
     residues from a random interior window of the helper fill the middle one
     at a time. The result is fine-trimmed by the mass-adjustment loop and
-    re-scored; a degenerate result falls back to the fitter parent.
+    re-scored; a degenerate result, or one that would grow past
+    MAX_PEPTIDE_LENGTH, falls back to the fitter parent.
     """
     if n_parent.nterm < 1:
         raise ValueError("N-terminal parent needs an Nterm score of at least 1")
     if c_parent.cterm < 1:
         raise ValueError("C-terminal parent needs a Cterm score of at least 1")
+    fallback = n_parent if n_parent.fitness >= c_parent.fitness else c_parent
     precursor = spec.precursor_mass
     prefix = n_parent.peptide[: n_parent.nterm + 1]
     c_seq = c_parent.peptide
     suffix = c_seq[len(c_seq) - (c_parent.cterm + 1) :]
     seq = prefix + suffix
+    if len(seq) > MAX_PEPTIDE_LENGTH:
+        return fallback
     delta = precursor - parent_mass(seq)
     if delta < -relaxed_bound:
         # Overlapping prefixes/suffixes make the concatenation too heavy:
         # regrow from the prefix, taking ever longer tails of the C parent
-        # until the relaxed mass window is reached from above.
+        # until the relaxed mass window is reached from above. The loop stops
+        # at the latest with the whole suffix, so it stays within the cap.
         for k in range(1, len(c_seq) + 1):
             seq = prefix + c_seq[len(c_seq) - k :]
             if precursor - parent_mass(seq) <= relaxed_bound:
@@ -199,10 +209,12 @@ def nterm_cterm_crossover(
             if precursor - parent_mass(prefix + mid + suffix) <= relaxed_bound:
                 break
             mid += sym
+            if len(prefix) + len(mid) + len(suffix) > MAX_PEPTIDE_LENGTH:
+                return fallback
         seq = prefix + mid + suffix
     adjusted, ok = adjust_mass(seq, precursor, rng, tau)
     if not ok or len(adjusted) < 2:
-        return max((n_parent, c_parent), key=lambda ind: ind.fitness)
+        return fallback
     return Individual.score(adjusted, spec, tau)
 
 
@@ -218,7 +230,8 @@ def two_point_crossover(
     Cut points are drawn independently per parent and never split off the
     terminal residue, so offspring lengths may differ from both parents.
     Parents shorter than four residues (or identical parents, for which the
-    swap is a no-op) are returned unchanged.
+    swap is a no-op) are returned unchanged, and an offspring longer than
+    MAX_PEPTIDE_LENGTH is replaced by the parent whose ends it keeps.
     """
     s1, s2 = p1.peptide, p2.peptide
     if len(s1) < 4 or len(s2) < 4:
@@ -233,7 +246,10 @@ def two_point_crossover(
     a2, b2 = cuts(len(s2))
     o1 = s1[:a1] + s2[a2:b2] + s1[b1:]
     o2 = s2[:a2] + s1[a1:b1] + s2[b2:]
-    return Individual.score(o1, spec, tau), Individual.score(o2, spec, tau)
+    return (
+        p1 if len(o1) > MAX_PEPTIDE_LENGTH else Individual.score(o1, spec, tau),
+        p2 if len(o2) > MAX_PEPTIDE_LENGTH else Individual.score(o2, spec, tau),
+    )
 
 
 def flip_aa_mutation(
@@ -253,8 +269,9 @@ def conflict_mass_mutation(
     """Swap one conflict-mass residue for an equal-nominal-mass di-peptide.
 
     Applies to a random non-terminal occurrence of a dictionary residue; a
-    sequence without one is returned unchanged. Successful application grows
-    the length by exactly one while preserving the nominal parent mass.
+    sequence without one, or one already at MAX_PEPTIDE_LENGTH, is returned
+    unchanged. Successful application grows the length by exactly one while
+    preserving the nominal parent mass.
     """
     seq = ind.peptide
     positions = [
@@ -265,6 +282,8 @@ def conflict_mass_mutation(
     pos = rng.choice(positions)
     replacement = rng.choice(CONFLICT_REPLACEMENTS[seq[pos]])
     seq = seq[:pos] + replacement + seq[pos + 1 :]
+    if len(seq) > MAX_PEPTIDE_LENGTH:
+        return ind
     return Individual.score(seq, spec, tau)
 
 

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 from .chem import PROTON_MASS, RESIDUE_MASSES, canonical, parent_mass, validate_peptide
 from .scoring import theoretical_spectrum
-from .spectrum import Peak, Spectrum, make_spectrum
+from .spectrum import Spectrum, make_spectrum
 
 # Synthetic noise peaks are placed within this margin around the ion range.
 _NOISE_MARGIN = 50.0
@@ -181,24 +181,15 @@ def synthesize_spectrum(
     seq = validate_peptide(peptide)
     theo = theoretical_spectrum(seq)
     ladder = list(theo.b_ions) + list(theo.y_ions)
-    peaks = [
-        Peak(mz=mass, intensity=cfg.intensity)
-        for mass in ladder
-        if rng.random() >= cfg.dropout
-    ]
+    mz = [mass for mass in ladder if rng.random() >= cfg.dropout]
+    intensity = [cfg.intensity] * len(mz)
     lo = min(ladder) - _NOISE_MARGIN
     hi = max(ladder) + _NOISE_MARGIN
     for _ in range(cfg.noise_peaks):
-        peaks.append(
-            Peak(
-                mz=rng.uniform(max(lo, 1.0), hi),
-                intensity=rng.uniform(0.1, 1.0) * cfg.intensity,
-            )
-        )
+        mz.append(rng.uniform(max(lo, 1.0), hi))
+        intensity.append(rng.uniform(0.1, 1.0) * cfg.intensity)
     pepmass = (parent_mass(seq) + 2 * PROTON_MASS) / 2
-    return make_spectrum(
-        title=title or f"synthetic:{seq}", pepmass=pepmass, charge=2, peaks=peaks
-    )
+    return make_spectrum(title or f"synthetic:{seq}", pepmass, 2, mz, intensity)
 
 
 def aggregate_runs(per_run: Iterable[Metrics]) -> MetricsSummary:

@@ -140,11 +140,11 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, in
     """Matched intensity, unmatched b/y count, nterm and cterm of a sequence."""
     b, y, internal = _ion_arrays(seq)
     n_by = len(b) + len(y)
-    if not spec.peaks:
+    if spec.mz.size == 0:
         return 0.0, n_by, 0, 0
-    nearest, dist = nearest_peaks(spec.mz_array, np.concatenate([b, y, internal]))
+    nearest, dist = nearest_peaks(spec.mz, np.concatenate([b, y, internal]))
     matched = dist <= tau
-    matched_intensity = float(spec.intensity_array[np.unique(nearest[matched])].sum())
+    matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
     n_unmatched = int((~matched[:n_by]).sum())
     # Noise peaks land on single b or y m/z values by chance, while a real
     # cleavage usually shows both of its complementary ions; so only ions
@@ -166,7 +166,7 @@ def match_peaks(
     n_b = len(theo.b_ions)
     n_by = n_b + len(theo.y_ions)
     ions = np.array(theo.b_ions + theo.y_ions + theo.internal_ions, dtype=np.float64)
-    nearest, dist = nearest_peaks(spec.mz_array, ions)
+    nearest, dist = nearest_peaks(spec.mz, ions)
     matched = dist <= tau
     flags = tuple(matched.tolist())
     return PeakAssignment(

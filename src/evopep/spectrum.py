@@ -1,21 +1,24 @@
 """Spectrum data model, MGF ingestion/emission and the preprocessing pipeline.
 
-A spectrum is an immutable peak list (m/z, intensity) plus precursor metadata.
-Preprocessing follows three stages: window-based noise filtering, square-root
-intensity normalization per window, and complementary-peak augmentation.
-Peaks within DUPLICATE_MZ_TOLERANCE of each other are merged after every
-construction, keeping the higher intensity, so peak lists are strictly sorted.
+A spectrum is two read-only arrays (m/z, intensity) plus precursor metadata.
+Preprocessing follows three stages, each array code over one window index per
+peak: window-based noise filtering, square-root intensity normalization per
+window, and complementary-peak augmentation. Peaks within
+DUPLICATE_MZ_TOLERANCE of each other are merged after every construction,
+keeping the higher intensity, so m/z arrays are strictly increasing.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .chem import PROTON_MASS, precursor_mass
 
@@ -36,14 +39,11 @@ class MgfParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Peak:
-    """One centroided peak. ``synthetic`` marks complementary peaks added
-    during preprocessing; the flag is not representable in MGF output."""
+class Peak(NamedTuple):
+    """One centroided peak, as listed by ``Spectrum.peaks``."""
 
     mz: float
     intensity: float
-    synthetic: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,13 @@ class PreprocessConfig:
             raise ValueError("tolerance must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Peak list plus precursor metadata.
+    """Peak arrays plus precursor metadata; build one with ``make_spectrum``.
 
-    Peaks and metadata are immutable. ``partner_distance`` holds, per peak, the
+    ``mz`` (strictly increasing) and ``intensity`` are read-only float64
+    arrays, and the metadata is immutable. Equality compares the title,
+    precursor and peaks. ``partner_distance`` holds, per peak, the
     distance from its precursor complement to the nearest peak; preprocessing
     and scoring both read it. Two mutable memos, left out of equality, ``repr``
     and pickling, are emptied by whoever owns the spectrum: ``scores`` maps
@@ -74,43 +76,50 @@ class Spectrum:
     title: str
     pepmass: float
     charge: int
-    peaks: tuple[Peak, ...]
-    scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    tag_residues: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    mz: np.ndarray
+    intensity: np.ndarray
+    scores: dict = field(default_factory=dict, init=False, repr=False)
+    tag_residues: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.mz.flags.writeable = False
+        self.intensity.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (self.title, self.pepmass, self.charge, self.peaks) == (
+            other.title, other.pepmass, other.charge, other.peaks
+        )
+
+    @property
+    def peaks(self) -> tuple[Peak, ...]:
+        """The peaks as (mz, intensity) pairs, rebuilt on every access."""
+        return tuple(map(Peak, self.mz.tolist(), self.intensity.tolist()))
 
     @property
     def precursor_mass(self) -> float:
         return precursor_mass(self.pepmass, self.charge)
 
-    @cached_property
-    def mz_array(self) -> np.ndarray:
-        return np.array([p.mz for p in self.peaks], dtype=np.float64)
-
-    @cached_property
-    def intensity_array(self) -> np.ndarray:
-        return np.array([p.intensity for p in self.peaks], dtype=np.float64)
-
     @property
     def partner_mz(self) -> np.ndarray:
         """Precursor complement of each peak: b/y partners sum to
         precursor_mass + 2 * proton."""
-        return self.precursor_mass + 2 * PROTON_MASS - self.mz_array
+        return self.precursor_mass + 2 * PROTON_MASS - self.mz
 
     @cached_property
     def partner_distance(self) -> np.ndarray:
         """Distance from each peak's precursor complement to the nearest peak."""
-        return nearest_peaks(self.mz_array, self.partner_mz)[1]
+        return nearest_peaks(self.mz, self.partner_mz)[1]
 
     @property
     def total_intensity(self) -> float:
-        return float(self.intensity_array.sum())
+        return float(self.intensity.sum())
 
     def __getstate__(self):
-        # Cached arrays are rebuilt on demand and the memos start empty; keep
-        # pickles lean.
-        return (self.title, self.pepmass, self.charge, self.peaks)
+        # The partner distances are rebuilt on demand and the memos start
+        # empty; keep pickles lean.
+        return (self.title, self.pepmass, self.charge, self.mz, self.intensity)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -133,22 +142,35 @@ def nearest_peaks(
 
 
 def make_spectrum(
-    title: str, pepmass: float, charge: int, peaks: Iterable[Peak]
+    title: str, pepmass: float, charge: int, mz: ArrayLike, intensity: ArrayLike
 ) -> Spectrum:
-    """Build a Spectrum with sorted peaks and near-duplicate m/z merged."""
-    ordered = sorted(peaks, key=lambda p: p.mz)
-    merged: list[Peak] = []
-    for peak in ordered:
-        if peak.mz <= 0:
-            raise ValueError(f"peak m/z must be positive, got {peak.mz}")
-        if peak.intensity < 0:
-            raise ValueError(f"peak intensity must be >= 0, got {peak.intensity}")
-        if merged and peak.mz - merged[-1].mz < DUPLICATE_MZ_TOLERANCE:
-            if peak.intensity > merged[-1].intensity:
-                merged[-1] = peak
-        else:
-            merged.append(peak)
-    return Spectrum(title=title, pepmass=pepmass, charge=charge, peaks=tuple(merged))
+    """Build a Spectrum with peaks in stable m/z order and near-duplicates
+    merged: a peak closer than DUPLICATE_MZ_TOLERANCE to the last kept peak
+    replaces it only when more intense, so of equal peaks the first stays."""
+    mz = np.asarray(mz, dtype=np.float64)
+    intensity = np.asarray(intensity, dtype=np.float64)
+    if mz.ndim != 1 or mz.shape != intensity.shape:
+        raise ValueError("m/z and intensity must be lists of equal length")
+    for name, values, valid, rule in (
+        ("m/z", mz, mz > 0, "positive"),
+        ("intensity", intensity, intensity >= 0, ">= 0"),
+    ):
+        bad = values[~valid | ~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"peak {name} must be finite and {rule}, got {bad[0]}")
+    order = np.argsort(mz, kind="stable")
+    mz, intensity = mz[order], intensity[order]
+    if (np.diff(mz) < DUPLICATE_MZ_TOLERANCE).any():
+        values, heights = mz.tolist(), intensity.tolist()
+        kept = [0]
+        for i in range(1, len(values)):
+            if values[i] - values[kept[-1]] < DUPLICATE_MZ_TOLERANCE:
+                if heights[i] > heights[kept[-1]]:
+                    kept[-1] = i
+            else:
+                kept.append(i)
+        mz, intensity = mz[kept], intensity[kept]
+    return Spectrum(title, pepmass, charge, mz, intensity)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +220,8 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     title = ""
     pepmass: float | None = None
     charge: int | None = None
-    peaks: list[Peak] = []
+    mzs: list[float] = []
+    intensities: list[float] = []
     line_number = 0
 
     for line_number, raw in enumerate(lines, start=1):
@@ -209,7 +232,8 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
             if line == "BEGIN IONS":
                 in_record = True
                 record_start = line_number
-                title, pepmass, charge, peaks = "", None, None, []
+                title, pepmass, charge = "", None, None
+                mzs, intensities = [], []
             # Anything outside records (global headers, comments) is ignored.
             continue
         if line == "BEGIN IONS":
@@ -219,7 +243,7 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                 raise MgfParseError("record missing PEPMASS header", line_number)
             if charge is None:
                 raise MgfParseError("record missing CHARGE header", line_number)
-            if not peaks:
+            if not mzs:
                 logger.warning(
                     "skipping MGF record %r (line %d): no peaks",
                     title or f"record@{record_start}",
@@ -227,7 +251,8 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                 )
             else:
                 try:
-                    spectra.append(make_spectrum(title, pepmass, charge, peaks))
+                    spec = make_spectrum(title, pepmass, charge, mzs, intensities)
+                    spectra.append(spec)
                 except ValueError as exc:
                     raise MgfParseError(str(exc), line_number) from exc
             in_record = False
@@ -246,6 +271,10 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                     raise MgfParseError(
                         f"malformed PEPMASS value {value!r}", line_number
                     ) from None
+                if not math.isfinite(pepmass):
+                    raise MgfParseError(
+                        f"PEPMASS must be finite, got {value!r}", line_number
+                    )
             elif key == "CHARGE":
                 charge = _parse_charge(value, line_number)
             # Other headers (RTINSECONDS, SCANS, ...) are tolerated and dropped.
@@ -259,7 +288,8 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
             raise MgfParseError(
                 f"non-numeric peak line {line!r}", line_number
             ) from None
-        peaks.append(Peak(mz=mz, intensity=intensity))
+        mzs.append(mz)
+        intensities.append(intensity)
 
     if in_record:
         raise MgfParseError(
@@ -273,8 +303,7 @@ def emit_mgf(spectra: Iterable[Spectrum]) -> str:
     """Serialize spectra as MGF text.
 
     m/z and intensity are written to 6 decimal places; parse(emit(s))
-    reproduces headers and peak values at that precision. The synthetic-peak
-    flag has no MGF representation and is dropped.
+    reproduces headers and peak values at that precision.
     """
     blocks: list[str] = []
     for spec in spectra:
@@ -283,8 +312,8 @@ def emit_mgf(spectra: Iterable[Spectrum]) -> str:
             lines.append(f"TITLE={spec.title}")
         lines.append(f"PEPMASS={spec.pepmass:.6f}")
         lines.append(f"CHARGE={spec.charge}+")
-        for peak in spec.peaks:
-            lines.append(f"{peak.mz:.6f} {peak.intensity:.6f}")
+        for mz, intensity in zip(spec.mz.tolist(), spec.intensity.tolist()):
+            lines.append(f"{mz:.6f} {intensity:.6f}")
         lines.append("END IONS")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
@@ -295,30 +324,21 @@ def emit_mgf(spectra: Iterable[Spectrum]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _window_groups(
-    peaks: tuple[Peak, ...], window_count: int
-) -> list[list[Peak]]:
-    """Partition peaks into equal-width windows over [min mz, max mz].
+def _window_index(mz: np.ndarray, window_count: int) -> np.ndarray:
+    """Window of each peak among equal-width windows over [min mz, max mz].
 
     Windows are left-closed; the final window is also right-closed.
     """
-    if not peaks:
-        return [[] for _ in range(window_count)]
-    lo, hi = peaks[0].mz, peaks[-1].mz
-    width = (hi - lo) / window_count
-    groups: list[list[Peak]] = [[] for _ in range(window_count)]
-    for peak in peaks:
-        if width <= 0:
-            idx = 0
-        else:
-            idx = min(int((peak.mz - lo) / width), window_count - 1)
-        groups[idx].append(peak)
-    return groups
+    if len(mz) < 2:
+        return np.zeros(len(mz), dtype=np.intp)
+    width = (mz[-1] - mz[0]) / window_count
+    return np.minimum(((mz - mz[0]) / width).astype(np.intp), window_count - 1)
 
 
-def _modal_intensity(peaks: list[Peak]) -> float:
+def _modal_intensity(intensity: np.ndarray) -> float:
     """Most frequent intensity, bucketed to 2 decimals; ties take the lowest."""
-    counts = Counter(round(p.intensity, _MODE_DECIMALS) for p in peaks)
+    # Python's round is exact on doubles; numpy documents np.round as not.
+    counts = Counter(round(x, _MODE_DECIMALS) for x in intensity.tolist())
     best = max(counts.values())
     return min(value for value, n in counts.items() if n == best)
 
@@ -330,28 +350,26 @@ def denoise(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spect
     intensity as the noise threshold and drops peaks strictly below it;
     windows at or under the limit pass through unchanged.
     """
-    kept: list[Peak] = []
-    for group in _window_groups(spec.peaks, cfg.window_count):
-        if len(group) > cfg.max_peaks_per_window:
-            threshold = _modal_intensity(group)
-            kept.extend(p for p in group if p.intensity >= threshold)
-        else:
-            kept.extend(group)
-    return make_spectrum(spec.title, spec.pepmass, spec.charge, kept)
+    window = _window_index(spec.mz, cfg.window_count)
+    keep = np.ones(len(window), dtype=bool)
+    for w in np.flatnonzero(np.bincount(window) > cfg.max_peaks_per_window):
+        members = window == w
+        threshold = _modal_intensity(spec.intensity[members])
+        keep[members] = spec.intensity[members] >= threshold
+    return make_spectrum(
+        spec.title, spec.pepmass, spec.charge, spec.mz[keep], spec.intensity[keep]
+    )
 
 
 def normalize(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
     """Square-root each intensity, then scale each window to a max of 1.0."""
-    out: list[Peak] = []
-    for group in _window_groups(spec.peaks, cfg.window_count):
-        if not group:
-            continue
-        rooted = [np.sqrt(p.intensity) for p in group]
-        top = max(rooted)
-        for peak, value in zip(group, rooted):
-            scaled = value / top if top > 0 else 0.0
-            out.append(replace(peak, intensity=float(scaled)))
-    return make_spectrum(spec.title, spec.pepmass, spec.charge, out)
+    window = _window_index(spec.mz, cfg.window_count)
+    rooted = np.sqrt(spec.intensity)
+    top = np.zeros(cfg.window_count)
+    np.maximum.at(top, window, rooted)
+    top = top[window]
+    scaled = np.divide(rooted, top, out=np.zeros_like(rooted), where=top > 0)
+    return make_spectrum(spec.title, spec.pepmass, spec.charge, spec.mz, scaled)
 
 
 def add_complements(
@@ -360,22 +378,17 @@ def add_complements(
     """Insert missing complementary peaks.
 
     For each input peak whose precursor complement (``Spectrum.partner_mz``)
-    has no peak within the tolerance, a synthetic peak is inserted at the
-    complement carrying the originating peak's intensity. Idempotent up to the
+    has no peak within the tolerance, a peak is inserted at the complement
+    carrying the originating peak's intensity. Idempotent up to the
     tolerance. Complements at non-positive m/z are skipped.
     """
     partners = spec.partner_mz
     missing = (partners > 0) & (spec.partner_distance > cfg.tolerance)
-    added = [
-        Peak(mz=partner, intensity=peak.intensity, synthetic=True)
-        for peak, partner, add in zip(spec.peaks, partners.tolist(), missing)
-        if add
-    ]
-    if not added:
+    if not missing.any():
         return spec
-    return make_spectrum(
-        spec.title, spec.pepmass, spec.charge, list(spec.peaks) + added
-    )
+    mz = np.concatenate([spec.mz, partners[missing]])
+    intensity = np.concatenate([spec.intensity, spec.intensity[missing]])
+    return make_spectrum(spec.title, spec.pepmass, spec.charge, mz, intensity)
 
 
 def preprocess(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .chem import (
     CANONICAL_ALPHABET,
+    MAX_PEPTIDE_LENGTH,
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     parent_mass,
@@ -66,7 +67,7 @@ def extract_tags(spec: Spectrum, tau: float) -> list[Tag]:
     one tag per matching label. Peak indices are strictly ascending within a
     tag. Output order is deterministic (by indices, then residues).
     """
-    mz = [p.mz for p in spec.peaks]
+    mz = spec.mz.tolist()
     n = len(mz)
     if n < 4:
         return []
@@ -130,9 +131,9 @@ def adjust_mass(
     mass(G) + tau.
 
     The terminal residue is never touched. Returns (sequence, ok); ``ok`` is
-    False when the sequence would shrink below two residues or the iteration
-    cap is reached, in which case the best sequence seen is returned and the
-    caller should discard it.
+    False when the sequence would shrink below two residues, grow past
+    MAX_PEPTIDE_LENGTH, or the iteration cap is reached, in which case the
+    best sequence seen is returned and the caller should discard it.
     """
     bound = residue_mass("G") + tau
     delta = precursor - parent_mass(seq)
@@ -147,6 +148,8 @@ def adjust_mass(
             sym = rng.choice(candidates)
             pos = rng.randrange(len(seq))  # any slot that keeps the terminal last
             seq = seq[:pos] + sym + seq[pos:]
+            if len(seq) > MAX_PEPTIDE_LENGTH:
+                return best, False
         else:
             if len(seq) <= 2:
                 return seq, False

@@ -27,7 +27,6 @@ from evopep.chem import CONFLICT_REPLACEMENTS, PROTON_MASS, parent_mass
 from evopep.cli import main as cli_main
 from evopep.evaluation import random_tryptic_peptide
 from evopep.scoring import fitness_from_terms
-from evopep.spectrum import Peak
 from evopep.tags import build_init_pool, random_peptide
 
 TAU = 0.5
@@ -290,7 +289,7 @@ def test_criterion_09_tag_extraction_oracle():
     for _ in range(50):
         count = rng.randint(4, 30)
         mzs = sorted(rng.uniform(100.0, 900.0) for _ in range(count))
-        spec = make_spectrum("bf", 600.0, 2, [Peak(m, 1.0) for m in mzs])
+        spec = make_spectrum("bf", 600.0, 2, mzs, [1.0] * count)
         fast = {(t.peak_indices, t.residues) for t in extract_tags(spec, TAU)}
         if fast != brute_force_tags([p.mz for p in spec.peaks], TAU):
             mismatches += 1

@@ -5,7 +5,7 @@ import pytest
 
 from evopep.cli import SEQUENCE_COLUMNS, main
 from evopep.engine import GaConfig, evolve
-from evopep.spectrum import Peak, emit_mgf, make_spectrum, parse_mgf
+from evopep.spectrum import emit_mgf, make_spectrum, parse_mgf
 from evopep.tags import extract_tags
 
 
@@ -241,7 +241,7 @@ def _zero_intensity_mgf(mgf):
     """The first spectrum of ``mgf`` again, titled "zero", every intensity 0."""
     spec = parse_mgf(mgf.read_text())[0]
     zero = make_spectrum(
-        "zero", spec.pepmass, spec.charge, [Peak(p.mz, 0.0) for p in spec.peaks]
+        "zero", spec.pepmass, spec.charge, spec.mz, [0.0] * len(spec.mz)
     )
     return emit_mgf([zero])
 
@@ -280,6 +280,23 @@ def test_sequence_zero_intensity_spectrum_skipped(
     assert "Traceback" not in capsys.readouterr().err
     skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
     assert skipped == ["skipping zero: spectrum has no positive intensity"]
+
+
+@pytest.mark.parametrize(
+    "header,peak",
+    [("PEPMASS=500", "nan 5.0"), ("PEPMASS=500", "100.0 inf"), ("PEPMASS=nan", "100.0 5.0")],
+)
+def test_sequence_non_finite_mgf_value_errors(tmp_path, capsys, header, peak):
+    mgf = write(
+        tmp_path / "bad.mgf",
+        f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n{peak}\nEND IONS\n",
+    )
+    code = run("sequence", mgf, "--runs", "1", "--generations", "0",
+               "--pool-size", "5", "--population", "4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: line " in err and "must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):
@@ -440,6 +457,9 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("sequence") == 1
     assert run("unknown-command") == 1
     assert run("sequence", "x.mgf", "--rates", "0.5,0.5") == 1
+    assert run("sequence", "x.mgf", "--runs", "-1") == 1
+    assert run("sequence", "x.mgf", "--jobs", "0") == 1
+    assert run("sequence", "x.mgf", "--jobs", "-3") == 1
 
 
 def test_config_file_precedence(tmp_path, peptide_file):
@@ -466,3 +486,13 @@ def test_config_file_unknown_key(tmp_path, peptide_file):
     mgf, _ = synth(tmp_path, peptide_file)
     config = write(tmp_path / "bad.cfg", "bogus=1\n")
     assert run("sequence", str(mgf), "--config", str(config)) == 2
+
+
+@pytest.mark.parametrize("line", ["jobs=0", "runs=-2"])
+def test_config_file_count_below_minimum_errors(tmp_path, peptide_file, capsys, line):
+    mgf, _ = synth(tmp_path, peptide_file)
+    config = write(
+        tmp_path / "bad.cfg", f"generations=0\npool_size=5\npopulation=4\n{line}\n"
+    )
+    assert run("sequence", str(mgf), "--config", config) == 2
+    assert f"error: {config}:4: " in capsys.readouterr().err

@@ -6,14 +6,25 @@ import pytest
 from evopep import (
     GaConfig,
     Individual,
+    SynthConfig,
     conflict_mass_mutation,
     evolve,
     flip_aa_mutation,
+    make_spectrum,
     nterm_cterm_crossover,
+    preprocess,
     select_pools,
+    synthesize_spectrum,
     two_point_crossover,
 )
-from evopep.chem import is_tryptic, parent_mass, residue_mass
+from evopep.chem import (
+    CANONICAL_ALPHABET,
+    MAX_PEPTIDE_LENGTH,
+    PROTON_MASS,
+    is_tryptic,
+    parent_mass,
+    residue_mass,
+)
 from evopep.engine import choose_operator, trace_to_tsv
 from tests.conftest import clean_spectrum
 
@@ -255,6 +266,48 @@ def test_evolve_recovers_ground_truth(aaal_spectrum):
         for s in range(30)
     )
     assert hits >= 24
+
+
+def test_operators_fall_back_at_length_cap():
+    # The precursor is far heavier than any 64-residue G/A candidate, so every
+    # crossover of these parents would outgrow MAX_PEPTIDE_LENGTH somewhere.
+    precursor = parent_mass("W" * 62 + "K")
+    spec = make_spectrum("heavy", precursor + PROTON_MASS, 1, [100.0, 200.0], [1.0, 1.0])
+
+    def ind(peptide, fitness=0.0, nterm=0, cterm=0):
+        return Individual(peptide, fitness, nterm, cterm, 0.0)
+
+    full = ind("W" * 63 + "K")
+    assert conflict_mass_mutation(full, spec, TAU, random.Random(1)) is full
+    # Prefix plus suffix alone is 80 residues.
+    n_long, c_long = ind("G" * 40 + "K", 1.0, nterm=39), ind("A" * 40 + "R", 2.0, cterm=39)
+    assert nterm_cterm_crossover(n_long, c_long, n_long, spec, TAU, random.Random(1)) is c_long
+    # 42 residues that the helper's window, then mass adjustment, must grow.
+    n_part, c_part = ind("G" * 30 + "K", 1.0, nterm=20), ind("G" * 30 + "R", 2.0, cterm=20)
+    helper = ind("G" * 63 + "K")
+    for seed in range(30):
+        rng = random.Random(seed)
+        assert nterm_cterm_crossover(n_part, c_part, helper, spec, TAU, rng) is c_part
+    p1, p2 = ind("A" * 62 + "K"), ind("G" * 62 + "R")
+    for seed in range(30):
+        o1, o2 = two_point_crossover(p1, p2, spec, TAU, random.Random(seed))
+        assert max(len(o1.peptide), len(o2.peptide)) <= MAX_PEPTIDE_LENGTH
+
+
+@pytest.mark.parametrize("length", [40, 62])
+def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
+    # Crossover children and mutants of long parents can outgrow the length
+    # cap; each operator must fall back instead of failing the whole run.
+    rng = random.Random(length)
+    truth = "".join(rng.choice(CANONICAL_ALPHABET) for _ in range(length - 1)) + "K"
+    spec = preprocess(
+        synthesize_spectrum(truth, SynthConfig(noise_peaks=20, dropout=0.1), rng)
+    )
+    evolve(spec, GaConfig(population=30, pool_size=60, generations=5, seed=1))
+    assert all(
+        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and is_tryptic(peptide)
+        for peptide, _ in spec.scores
+    )
 
 
 def test_trace_tsv_shape(aaal_spectrum):

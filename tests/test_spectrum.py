@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from evopep import (
     MgfParseError,
-    Peak,
     PreprocessConfig,
     add_complements,
     denoise,
@@ -34,7 +33,8 @@ END IONS
 
 
 def peaks(*mz_int):
-    return [Peak(mz=m, intensity=i) for m, i in mz_int]
+    """The m/z and intensity lists of (m/z, intensity) pairs."""
+    return [m for m, _ in mz_int], [i for _, i in mz_int]
 
 
 def test_parse_simple_record():
@@ -70,6 +70,24 @@ def test_parse_error_carries_line_number():
     assert err.value.line_number == 4
 
 
+@pytest.mark.parametrize(
+    "header,peak,line",
+    [
+        ("PEPMASS=500", "nan 5.0", 6),
+        ("PEPMASS=500", "-inf 5.0", 6),
+        ("PEPMASS=500", "100.0 inf", 6),
+        ("PEPMASS=500", "100.0 nan", 6),
+        ("PEPMASS=nan", "100.0 5.0", 2),
+        ("PEPMASS=inf 20", "100.0 5.0", 2),
+    ],
+)
+def test_parse_refuses_non_finite_values(header, peak, line):
+    mgf = f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n{peak}\nEND IONS\n"
+    with pytest.raises(MgfParseError, match="must be finite") as err:
+        parse_mgf(mgf)
+    assert err.value.line_number == line
+
+
 @pytest.mark.parametrize("text,expected", [("2+", 2), ("+2", 2), ("2", 2), ("2+ and 3+", 2), ("2+,3+", 2)])
 def test_parse_charge_dialects(text, expected):
     mgf = f"BEGIN IONS\nPEPMASS=500\nCHARGE={text}\n100 1\nEND IONS\n"
@@ -90,7 +108,7 @@ def test_round_trip_preserves_values():
         "round trip",
         612.345678,
         2,
-        peaks(*[(rng.uniform(100, 1200), rng.uniform(0, 500)) for _ in range(40)]),
+        *peaks(*[(rng.uniform(100, 1200), rng.uniform(0, 500)) for _ in range(40)]),
     )
     again = parse_mgf(emit_mgf([spec]))[0]
     assert again.title == spec.title
@@ -103,28 +121,22 @@ def test_round_trip_preserves_values():
 
 
 def test_emit_single_peak_record_shape():
-    spec = make_spectrum("one", 200.0, 1, peaks((123.4, 5.0)))
+    spec = make_spectrum("one", 200.0, 1, *peaks((123.4, 5.0)))
     lines = emit_mgf([spec]).splitlines()
     begin, end = lines.index("BEGIN IONS"), lines.index("END IONS")
     peak_lines = [ln for ln in lines[begin + 1 : end] if "=" not in ln]
     assert len(peak_lines) == 1
 
 
-def test_synthetic_flag_not_serialized():
-    spec = make_spectrum("s", 200.0, 2, [Peak(100.0, 1.0, synthetic=True)])
-    again = parse_mgf(emit_mgf([spec]))[0]
-    assert not again.peaks[0].synthetic
-
-
 def test_duplicate_mz_merged_keeping_max():
-    spec = make_spectrum("d", 200.0, 1, peaks((100.0, 1.0), (100.00004, 7.0), (101.0, 2.0)))
+    spec = make_spectrum("d", 200.0, 1, *peaks((100.0, 1.0), (100.00004, 7.0), (101.0, 2.0)))
     assert len(spec.peaks) == 2
     assert spec.peaks[0].intensity == 7.0
 
 
 def test_denoise_small_window_unchanged():
     cfg = PreprocessConfig(window_count=1)
-    spec = make_spectrum("w", 300.0, 1, peaks(*[(100 + i, i + 1) for i in range(9)]))
+    spec = make_spectrum("w", 300.0, 1, *peaks(*[(100 + i, i + 1) for i in range(9)]))
     assert denoise(spec, cfg).peaks == spec.peaks
 
 
@@ -132,7 +144,7 @@ def test_denoise_modal_threshold_strictly_below():
     # 12 peaks: intensity 1 x8 and 50 x4; mode is 1, nothing is below it.
     cfg = PreprocessConfig(window_count=1)
     values = [(100 + i, 1.0) for i in range(8)] + [(120 + i, 50.0) for i in range(4)]
-    spec = make_spectrum("m", 300.0, 1, peaks(*values))
+    spec = make_spectrum("m", 300.0, 1, *peaks(*values))
     assert len(denoise(spec, cfg).peaks) == 12
 
 
@@ -141,7 +153,7 @@ def test_denoise_drops_below_mode():
     values = [(100 + i, 5.0) for i in range(8)] + [(120.0, 1.0), (121.0, 2.0)] + [
         (130 + i, 9.0 + i) for i in range(2)
     ]
-    spec = make_spectrum("m", 300.0, 1, peaks(*values))
+    spec = make_spectrum("m", 300.0, 1, *peaks(*values))
     out = denoise(spec, cfg)
     kept = [p.intensity for p in out.peaks]
     assert 1.0 not in kept and 2.0 not in kept
@@ -152,14 +164,14 @@ def test_denoise_mode_tie_takes_lowest():
     # intensities 1 x5 and 3 x5 tie; threshold resolves to 1, keeping all.
     cfg = PreprocessConfig(window_count=1)
     values = [(100 + i, 1.0) for i in range(5)] + [(110 + i, 3.0) for i in range(5)]
-    spec = make_spectrum("t", 300.0, 1, peaks(*values))
+    spec = make_spectrum("t", 300.0, 1, *peaks(*values))
     assert len(denoise(spec, cfg).peaks) == 10
 
 
 def test_denoise_never_increases_count_and_keeps_mz():
     rng = random.Random(5)
     spec = make_spectrum(
-        "r", 700.0, 2, peaks(*[(rng.uniform(100, 900), rng.choice([1, 1, 2, 8])) for _ in range(60)])
+        "r", 700.0, 2, *peaks(*[(rng.uniform(100, 900), rng.choice([1, 1, 2, 8])) for _ in range(60)])
     )
     out = denoise(spec)
     assert len(out.peaks) <= len(spec.peaks)
@@ -169,21 +181,21 @@ def test_denoise_never_increases_count_and_keeps_mz():
 
 def test_normalize_window_arithmetic():
     cfg = PreprocessConfig(window_count=1)
-    spec = make_spectrum("n", 300.0, 1, peaks((100.0, 4.0), (110.0, 16.0)))
+    spec = make_spectrum("n", 300.0, 1, *peaks((100.0, 4.0), (110.0, 16.0)))
     out = normalize(spec, cfg)
     assert [p.intensity for p in out.peaks] == pytest.approx([0.5, 1.0])
 
 
 def test_normalize_single_peak_window():
     cfg = PreprocessConfig(window_count=1)
-    spec = make_spectrum("n", 300.0, 1, peaks((100.0, 7.3)))
+    spec = make_spectrum("n", 300.0, 1, *peaks((100.0, 7.3)))
     assert normalize(spec, cfg).peaks[0].intensity == 1.0
 
 
 def test_normalize_output_range_and_mz_preserved():
     rng = random.Random(6)
     spec = make_spectrum(
-        "n", 700.0, 2, peaks(*[(rng.uniform(100, 900), rng.uniform(0.5, 400)) for _ in range(50)])
+        "n", 700.0, 2, *peaks(*[(rng.uniform(100, 900), rng.uniform(0.5, 400)) for _ in range(50)])
     )
     out = normalize(spec)
     assert all(0.0 < p.intensity <= 1.0 for p in out.peaks)
@@ -192,13 +204,18 @@ def test_normalize_output_range_and_mz_preserved():
 
 def test_add_complements_inserts_partner(ladder_lgvtlyk):
     # Drop the y5 peak from a clean ladder, keep b2; its complement must come back.
-    survivors = [p for p in ladder_lgvtlyk.peaks if abs(p.mz - 623.358) > 1.0]
+    survivors = np.abs(ladder_lgvtlyk.mz - 623.358) > 1.0
     spec = make_spectrum(
-        ladder_lgvtlyk.title, ladder_lgvtlyk.pepmass, ladder_lgvtlyk.charge, survivors
+        ladder_lgvtlyk.title,
+        ladder_lgvtlyk.pepmass,
+        ladder_lgvtlyk.charge,
+        ladder_lgvtlyk.mz[survivors],
+        ladder_lgvtlyk.intensity[survivors],
     )
     out = add_complements(spec)
     target = spec.precursor_mass + 2 * PROTON_MASS - 171.11  # complement of b2
-    assert any(abs(p.mz - target) < 0.6 and p.synthetic for p in out.peaks)
+    assert not any(abs(p.mz - target) < 0.6 for p in spec.peaks)
+    assert any(abs(p.mz - target) < 0.6 for p in out.peaks)
 
 
 def test_add_complements_idempotent(ladder_aaal):
@@ -210,28 +227,37 @@ def test_add_complements_idempotent(ladder_aaal):
 def test_add_complements_bounded_growth():
     rng = random.Random(9)
     spec = make_spectrum(
-        "g", 500.0, 2, peaks(*[(rng.uniform(100, 900), 1.0) for _ in range(25)])
+        "g", 500.0, 2, *peaks(*[(rng.uniform(100, 900), 1.0) for _ in range(25)])
     )
     out = add_complements(spec)
     assert len(out.peaks) <= 2 * len(spec.peaks)
 
 
 def test_pickle_round_trip_starts_empty_memo():
-    spec = make_spectrum("pk", 500.0, 2, peaks((171.11, 4.0), (310.18, 16.0)))
+    spec = make_spectrum("pk", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
     spec.scores[("GK", 0.5)] = None
     spec.tag_residues[0.5] = ["GAG"]
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
     assert again.scores == {}
     assert again.tag_residues == {}
-    assert again.mz_array.tolist() == spec.mz_array.tolist()
-    assert again.intensity_array.tolist() == spec.intensity_array.tolist()
+    assert again.mz.tolist() == spec.mz.tolist()
+    assert again.intensity.tolist() == spec.intensity.tolist()
+
+
+def test_peak_arrays_read_only_across_pickle():
+    spec = make_spectrum("ro", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
+    for s in (spec, pickle.loads(pickle.dumps(spec))):
+        for values in (s.mz, s.intensity):
+            assert values.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
 
 def test_pipeline_preserves_metadata():
     rng = random.Random(11)
     spec = make_spectrum(
-        "meta", 640.25, 2, peaks(*[(rng.uniform(100, 1200), rng.uniform(1, 90)) for _ in range(80)])
+        "meta", 640.25, 2, *peaks(*[(rng.uniform(100, 1200), rng.uniform(1, 90)) for _ in range(80)])
     )
     out = preprocess(spec)
     assert out.title == spec.title
@@ -272,7 +298,7 @@ def test_nearest_peaks_matches_brute_force(mz, targets):
 
 @given(grid_mz.filter(len), st.floats(200.0, 3000.0), st.integers(1, 3))
 def test_partner_distance_matches_brute_force(mz, pepmass, charge):
-    spec = make_spectrum("p", pepmass, charge, [Peak(m, 1.0) for m in mz.tolist()])
+    spec = make_spectrum("p", pepmass, charge, mz, [1.0] * len(mz))
     partners = spec.precursor_mass + 2 * PROTON_MASS - mz
     expected = np.abs(partners[:, None] - mz[None, :]).min(axis=1)
     assert spec.partner_distance.tolist() == expected.tolist()
@@ -287,7 +313,7 @@ def test_partner_distance_matches_brute_force(mz, pepmass, charge):
     st.lists(st.tuples(st.integers(1, 5 * 10**9), st.floats(0.0, 1e6)), min_size=1),
 )
 def test_mgf_round_trip_at_six_decimals(title, pepmass, charge, raw):
-    spec = make_spectrum(title, pepmass, charge, [Peak(k / 1e6, i) for k, i in raw])
+    spec = make_spectrum(title, pepmass, charge, *peaks(*[(k / 1e6, i) for k, i in raw]))
     (again,) = parse_mgf(emit_mgf([spec]))
     assert (again.title, again.charge) == (title, charge)
     assert abs(again.pepmass - pepmass) <= 5e-7
@@ -296,10 +322,33 @@ def test_mgf_round_trip_at_six_decimals(title, pepmass, charge, raw):
         assert abs(a.intensity - b.intensity) <= 5e-7
 
 
-@given(st.lists(st.tuples(st.floats(100.0, 100.01), st.floats(0.0, 100.0)), max_size=40))
+def merged_reference(raw):
+    """The merge rule stated sequentially: in stable m/z order, a peak closer
+    than the tolerance to the last kept peak replaces it if more intense."""
+    kept = []
+    for mz, intensity in sorted(raw, key=lambda peak: peak[0]):
+        if kept and mz - kept[-1][0] < DUPLICATE_MZ_TOLERANCE:
+            if intensity > kept[-1][1]:
+                kept[-1] = (mz, intensity)
+        else:
+            kept.append((mz, intensity))
+    return kept
+
+
+# Besides arbitrary m/z, chains of near-duplicates a quarter tolerance apart
+# (equal m/z included) with repeated intensities, where the merge order shows.
+near_mz = st.one_of(
+    st.floats(100.0, 100.01),
+    st.integers(0, 400).map(lambda k: 100.0 + k * DUPLICATE_MZ_TOLERANCE / 4),
+)
+heights = st.one_of(st.floats(0.0, 100.0), st.sampled_from([1.0, 2.0]))
+
+
+@given(st.lists(st.tuples(near_mz, heights), max_size=40))
 def test_make_spectrum_idempotent(raw):
-    spec = make_spectrum("m", 500.0, 2, peaks(*raw))
-    again = make_spectrum(spec.title, spec.pepmass, spec.charge, spec.peaks)
+    spec = make_spectrum("m", 500.0, 2, *peaks(*raw))
+    assert list(spec.peaks) == merged_reference(raw)
+    again = make_spectrum(spec.title, spec.pepmass, spec.charge, spec.mz, spec.intensity)
     assert again == spec
-    gaps = np.diff(spec.mz_array)
+    gaps = np.diff(spec.mz)
     assert (gaps >= DUPLICATE_MZ_TOLERANCE).all()

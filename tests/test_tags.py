@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evopep import (
-    Peak,
     adjust_mass,
     build_init_pool,
     extract_tags,
@@ -13,6 +12,7 @@ from evopep import (
 )
 from evopep.chem import (
     CANONICAL_ALPHABET,
+    MAX_PEPTIDE_LENGTH,
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     is_tryptic,
@@ -27,7 +27,7 @@ DELTA_BOUND = residue_mass("G") + TAU
 
 
 def spectrum_at(mzs, pepmass=600.0, charge=2):
-    return make_spectrum("t", pepmass, charge, [Peak(m, 1.0) for m in mzs])
+    return make_spectrum("t", pepmass, charge, mzs, [1.0] * len(mzs))
 
 
 def brute_force_tags(spec, tau):
@@ -152,6 +152,12 @@ def test_adjust_mass_heavy_by_one_residue():
             hits += 1
             assert abs(precursor - parent_mass(out)) < DELTA_BOUND
     assert hits > 40
+
+
+def test_adjust_mass_gives_up_at_length_cap():
+    precursor = parent_mass("W" * 62 + "K")
+    seq, ok = adjust_mass("GK", precursor, random.Random(1), TAU)
+    assert not ok and len(seq) <= MAX_PEPTIDE_LENGTH
 
 
 def test_adjust_mass_rejects_two_residue_removal():
