@@ -242,7 +242,7 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list
             f"\t{result.generations_used}"
         )
     spec.scores.clear()
-    spec.tag_residues.clear()
+    spec.tags.clear()
     return rows
 
 

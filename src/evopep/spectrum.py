@@ -69,8 +69,8 @@ class Spectrum:
     distance from its precursor complement to the nearest peak; preprocessing
     and scoring both read it. Two mutable memos, left out of equality, ``repr``
     and pickling, are emptied by whoever owns the spectrum: ``scores`` maps
-    (peptide, tau) to ``Individual.score`` results, and ``tag_residues`` maps
-    tau to the residue strings of ``extract_tags`` (``build_init_pool``).
+    (peptide, tau) to ``Individual.score`` results, and ``tags`` maps tau to
+    the ``TagIndex`` of ``extract_tags`` (``build_init_pool``).
     """
 
     title: str
@@ -79,7 +79,7 @@ class Spectrum:
     mz: np.ndarray
     intensity: np.ndarray
     scores: dict = field(default_factory=dict, init=False, repr=False)
-    tag_residues: dict = field(default_factory=dict, init=False, repr=False)
+    tags: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.mz.flags.writeable = False
@@ -274,6 +274,10 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                 if not math.isfinite(pepmass):
                     raise MgfParseError(
                         f"PEPMASS must be finite, got {value!r}", line_number
+                    )
+                if pepmass <= 0:
+                    raise MgfParseError(
+                        f"PEPMASS must be positive, got {value!r}", line_number
                     )
             elif key == "CHARGE":
                 charge = _parse_charge(value, line_number)

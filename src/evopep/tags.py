@@ -1,16 +1,24 @@
 """Sequence-tag extraction and tag-based population initialization.
 
 A tag is a 3-residue path over four spectrum peaks whose consecutive m/z gaps
-each match a residue mass within the tolerance. Initialization concatenates
-2-4 random tags, appends a tryptic terminal, and then inserts/removes random
-residues until the candidate's mass sits within one glycine of the precursor.
+each match a residue mass within the tolerance. Tags are not built up front:
+``extract_tags`` finds the residue edges between peaks and returns a
+``TagIndex``, which counts the 3-edge paths and decodes one when it is read,
+so memory grows with the edges, not with the tags. Initialization
+concatenates 2-4 random tags, appends a tryptic terminal, and then
+inserts/removes random residues until the candidate's mass sits within one
+glycine of the precursor.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .chem import (
     CANONICAL_ALPHABET,
@@ -59,41 +67,126 @@ class InitPool:
     complete: bool = True
 
 
-def extract_tags(spec: Spectrum, tau: float) -> list[Tag]:
-    """Extract every 3-letter tag from a preprocessed spectrum.
+class TagIndex(Sequence[Tag]):
+    """Every tag of a spectrum, decoded on demand from its residue edges.
+
+    Edge ``e`` runs from peak ``source[e]`` to peak ``target[e]`` and reads
+    ``symbol[e]``; edges are ordered by source peak, then target peak, then
+    ``CANONICAL_ALPHABET``, and those leaving peak ``p`` are
+    ``offsets[p]:offsets[p + 1]``. ``paths2[e]`` and ``paths3[e]`` count the
+    2- and 3-edge paths that start with an edge before ``e``. Tag ``t`` is the
+    ``t``-th 3-edge path in order of its first, second, then third edge, which
+    is the order of nested loops over the edges. A slice returns a list.
+    """
+
+    def __init__(self, mz, source, target, symbol, offsets, paths2, paths3):
+        self._mz = mz
+        self._source = source
+        self._target = target
+        self._symbol = symbol
+        self._offsets = offsets
+        self._paths2 = paths2
+        self._paths3 = paths3
+
+    def __len__(self) -> int:
+        return self._paths3[-1]
+
+    def _edges(self, t: int) -> tuple[int, int, int]:
+        """The three edges of tag ``t``."""
+        paths2, paths3, offsets, target = (
+            self._paths2, self._paths3, self._offsets, self._target
+        )
+        if t < 0:
+            t += paths3[-1]
+        if not 0 <= t < paths3[-1]:
+            raise IndexError("tag index out of range")
+        first = bisect_right(paths3, t) - 1
+        # The rest of the tag is a 2-edge path from the first edge's target;
+        # rank is its place among all 2-edge paths, those from that peak
+        # being paths2[lo:hi].
+        peak = target[first]
+        lo = offsets[peak]
+        rank = paths2[lo] + t - paths3[first]
+        second = bisect_right(paths2, rank, lo, offsets[peak + 1]) - 1
+        return first, second, offsets[target[second]] + rank - paths2[second]
+
+    def __getitem__(self, t: int | slice) -> Tag | list[Tag]:
+        if isinstance(t, slice):
+            return [self[i] for i in range(*t.indices(len(self)))]
+        first, second, third = self._edges(t)
+        start = self._source[first]
+        target, symbol = self._target, self._symbol
+        return Tag(
+            peak_indices=(start, target[first], target[second], target[third]),
+            residues=symbol[first] + symbol[second] + symbol[third],
+            start_mz=self._mz[start],
+        )
+
+    @property
+    def residues(self) -> Sequence[str]:
+        """The residues of each tag, decoded without building a ``Tag``."""
+        return _TagResidues(self)
+
+
+class _TagResidues(Sequence[str]):
+    def __init__(self, index: TagIndex):
+        self._edges = index._edges
+        self._symbol = index._symbol
+        self._size = len(index)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, t: int) -> str:
+        first, second, third = self._edges(t)
+        symbol = self._symbol
+        return symbol[first] + symbol[second] + symbol[third]
+
+
+def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
+    """Index every 3-letter tag of a preprocessed spectrum.
 
     Each consecutive peak pair in a tag satisfies
-    |mz_j - mz_i - mass(a)| <= tau for its residue label; ambiguous gaps emit
+    |mz_j - mz_i - mass(a)| <= tau for its residue label; ambiguous gaps give
     one tag per matching label. Peak indices are strictly ascending within a
-    tag. Output order is deterministic (by indices, then residues).
+    tag. Tags are ordered by peak indices, then by labels in
+    ``CANONICAL_ALPHABET`` order. Only the residue edges are kept; the
+    returned ``TagIndex`` decodes a tag when it is read.
     """
-    mz = spec.mz.tolist()
+    mz = spec.mz
     n = len(mz)
-    if n < 4:
-        return []
-    # Single-residue labeled edges, grouped by the start peak.
-    edges: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = mz[j] - mz[i]
-            if gap > _MAX_RESIDUE_MASS + tau:
-                break
-            for sym, mass in _LABELED_MASSES:
-                if abs(gap - mass) <= tau:
-                    edges[i].append((j, sym))
-    tags: list[Tag] = []
-    for i in range(n):
-        for j, first in edges[i]:
-            for k, second in edges[j]:
-                for m, third in edges[k]:
-                    tags.append(
-                        Tag(
-                            peak_indices=(i, j, k, m),
-                            residues=first + second + third,
-                            start_mz=mz[i],
-                        )
-                    )
-    return tags
+    limit = _MAX_RESIDUE_MASS + tau
+    # Pairs (i, j > i) in row-major order, over-covering gaps up to limit by
+    # 1 Da; the exact cut is the comparison of each gap with limit.
+    after = np.arange(1, n + 1)
+    counts = np.searchsorted(mz, mz + (limit + 1.0), side="right") - after
+    starts = np.cumsum(counts) - counts
+    source = np.repeat(np.arange(n), counts)
+    target = np.arange(counts.sum()) - np.repeat(starts - after, counts)
+    gap = mz[target] - mz[source]
+    near = gap <= limit
+    source, target, gap = source[near], target[near], gap[near]
+    # One column per label; nonzero then lists edges by pair, then label.
+    hits = np.empty((len(gap), len(_LABELED_MASSES)), dtype=bool)
+    for column, (_, mass) in enumerate(_LABELED_MASSES):
+        np.less_equal(np.abs(gap - mass), tau, out=hits[:, column])
+    pair, label = np.nonzero(hits)
+    source, target = source[pair], target[pair]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
+    # Paths that start with each edge: 2-edge ones end on an edge leaving
+    # its target, 3-edge ones on a 2-edge path leaving it.
+    count2 = np.diff(offsets)[target]
+    prefix2 = np.concatenate(([0], np.cumsum(count2)))
+    count3 = (prefix2[offsets[1:]] - prefix2[offsets[:-1]])[target]
+    return TagIndex(
+        mz=mz.tolist(),
+        source=source.tolist(),
+        target=target.tolist(),
+        symbol=[CANONICAL_ALPHABET[c] for c in label.tolist()],
+        offsets=offsets.tolist(),
+        paths2=prefix2.tolist(),
+        paths3=np.concatenate(([0], np.cumsum(count3))).tolist(),
+    )
 
 
 def random_peptide(
@@ -107,7 +200,7 @@ def random_peptide(
     return body + rng.choice(TRYPTIC_TERMINALS)
 
 
-def random_sequence_from_tags(tags: list[str], rng: random.Random) -> str:
+def random_sequence_from_tags(tags: Sequence[str], rng: random.Random) -> str:
     """Concatenate 2, 3 or 4 random tags' residues and append a tryptic terminal.
 
     Falls back to a fully random length-7..12 tryptic sequence when no tags
@@ -174,24 +267,24 @@ def build_init_pool(
     Repeats concatenate -> append-terminal -> adjust until ``pool_size``
     valid candidates are collected, giving up after 50 * pool_size attempts
     (the pool is then returned partially filled, with a warning). Tags are
-    extracted on first use and kept in ``spec.tag_residues``.
+    indexed on first use and kept in ``spec.tags``.
     """
-    tags = spec.tag_residues.get(tau)
+    tags = spec.tags.get(tau)
     if tags is None:
-        tags = [tag.residues for tag in extract_tags(spec, tau)]
-        spec.tag_residues[tau] = tags
+        tags = spec.tags[tau] = extract_tags(spec, tau)
         if not tags:
             logger.warning(
                 "spectrum %r yielded no tags; falling back to random sequences",
                 spec.title,
             )
+    residues = tags.residues
     candidates: list[Individual] = []
     seen: set[str] = set()
     attempts = 0
     limit = INIT_ATTEMPT_FACTOR * pool_size
     while len(candidates) < pool_size and attempts < limit:
         attempts += 1
-        seq = random_sequence_from_tags(tags, rng)
+        seq = random_sequence_from_tags(residues, rng)
         adjusted, ok = adjust_mass(seq, spec.precursor_mass, rng, tau)
         if not ok or len(adjusted) < 2 or adjusted in seen:
             continue

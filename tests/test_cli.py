@@ -147,7 +147,7 @@ def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypa
     assert [size > 0 for _, size in calls] == [False, True, False, True]
     assert extracted == ["synth-00000", "synth-00001"]
     assert all(spec.scores == {} for spec, _ in calls)
-    assert all(spec.tag_residues == {} for spec, _ in calls)
+    assert all(spec.tags == {} for spec, _ in calls)
 
 
 class _RecordingPool:
@@ -280,6 +280,19 @@ def test_sequence_zero_intensity_spectrum_skipped(
     assert "Traceback" not in capsys.readouterr().err
     skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
     assert skipped == ["skipping zero: spectrum has no positive intensity"]
+
+
+@pytest.mark.parametrize("command", ["sequence", "tags"])
+def test_non_positive_pepmass_errors_at_its_line(tmp_path, capsys, command):
+    mgf = write(
+        tmp_path / "bad.mgf",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500\nCHARGE=2+\n150.0 1.0\nEND IONS\n"
+        "BEGIN IONS\nTITLE=b\nPEPMASS=-5\nCHARGE=2+\n150.0 1.0\nEND IONS\n",
+    )
+    assert run(command, mgf, "-o", str(tmp_path / "out.tsv")) == 2
+    err = capsys.readouterr().err
+    assert "error: line 9: PEPMASS must be positive, got '-5'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

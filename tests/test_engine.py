@@ -2,8 +2,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopep import (
+    EvolutionError,
     GaConfig,
     Individual,
     SynthConfig,
@@ -21,6 +24,7 @@ from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
     PROTON_MASS,
+    TRYPTIC_TERMINALS,
     is_tryptic,
     parent_mass,
     residue_mass,
@@ -308,6 +312,51 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
         2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and is_tryptic(peptide)
         for peptide, _ in spec.scores
     )
+
+
+@st.composite
+def ga_settings(draw):
+    population = draw(st.integers(6, 30))
+    weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
+    rates = [w / sum(weights) for w in weights]
+    return GaConfig(
+        pool_size=draw(st.integers(population, 60)),
+        population=population,
+        generations=draw(st.integers(0, 5)),
+        tournament_k=draw(st.integers(1, 7)),
+        rate_nterm_cterm_cx=rates[0],
+        rate_two_point_cx=rates[1],
+        rate_flip=rates[2],
+        rate_conflict=rates[3],
+        elitism=draw(st.integers(1, min(5, population - 1))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(CANONICAL_ALPHABET, min_size=1, max_size=39),
+    st.sampled_from(TRYPTIC_TERMINALS),
+    ga_settings(),
+    st.integers(0, 2**32),
+)
+def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal, cfg, seed):
+    rng = random.Random(seed)
+    spec = preprocess(
+        synthesize_spectrum(body + terminal, SynthConfig(noise_peaks=10, dropout=0.1), rng)
+    )
+    try:
+        result = evolve(spec, cfg)
+    except EvolutionError:  # no candidate reached the precursor mass
+        result = None
+    assert all(
+        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and is_tryptic(peptide)
+        for peptide, _ in spec.scores
+    )
+    if result is not None:
+        best = [row.best_fitness for row in result.trace]
+        assert len(best) == cfg.generations + 1
+        assert best == sorted(best)
 
 
 def test_trace_tsv_shape(aaal_spectrum):

@@ -88,6 +88,14 @@ def test_parse_refuses_non_finite_values(header, peak, line):
     assert err.value.line_number == line
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "-0.0 20"])
+def test_parse_refuses_non_positive_pepmass_at_its_line(value):
+    mgf = f"BEGIN IONS\nTITLE=p\nPEPMASS={value}\nCHARGE=2+\n150.0 1.0\nEND IONS\n"
+    with pytest.raises(MgfParseError, match="PEPMASS must be positive") as err:
+        parse_mgf(mgf)
+    assert err.value.line_number == 3
+
+
 @pytest.mark.parametrize("text,expected", [("2+", 2), ("+2", 2), ("2", 2), ("2+ and 3+", 2), ("2+,3+", 2)])
 def test_parse_charge_dialects(text, expected):
     mgf = f"BEGIN IONS\nPEPMASS=500\nCHARGE={text}\n100 1\nEND IONS\n"
@@ -236,11 +244,11 @@ def test_add_complements_bounded_growth():
 def test_pickle_round_trip_starts_empty_memo():
     spec = make_spectrum("pk", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
     spec.scores[("GK", 0.5)] = None
-    spec.tag_residues[0.5] = ["GAG"]
+    spec.tags[0.5] = ["GAG"]
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
     assert again.scores == {}
-    assert again.tag_residues == {}
+    assert again.tags == {}
     assert again.mz.tolist() == spec.mz.tolist()
     assert again.intensity.tolist() == spec.intensity.tolist()
 

@@ -1,6 +1,10 @@
 import random
+import time
+import tracemalloc
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +23,7 @@ from evopep.chem import (
     parent_mass,
     residue_mass,
 )
-from evopep.tags import random_peptide, random_sequence_from_tags
+from evopep.tags import Tag, random_peptide, random_sequence_from_tags
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -53,6 +57,105 @@ def brute_force_tags(spec, tau):
     return found
 
 
+def reference_tags(spec, tau):
+    """Every tag, built by nested loops over the labelled peak pairs."""
+    mz = spec.mz.tolist()
+    limit = max(RESIDUE_MASSES.values()) + tau
+    edges = [[] for _ in mz]
+    for i in range(len(mz)):
+        for j in range(i + 1, len(mz)):
+            gap = mz[j] - mz[i]
+            if gap > limit:
+                break
+            for sym in CANONICAL_ALPHABET:
+                if abs(gap - RESIDUE_MASSES[sym]) <= tau:
+                    edges[i].append((j, sym))
+    return [
+        Tag((i, j, k, m), a + b + c, mz[i])
+        for i in range(len(mz))
+        for j, a in edges[i]
+        for k, b in edges[j]
+        for m, c in edges[k]
+    ]
+
+
+@st.composite
+def tag_spectra(draw):
+    """Peaks chained by residue-mass gaps, each off by up to tau (often by
+    exactly 0, tau/2 or tau), with a few free peaks in between, so that
+    ambiguous labels, skipped peaks and tolerance edges all occur."""
+    tau = draw(st.sampled_from([0.5, 0.25, 0.05]))
+    mz = [draw(st.floats(100.0, 300.0))]
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.booleans()):
+            step = RESIDUE_MASSES[draw(st.sampled_from(CANONICAL_ALPHABET))]
+            step += tau * draw(
+                st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.1, 1.1)
+            )
+        else:
+            step = draw(st.floats(0.5, 200.0))
+        mz.append(mz[-1] + step)
+    return spectrum_at(mz), tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag_spectra())
+def test_tag_index_equals_nested_loops(case):
+    spec, tau = case
+    ref = reference_tags(spec, tau)
+    index = extract_tags(spec, tau)
+    assert len(index) == len(ref)
+    assert list(index) == ref
+    assert list(index.residues) == [tag.residues for tag in ref]
+    assert index[2:9:3] == ref[2:9:3]
+    assert index[::-4] == ref[::-4]
+    if ref:
+        assert index[-1] == ref[-1]
+        assert index[-len(ref)] == ref[0]
+    for bad in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            index[bad]
+        with pytest.raises(IndexError):
+            index.residues[bad]
+
+
+@settings(max_examples=50, deadline=None)
+@given(tag_spectra(), st.integers(0, 2**32))
+def test_draws_from_index_equal_draws_from_list(case, seed):
+    spec, tau = case
+    index = extract_tags(spec, tau)
+    listed = [tag.residues for tag in reference_tags(spec, tau)]
+    from_index, from_list = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert random_sequence_from_tags(
+            index.residues, from_index
+        ) == random_sequence_from_tags(listed, from_list)
+
+
+def test_extract_tags_bounded_on_1200_random_peaks():
+    rng = random.Random(1200)
+    spec = spectrum_at([rng.uniform(100.0, 2000.0) for _ in range(1200)])
+    started = time.perf_counter()
+    count = len(extract_tags(spec, TAU))
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        extract_tags(spec, TAU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 50e6
+    # Labelled edge counts as a matrix: 3-edge paths are 1' A A A 1.
+    gaps = spec.mz[None, :] - spec.mz[:, None]
+    adjacency = sum(
+        (np.abs(gaps - RESIDUE_MASSES[sym]) <= TAU).astype(float)
+        for sym in CANONICAL_ALPHABET
+    )
+    paths = adjacency @ (adjacency @ adjacency.sum(axis=1))
+    assert count == int(paths.sum()) > 1_000_000
+
+
 def test_hand_built_all_tag():
     spec = spectrum_at([200.0, 271.037, 384.121, 497.205])
     tags = extract_tags(spec, TAU)
@@ -61,7 +164,7 @@ def test_hand_built_all_tag():
 
 
 def test_too_few_peaks_gives_no_tags():
-    assert extract_tags(spectrum_at([100.0, 200.0, 300.0]), TAU) == []
+    assert list(extract_tags(spectrum_at([100.0, 200.0, 300.0]), TAU)) == []
 
 
 def test_tags_revalidate_against_spectrum():
@@ -213,7 +316,8 @@ def test_build_init_pool_extracts_tags_once(monkeypatch):
     for seed in range(3):
         build_init_pool(spec, TAU, 20, random.Random(seed))
     assert calls == [TAU]
-    assert spec.tag_residues == {TAU: [tag.residues for tag in extract_tags(spec, TAU)]}
+    assert list(spec.tags) == [TAU]
+    assert list(spec.tags[TAU]) == list(extract_tags(spec, TAU))
 
 
 def test_build_init_pool_invariants():
