@@ -32,13 +32,13 @@ for tag in tags[:5]:
 
 # Initialization concatenates 2-4 random tags, appends K or R, then inserts
 # or removes residues until the mass sits within one glycine of the
-# precursor. Candidates are scored as they are produced.
+# precursor. The distinct candidates are scored once all draws are done.
 pool = build_init_pool(spec, tau=0.5, pool_size=1000, rng=random.Random(1))
-best = max(pool.candidates, key=lambda c: c.fitness)
-print(f"\npool of {len(pool.candidates)} candidates")
+best = max(pool, key=lambda c: c.fitness)
+print(f"\npool of {len(pool)} candidates")
 print(f"best tag-based candidate: {best.peptide}  fitness {best.fitness:.3f}")
 print(f"mean |mass error|: "
-      f"{sum(abs(c.delta_mass) for c in pool.candidates) / len(pool.candidates):.2f} Da")
+      f"{sum(abs(c.delta_mass) for c in pool) / len(pool):.2f} Da")
 
 # Compare with naive random initialization (no mass adjustment): fitness is
 # dominated by the mass-difference penalty.

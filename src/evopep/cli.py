@@ -17,6 +17,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
@@ -256,6 +257,13 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if repeated:
         # Their result rows could not be told apart by `evaluate`.
         raise ValueError(f"{args.input}: spectrum id {repeated[0]!r} is repeated")
+    for sid in ids:
+        if sid.startswith("#") or "\t" in sid:
+            # `evaluate` reads such a row as a comment, or as shifted columns.
+            raise ValueError(
+                f"{args.input}: spectrum id {sid!r} cannot be a results TSV id "
+                "(it starts with '#' or contains a tab)"
+            )
     prepared = [
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
@@ -425,16 +433,16 @@ def cmd_tags(args: argparse.Namespace) -> int:
     lines = ["spectrum_id\tstart_mz\tresidues\tpeak_indices"]
     for index, spec in enumerate(spectra):
         prepared = preprocess(spec, pre_cfg, complements=not args.no_complements)
-        rows = sorted(
-            extract_tags(prepared, options["tau"]),
-            key=lambda t: (t.start_mz, t.residues, t.peak_indices),
-        )
         spectrum_id = _spectrum_id(spec, index)
-        for tag in rows:
-            indices = ",".join(str(i) for i in tag.peak_indices)
-            lines.append(
-                f"{spectrum_id}\t{tag.start_mz:.6f}\t{tag.residues}\t{indices}"
-            )
+        # The index lists tags by start peak, in ascending m/z, so sorting one
+        # start peak at a time gives the rows of a sort by (start_mz, ...).
+        tags = extract_tags(prepared, options["tau"])
+        for _, group in groupby(tags, key=lambda t: t.peak_indices[0]):
+            for tag in sorted(group, key=lambda t: (t.residues, t.peak_indices)):
+                indices = ",".join(str(i) for i in tag.peak_indices)
+                lines.append(
+                    f"{spectrum_id}\t{tag.start_mz:.6f}\t{tag.residues}\t{indices}"
+                )
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

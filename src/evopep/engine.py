@@ -4,7 +4,9 @@ Each generation builds four pools (fitness-ranked helper pool, Nterm pool,
 Cterm pool, tournament pool), creates offspring with one of four operators
 drawn at configured rates, and carries over three elites (best by fitness,
 by Nterm score, by Cterm score). Candidates are variable-length tryptic
-sequences; every offspring is re-scored against the run's spectrum.
+sequences. The operators map peptide strings to peptide strings and never
+score; ``evolve`` scores each generation's children against the run's
+spectrum in one place, after the operator loop.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ OPERATOR_TWO_POINT = "two_point"
 OPERATOR_FLIP = "flip"
 OPERATOR_CONFLICT = "conflict"
 
+# Mass window (Da) that nterm_cterm_crossover regrows a child into before
+# handing it to the mass-adjustment loop.
+RELAXED_CX_BOUND = 100.0
+
 
 class EvolutionError(RuntimeError):
     """Raised when a run cannot proceed (e.g. empty initialization pool)."""
@@ -46,7 +52,6 @@ class GaConfig:
     rate_conflict: float = 0.15
     elitism: int = 3
     tau: float = 0.5
-    relaxed_cx_bound: float = 100.0
     seed: int | str | None = None
 
     def __post_init__(self):
@@ -162,28 +167,26 @@ def nterm_cterm_crossover(
     n_parent: Individual,
     c_parent: Individual,
     helper: Individual,
-    spec: Spectrum,
+    precursor: float,
     tau: float,
     rng: random.Random,
-    relaxed_bound: float = 100.0,
-) -> Individual:
+) -> str:
     """Mate the matched N-terminal prefix of one parent with the matched
     C-terminal suffix of another.
 
     The prefix spans ``nterm + 1`` residues, the suffix ``cterm + 1``. When
-    the concatenation is too heavy (delta below -relaxed_bound) it is rebuilt
-    from the prefix plus a shrinking tail of the C parent; when too light,
-    residues from a random interior window of the helper fill the middle one
-    at a time. The result is fine-trimmed by the mass-adjustment loop and
-    re-scored; a degenerate result, or one that would grow past
-    MAX_PEPTIDE_LENGTH, falls back to the fitter parent.
+    the concatenation is too heavy (delta below -RELAXED_CX_BOUND) it is
+    rebuilt from the prefix plus a shrinking tail of the C parent; when too
+    light, residues from a random interior window of the helper fill the
+    middle one at a time. The result is fine-trimmed by the mass-adjustment
+    loop; a degenerate result, or one that would grow past
+    MAX_PEPTIDE_LENGTH, falls back to the fitter parent's peptide.
     """
     if n_parent.nterm < 1:
         raise ValueError("N-terminal parent needs an Nterm score of at least 1")
     if c_parent.cterm < 1:
         raise ValueError("C-terminal parent needs a Cterm score of at least 1")
-    fallback = n_parent if n_parent.fitness >= c_parent.fitness else c_parent
-    precursor = spec.precursor_mass
+    fallback = (n_parent if n_parent.fitness >= c_parent.fitness else c_parent).peptide
     prefix = n_parent.peptide[: n_parent.nterm + 1]
     c_seq = c_parent.peptide
     suffix = c_seq[len(c_seq) - (c_parent.cterm + 1) :]
@@ -191,22 +194,22 @@ def nterm_cterm_crossover(
     if len(seq) > MAX_PEPTIDE_LENGTH:
         return fallback
     delta = precursor - parent_mass(seq)
-    if delta < -relaxed_bound:
+    if delta < -RELAXED_CX_BOUND:
         # Overlapping prefixes/suffixes make the concatenation too heavy:
         # regrow from the prefix, taking ever longer tails of the C parent
         # until the relaxed mass window is reached from above. The loop stops
         # at the latest with the whole suffix, so it stays within the cap.
         for k in range(1, len(c_seq) + 1):
             seq = prefix + c_seq[len(c_seq) - k :]
-            if precursor - parent_mass(seq) <= relaxed_bound:
+            if precursor - parent_mass(seq) <= RELAXED_CX_BOUND:
                 break
-    elif delta > relaxed_bound and len(helper.peptide) > 2:
+    elif delta > RELAXED_CX_BOUND and len(helper.peptide) > 2:
         h_seq = helper.peptide
         w1 = rng.randrange(1, len(h_seq) - 1)
         w2 = rng.randrange(w1 + 1, len(h_seq))
         mid = ""
         for sym in h_seq[w1:w2]:
-            if precursor - parent_mass(prefix + mid + suffix) <= relaxed_bound:
+            if precursor - parent_mass(prefix + mid + suffix) <= RELAXED_CX_BOUND:
                 break
             mid += sym
             if len(prefix) + len(mid) + len(suffix) > MAX_PEPTIDE_LENGTH:
@@ -215,17 +218,11 @@ def nterm_cterm_crossover(
     adjusted, ok = adjust_mass(seq, precursor, rng, tau)
     if not ok or len(adjusted) < 2:
         return fallback
-    return Individual.score(adjusted, spec, tau)
+    return adjusted
 
 
-def two_point_crossover(
-    p1: Individual,
-    p2: Individual,
-    spec: Spectrum,
-    tau: float,
-    rng: random.Random,
-) -> tuple[Individual, Individual]:
-    """Swap interior segments between two parents.
+def two_point_crossover(s1: str, s2: str, rng: random.Random) -> tuple[str, str]:
+    """Swap interior segments between two parent peptides.
 
     Cut points are drawn independently per parent and never split off the
     terminal residue, so offspring lengths may differ from both parents.
@@ -233,9 +230,8 @@ def two_point_crossover(
     swap is a no-op) are returned unchanged, and an offspring longer than
     MAX_PEPTIDE_LENGTH is replaced by the parent whose ends it keeps.
     """
-    s1, s2 = p1.peptide, p2.peptide
     if len(s1) < 4 or len(s2) < 4:
-        return p1, p2
+        return s1, s2
 
     def cuts(length: int) -> tuple[int, int]:
         a = rng.randint(1, length - 2)
@@ -247,25 +243,19 @@ def two_point_crossover(
     o1 = s1[:a1] + s2[a2:b2] + s1[b1:]
     o2 = s2[:a2] + s1[a1:b1] + s2[b2:]
     return (
-        p1 if len(o1) > MAX_PEPTIDE_LENGTH else Individual.score(o1, spec, tau),
-        p2 if len(o2) > MAX_PEPTIDE_LENGTH else Individual.score(o2, spec, tau),
+        s1 if len(o1) > MAX_PEPTIDE_LENGTH else o1,
+        s2 if len(o2) > MAX_PEPTIDE_LENGTH else o2,
     )
 
 
-def flip_aa_mutation(
-    ind: Individual, spec: Spectrum, tau: float, rng: random.Random
-) -> Individual:
+def flip_aa_mutation(seq: str, rng: random.Random) -> str:
     """Replace one random non-terminal residue with a different one."""
-    seq = ind.peptide
     pos = rng.randrange(len(seq) - 1)
     alternatives = [sym for sym in CANONICAL_ALPHABET if sym != seq[pos]]
-    seq = seq[:pos] + rng.choice(alternatives) + seq[pos + 1 :]
-    return Individual.score(seq, spec, tau)
+    return seq[:pos] + rng.choice(alternatives) + seq[pos + 1 :]
 
 
-def conflict_mass_mutation(
-    ind: Individual, spec: Spectrum, tau: float, rng: random.Random
-) -> Individual:
+def conflict_mass_mutation(seq: str, rng: random.Random) -> str:
     """Swap one conflict-mass residue for an equal-nominal-mass di-peptide.
 
     Applies to a random non-terminal occurrence of a dictionary residue; a
@@ -273,18 +263,15 @@ def conflict_mass_mutation(
     unchanged. Successful application grows the length by exactly one while
     preserving the nominal parent mass.
     """
-    seq = ind.peptide
     positions = [
         i for i, sym in enumerate(seq[:-1]) if sym in CONFLICT_REPLACEMENTS
     ]
     if not positions:
-        return ind
+        return seq
     pos = rng.choice(positions)
     replacement = rng.choice(CONFLICT_REPLACEMENTS[seq[pos]])
-    seq = seq[:pos] + replacement + seq[pos + 1 :]
-    if len(seq) > MAX_PEPTIDE_LENGTH:
-        return ind
-    return Individual.score(seq, spec, tau)
+    child = seq[:pos] + replacement + seq[pos + 1 :]
+    return seq if len(child) > MAX_PEPTIDE_LENGTH else child
 
 
 def _initial_population(
@@ -331,60 +318,55 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
     """
     rng = random.Random(cfg.seed)
     pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
-    if not pool.candidates:
+    if not pool:
         raise EvolutionError(
             f"initialization pool for spectrum {spec.title!r} is empty; "
             "the spectrum may be degenerate or the precursor mass unreachable"
         )
-    population = _initial_population(pool.candidates, cfg)
+    population = _initial_population(pool, cfg)
     best = max(population, key=lambda ind: ind.fitness)
     trace = [_trace_row(0, population)]
 
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
         target = cfg.population - cfg.elitism
-        offspring: list[Individual] = []
-        while len(offspring) < target:
+        children: list[str] = []
+        while len(children) < target:
             op = choose_operator(cfg, rng)
             if op == OPERATOR_NTERM_CTERM and (
                 not pools.nterm_pool or not pools.cterm_pool
             ):
                 op = OPERATOR_TWO_POINT
             if op == OPERATOR_NTERM_CTERM:
-                offspring.append(
+                children.append(
                     nterm_cterm_crossover(
                         rng.choice(pools.nterm_pool),
                         rng.choice(pools.cterm_pool),
                         rng.choice(pools.helper),
-                        spec,
+                        spec.precursor_mass,
                         cfg.tau,
                         rng,
-                        cfg.relaxed_cx_bound,
                     )
                 )
             elif op == OPERATOR_TWO_POINT:
-                o1, o2 = two_point_crossover(
-                    rng.choice(pools.tournament),
-                    rng.choice(pools.tournament),
-                    spec,
-                    cfg.tau,
-                    rng,
-                )
-                offspring.append(o1)
-                if len(offspring) < target:
-                    offspring.append(o2)
-            elif op == OPERATOR_FLIP:
-                offspring.append(
-                    flip_aa_mutation(
-                        rng.choice(pools.tournament), spec, cfg.tau, rng
+                children.extend(
+                    two_point_crossover(
+                        rng.choice(pools.tournament).peptide,
+                        rng.choice(pools.tournament).peptide,
+                        rng,
                     )
+                )
+            elif op == OPERATOR_FLIP:
+                children.append(
+                    flip_aa_mutation(rng.choice(pools.tournament).peptide, rng)
                 )
             else:
-                offspring.append(
-                    conflict_mass_mutation(
-                        rng.choice(pools.tournament), spec, cfg.tau, rng
-                    )
+                children.append(
+                    conflict_mass_mutation(rng.choice(pools.tournament).peptide, rng)
                 )
+        # A two-point crossover drawn last may overshoot the target by one;
+        # its second child is dropped unscored.
+        offspring = [Individual.score(seq, spec, cfg.tau) for seq in children[:target]]
         population = offspring + _select_elites(population, cfg.elitism)
         generation_best = max(population, key=lambda ind: ind.fitness)
         if generation_best.fitness > best.fitness:

@@ -69,7 +69,7 @@ class Spectrum:
     distance from its precursor complement to the nearest peak; preprocessing
     and scoring both read it. Two mutable memos, left out of equality, ``repr``
     and pickling, are emptied by whoever owns the spectrum: ``scores`` maps
-    (peptide, tau) to ``Individual.score`` results, and ``tags`` maps tau to
+    (peptide, tau) to its scored ``Individual``, and ``tags`` maps tau to
     the ``TagIndex`` of ``extract_tags`` (``build_init_pool``).
     """
 

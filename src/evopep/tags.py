@@ -59,14 +59,6 @@ class Tag:
     start_mz: float
 
 
-@dataclass(frozen=True)
-class InitPool:
-    """Scored candidates produced by tag-based initialization."""
-
-    candidates: tuple[Individual, ...]
-    complete: bool = True
-
-
 class TagIndex(Sequence[Tag]):
     """Every tag of a spectrum, decoded on demand from its residue edges.
 
@@ -261,13 +253,14 @@ def build_init_pool(
     tau: float,
     pool_size: int,
     rng: random.Random,
-) -> InitPool:
+) -> tuple[Individual, ...]:
     """Fill a pool of scored, mass-adjusted tag-based candidates.
 
     Repeats concatenate -> append-terminal -> adjust until ``pool_size``
-    valid candidates are collected, giving up after 50 * pool_size attempts
-    (the pool is then returned partially filled, with a warning). Tags are
-    indexed on first use and kept in ``spec.tags``.
+    distinct valid candidates are collected, giving up after 50 * pool_size
+    attempts (the pool is then returned partially filled, with a warning).
+    The candidates are scored once, after the draws, in the order they were
+    first drawn. Tags are indexed on first use and kept in ``spec.tags``.
     """
     tags = spec.tags.get(tau)
     if tags is None:
@@ -278,24 +271,21 @@ def build_init_pool(
                 spec.title,
             )
     residues = tags.residues
-    candidates: list[Individual] = []
-    seen: set[str] = set()
+    peptides: dict[str, None] = {}
     attempts = 0
     limit = INIT_ATTEMPT_FACTOR * pool_size
-    while len(candidates) < pool_size and attempts < limit:
+    while len(peptides) < pool_size and attempts < limit:
         attempts += 1
         seq = random_sequence_from_tags(residues, rng)
         adjusted, ok = adjust_mass(seq, spec.precursor_mass, rng, tau)
-        if not ok or len(adjusted) < 2 or adjusted in seen:
-            continue
-        seen.add(adjusted)
-        candidates.append(Individual.score(adjusted, spec, tau))
-    if len(candidates) < pool_size:
+        if ok and len(adjusted) >= 2:
+            peptides[adjusted] = None
+    if len(peptides) < pool_size:
         logger.warning(
             "initialization pool for %r under-filled: %d of %d after %d attempts",
             spec.title,
-            len(candidates),
+            len(peptides),
             pool_size,
             attempts,
         )
-    return InitPool(candidates=tuple(candidates), complete=len(candidates) >= pool_size)
+    return tuple(Individual.score(seq, spec, tau) for seq in peptides)

@@ -115,19 +115,15 @@ def test_criterion_03_conflict_dictionary():
     }
     from evopep import conflict_mass_mutation
 
-    spec = preprocess(
-        synthesize_spectrum("AAALAAADAR", SynthConfig(), random.Random(0)),
-        PreprocessConfig(),
-    )
     rng = random.Random(33)
     max_drift = 0.0
     applied = 0
     while applied < 1000:
         pep = random_tryptic_peptide(rng)
-        child = conflict_mass_mutation(Individual.score(pep, spec, TAU), spec, TAU, rng)
-        if child.peptide != pep:
+        child = conflict_mass_mutation(pep, rng)
+        if child != pep:
             applied += 1
-            max_drift = max(max_drift, abs(parent_mass(child.peptide) - parent_mass(pep)))
+            max_drift = max(max_drift, abs(parent_mass(child) - parent_mass(pep)))
     ok = table_ok and max_drift < 0.05
     report(3, ok, f"published table reproduced; max mass drift {max_drift:.4f} Da over 1000")
 
@@ -167,9 +163,9 @@ def test_criterion_06_initialization_superiority():
             Individual.score(random_peptide(rng, 7, 12), spec, TAU)
             for _ in range(1000)
         ]
-        if max(c.fitness for c in pool.candidates) > max(c.fitness for c in baseline):
+        if max(c.fitness for c in pool) > max(c.fitness for c in baseline):
             tag_wins += 1
-        tag_delta.extend(abs(c.delta_mass) for c in pool.candidates)
+        tag_delta.extend(abs(c.delta_mass) for c in pool)
         random_delta.extend(abs(c.delta_mass) for c in baseline)
     mean_tag = sum(tag_delta) / len(tag_delta)
     mean_random = sum(random_delta) / len(random_delta)
@@ -195,14 +191,19 @@ def test_criterion_07_crossover_effectiveness():
     gains_n, gains_c, gains_h = [], [], []
     for seed in range(30):
         pool = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
-        anchored_n = [c for c in pool.candidates if c.nterm >= 1]
-        anchored_c = [c for c in pool.candidates if c.cterm >= 1]
+        anchored_n = [c for c in pool if c.nterm >= 1]
+        anchored_c = [c for c in pool if c.cterm >= 1]
         assert anchored_n and anchored_c, "pool lacks anchored parents"
         n_parent = max(anchored_n, key=lambda c: (c.nterm, c.fitness))
         c_parent = max(anchored_c, key=lambda c: (c.cterm, c.fitness))
-        helper = max(pool.candidates, key=lambda c: c.fitness)
-        child = nterm_cterm_crossover(
-            n_parent, c_parent, helper, spec, TAU, random.Random(f"cx|{seed}")
+        helper = max(pool, key=lambda c: c.fitness)
+        child = Individual.score(
+            nterm_cterm_crossover(
+                n_parent, c_parent, helper, spec.precursor_mass, TAU,
+                random.Random(f"cx|{seed}"),
+            ),
+            spec,
+            TAU,
         )
         gains_n.append(child.fitness - n_parent.fitness)
         gains_c.append(child.fitness - c_parent.fitness)

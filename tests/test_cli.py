@@ -2,10 +2,14 @@ import logging
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evopep.cli import SEQUENCE_COLUMNS, main
+from evopep.chem import CANONICAL_ALPHABET, residue_mass
+from evopep.cli import SEQUENCE_COLUMNS, _read_results, main
 from evopep.engine import GaConfig, evolve
-from evopep.spectrum import emit_mgf, make_spectrum, parse_mgf
+from evopep.evaluation import GroundTruthRecord, ground_truth_tsv, load_ground_truth
+from evopep.spectrum import emit_mgf, make_spectrum, parse_mgf, preprocess
 from evopep.tags import extract_tags
 
 
@@ -102,6 +106,28 @@ def test_sequence_deterministic_across_invocations_and_jobs(tmp_path, peptide_fi
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# `sequence` output of the test below, as written before the variation
+# operators became functions on strings. Predictions change only on purpose.
+GOLDEN_SEQUENCE_TSV = (
+    "\t".join(SEQUENCE_COLUMNS) + "\n"
+    "synth-00000\t0\tLGVTLYK\t1.887936\t5\t5\t0.000001\t3\n"
+    "synth-00000\t1\tLGDHTYK\t0.529210\t5\t1\t-39.933376\t3\n"
+    "synth-00001\t0\tACAWAR\t1.292960\t4\t4\t223.170964\t3\n"
+    "synth-00001\t1\tMNWR\t0.845256\t2\t2\t294.208078\t3\n"
+)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sequence_matches_golden_output(tmp_path, peptide_file, jobs):
+    mgf, _ = synth(tmp_path, peptide_file, "--noise", "10", "--dropout", "0.1")
+    out = tmp_path / "r.tsv"
+    assert run(
+        "sequence", str(mgf), "--seed", "1", "--runs", "2", "--generations", "3",
+        "--population", "30", "--pool-size", "60", "--jobs", jobs, "-o", str(out),
+    ) == 0
+    assert out.read_text(encoding="utf-8") == GOLDEN_SEQUENCE_TSV
 
 
 def test_sequence_output_shape(tmp_path, peptide_file):
@@ -319,6 +345,21 @@ def test_sequence_repeated_title_errors(tmp_path, peptide_file, capsys):
     assert "spectrum id 'synth-00000' is repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("title", ["#first", "first\tsecond"], ids=["comment", "tab"])
+def test_sequence_refuses_id_its_results_cannot_carry(
+    tmp_path, peptide_file, capsys, title
+):
+    # `evaluate` would skip a row whose id starts with '#' as a comment, and
+    # a tab would split the id over two columns.
+    mgf, _ = synth(tmp_path, peptide_file)
+    renamed = write(
+        tmp_path / "renamed.mgf",
+        mgf.read_text().replace("TITLE=synth-00000", f"TITLE={title}"),
+    )
+    assert run("sequence", renamed, "--runs", "1", "--generations", "0") == 2
+    assert f"spectrum id {title!r}" in capsys.readouterr().err
+
+
 def _die(task):
     os._exit(3)
 
@@ -418,6 +459,40 @@ def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
     assert where in capsys.readouterr().err
 
 
+# Ids that a TITLE line can carry (one stripped line) and `sequence` accepts.
+accepted_ids = st.text(min_size=1).filter(
+    lambda sid: sid == sid.strip()
+    and sid.splitlines() == [sid]
+    and not sid.startswith("#")
+    and "\t" not in sid
+)
+peptides = st.text(CANONICAL_ALPHABET, min_size=1, max_size=64)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(accepted_ids, peptides), max_size=6))
+def test_ground_truth_round_trip(rows):
+    records = [GroundTruthRecord(spectrum_id=sid, peptide=pep) for sid, pep in rows]
+    assert load_ground_truth(ground_truth_tsv(records)) == records
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(accepted_ids, st.integers(0, 99)), peptides, min_size=1, max_size=8
+    )
+)
+def test_sequence_rows_round_trip(tmp_path_factory, predictions):
+    rows = [
+        f"{sid}\t{run}\t{pep}\t1.000000\t1\t1\t0.000000\t3"
+        for (sid, run), pep in predictions.items()
+    ]
+    path = tmp_path_factory.mktemp("results") / "r.tsv"
+    path.write_text("\n".join(["\t".join(SEQUENCE_COLUMNS), *rows]) + "\n", "utf-8")
+    runs = sorted({run for _, run in predictions})
+    assert _read_results(str(path)) == (predictions, runs)
+
+
 def test_preprocess_round_trip(tmp_path, peptide_file, capsys):
     mgf, _ = synth(tmp_path, peptide_file, "--noise", "40")
     out = tmp_path / "pp.mgf"
@@ -454,6 +529,27 @@ def test_tags_output_contains_known_tag(tmp_path, peptide_file):
     assert any(row[2] == "GVT" for row in ladder_rows)
     keys = [(float(r[1]), r[2]) for r in ladder_rows]
     assert keys == sorted(keys)
+
+
+def test_tags_rows_equal_a_full_sort(tmp_path):
+    # From peak 0, the tag through peak 1 ("GAS") precedes the one through
+    # peak 2 ("AGS") in the index, but follows it in the sorted rows.
+    gly, ala, ser, val = (residue_mass(sym) for sym in "GASV")
+    steps = [0.0, gly, ala, gly + ala, gly + ala + ser, gly + ala + ser + val]
+    spec = make_spectrum("mixed", 800.0, 1, [100.0 + m for m in steps], [1.0] * 6)
+    mgf = write(tmp_path / "mixed.mgf", emit_mgf([spec]))
+    out = tmp_path / "tags.tsv"
+    assert run("tags", mgf, "--no-complements", "-o", str(out)) == 0
+
+    (parsed,) = parse_mgf((tmp_path / "mixed.mgf").read_text(encoding="utf-8"))
+    tags = list(extract_tags(preprocess(parsed, complements=False), 0.5))
+    key = lambda t: (t.start_mz, t.residues, t.peak_indices)
+    assert tags != sorted(tags, key=key)
+    expected = [
+        f"mixed\t{t.start_mz:.6f}\t{t.residues}\t{','.join(map(str, t.peak_indices))}"
+        for t in sorted(tags, key=key)
+    ]
+    assert out.read_text().splitlines()[1:] == expected
 
 
 def test_tags_too_few_peaks_gives_no_rows(tmp_path):

@@ -13,7 +13,6 @@ from evopep import (
     conflict_mass_mutation,
     evolve,
     flip_aa_mutation,
-    make_spectrum,
     nterm_cterm_crossover,
     preprocess,
     select_pools,
@@ -23,7 +22,6 @@ from evopep import (
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
-    PROTON_MASS,
     TRYPTIC_TERMINALS,
     is_tryptic,
     parent_mass,
@@ -106,8 +104,12 @@ def test_nterm_cterm_crossover_published_reconstruction(aaal_spectrum):
     assert c_parent.cterm == 6  # suffix LAAADAR
     exact = 0
     for seed in range(200):
-        child = nterm_cterm_crossover(
-            n_parent, c_parent, helper, aaal_spectrum, TAU, random.Random(seed)
+        child = scored(
+            nterm_cterm_crossover(
+                n_parent, c_parent, helper, aaal_spectrum.precursor_mass, TAU,
+                random.Random(seed),
+            ),
+            aaal_spectrum,
         )
         assert is_tryptic(child.peptide)
         if child.peptide == "AAALAAADAR":
@@ -125,9 +127,10 @@ def test_nterm_cterm_crossover_helper_fills_middle(aaal_spectrum):
     exact = 0
     for seed in range(3000):
         child = nterm_cterm_crossover(
-            n_parent, c_parent, helper, aaal_spectrum, TAU, random.Random(seed)
+            n_parent, c_parent, helper, aaal_spectrum.precursor_mass, TAU,
+            random.Random(seed),
         )
-        if child.peptide == "AAALAAADAR":
+        if child == "AAALAAADAR":
             exact += 1
     assert exact > 0
 
@@ -138,8 +141,12 @@ def test_nterm_cterm_crossover_bound_or_parent(aaal_spectrum):
     helper = scored("RGLAAADVK", aaal_spectrum)
     parents = {n_parent.peptide, c_parent.peptide}
     for seed in range(100):
-        child = nterm_cterm_crossover(
-            n_parent, c_parent, helper, aaal_spectrum, TAU, random.Random(seed)
+        child = scored(
+            nterm_cterm_crossover(
+                n_parent, c_parent, helper, aaal_spectrum.precursor_mass, TAU,
+                random.Random(seed),
+            ),
+            aaal_spectrum,
         )
         assert abs(child.delta_mass) < DELTA_BOUND or child.peptide in parents
 
@@ -147,82 +154,72 @@ def test_nterm_cterm_crossover_bound_or_parent(aaal_spectrum):
 def test_nterm_cterm_crossover_requires_anchors(aaal_spectrum):
     good = scored("AAALAAADAR", aaal_spectrum)
     weak = scored("WWWWTTTK", aaal_spectrum)
+    precursor = aaal_spectrum.precursor_mass
     with pytest.raises(ValueError):
-        nterm_cterm_crossover(weak, good, good, aaal_spectrum, TAU, random.Random(1))
+        nterm_cterm_crossover(weak, good, good, precursor, TAU, random.Random(1))
     with pytest.raises(ValueError):
-        nterm_cterm_crossover(good, weak, good, aaal_spectrum, TAU, random.Random(1))
+        nterm_cterm_crossover(good, weak, good, precursor, TAU, random.Random(1))
 
 
-def test_two_point_crossover_mechanics(aaal_spectrum):
-    p1 = scored("AAKGGR", aaal_spectrum)
-    p2 = scored("GGGTTR", aaal_spectrum)
+def test_two_point_crossover_mechanics():
+    p1, p2 = "AAKGGR", "GGGTTR"
     rng = random.Random(7)
     for _ in range(50):
-        o1, o2 = two_point_crossover(p1, p2, aaal_spectrum, TAU, rng)
-        assert o1.peptide[-1] == p1.peptide[-1]
-        assert o2.peptide[-1] == p2.peptide[-1]
+        o1, o2 = two_point_crossover(p1, p2, rng)
+        assert o1[-1] == p1[-1]
+        assert o2[-1] == p2[-1]
         # conservation: swapped middles keep the residue multiset overall
-        assert Counter(o1.peptide + o2.peptide) == Counter(p1.peptide + p2.peptide)
+        assert Counter(o1 + o2) == Counter(p1 + p2)
 
 
-def test_two_point_crossover_short_parents_unchanged(aaal_spectrum):
-    p1 = scored("AKR", aaal_spectrum)
-    p2 = scored("GGGTTR", aaal_spectrum)
-    assert two_point_crossover(p1, p2, aaal_spectrum, TAU, random.Random(1)) == (p1, p2)
+def test_two_point_crossover_short_parents_unchanged():
+    assert two_point_crossover("AKR", "GGGTTR", random.Random(1)) == ("AKR", "GGGTTR")
 
 
-def test_two_point_crossover_identical_parents_conserve_composition(aaal_spectrum):
-    p = scored("AAKGGR", aaal_spectrum)
-    o1, o2 = two_point_crossover(p, p, aaal_spectrum, TAU, random.Random(5))
-    assert Counter(o1.peptide + o2.peptide) == Counter(p.peptide * 2)
-    assert o1.peptide[-1] == o2.peptide[-1] == "R"
+def test_two_point_crossover_identical_parents_conserve_composition():
+    p = "AAKGGR"
+    o1, o2 = two_point_crossover(p, p, random.Random(5))
+    assert Counter(o1 + o2) == Counter(p * 2)
+    assert o1[-1] == o2[-1] == "R"
 
 
-def test_flip_mutation_changes_one_interior_position(aaal_spectrum):
-    ind = scored("AAALAAADAR", aaal_spectrum)
+def test_flip_mutation_changes_one_interior_position():
+    seq = "AAALAAADAR"
     rng = random.Random(11)
     for _ in range(200):
-        child = flip_aa_mutation(ind, aaal_spectrum, TAU, rng)
-        assert len(child.peptide) == len(ind.peptide)
-        diffs = [i for i, (a, b) in enumerate(zip(ind.peptide, child.peptide)) if a != b]
+        child = flip_aa_mutation(seq, rng)
+        assert len(child) == len(seq)
+        diffs = [i for i, (a, b) in enumerate(zip(seq, child)) if a != b]
         assert len(diffs) == 1
-        assert diffs[0] < len(ind.peptide) - 1
-        assert "I" not in child.peptide
+        assert diffs[0] < len(seq) - 1
+        assert "I" not in child
 
 
-def test_flip_mutation_length_two(aaal_spectrum):
-    ind = scored("GR", aaal_spectrum)
+def test_flip_mutation_length_two():
     rng = random.Random(2)
     for _ in range(50):
-        child = flip_aa_mutation(ind, aaal_spectrum, TAU, rng)
-        assert child.peptide[-1] == "R"
-        assert child.peptide[0] != "G"
+        child = flip_aa_mutation("GR", rng)
+        assert child[-1] == "R"
+        assert child[0] != "G"
 
 
-def test_flip_mutation_preserves_terminal_statistically(aaal_spectrum):
+def test_flip_mutation_preserves_terminal_statistically():
     rng = random.Random(13)
-    ind = scored("LGVTLYK", aaal_spectrum)
-    assert all(
-        flip_aa_mutation(ind, aaal_spectrum, TAU, rng).peptide[-1] == "K"
-        for _ in range(10_000)
-    )
+    assert all(flip_aa_mutation("LGVTLYK", rng)[-1] == "K" for _ in range(10_000))
 
 
-def test_conflict_mutation_gwk(aaal_spectrum):
-    ind = scored("GWK", aaal_spectrum)
+def test_conflict_mutation_gwk():
     rng = random.Random(3)
-    seen = {conflict_mass_mutation(ind, aaal_spectrum, TAU, rng).peptide for _ in range(300)}
+    seen = {conflict_mass_mutation("GWK", rng) for _ in range(300)}
     assert seen == {"GDAK", "GADK", "GEGK", "GGEK", "GVSK", "GSVK"}
 
 
-def test_conflict_mutation_terminal_excluded(aaal_spectrum):
+def test_conflict_mutation_terminal_excluded():
     for seq in ("AAAK", "AAAR"):
-        ind = scored(seq, aaal_spectrum)
-        child = conflict_mass_mutation(ind, aaal_spectrum, TAU, random.Random(1))
-        assert child.peptide == seq
+        assert conflict_mass_mutation(seq, random.Random(1)) == seq
 
 
-def test_conflict_mutation_preserves_nominal_mass(aaal_spectrum):
+def test_conflict_mutation_preserves_nominal_mass():
     rng = random.Random(41)
     from evopep.evaluation import random_tryptic_peptide
 
@@ -230,14 +227,91 @@ def test_conflict_mutation_preserves_nominal_mass(aaal_spectrum):
     applied = 0
     for _ in range(1000):
         pep = random_tryptic_peptide(rng)
-        ind = scored(pep, aaal_spectrum)
-        child = conflict_mass_mutation(ind, aaal_spectrum, TAU, rng)
-        if child.peptide != pep:
+        child = conflict_mass_mutation(pep, rng)
+        if child != pep:
             applied += 1
-            assert len(child.peptide) == len(pep) + 1
-            drift = max(drift, abs(parent_mass(child.peptide) - parent_mass(pep)))
+            assert len(child) == len(pep) + 1
+            drift = max(drift, abs(parent_mass(child) - parent_mass(pep)))
     assert applied > 300
     assert drift < 0.05
+
+
+# Canonical tryptic peptides of 2-64 residues. The length is drawn first, so
+# that long parents, whose crossovers can outgrow the cap, are common.
+peptides = st.integers(1, MAX_PEPTIDE_LENGTH - 1).flatmap(
+    lambda n: st.builds(
+        lambda body, terminal: body + terminal,
+        st.text(CANONICAL_ALPHABET, min_size=n, max_size=n),
+        st.sampled_from(TRYPTIC_TERMINALS),
+    )
+)
+rngs = st.integers(0, 2**32).map(random.Random)
+
+
+def nominal_mass(seq):
+    return sum(round(residue_mass(sym)) for sym in seq)
+
+
+@settings(deadline=None)
+@given(peptides, rngs)
+def test_flip_mutation_properties(seq, rng):
+    child = flip_aa_mutation(seq, rng)
+    assert len(child) == len(seq)
+    assert child[-1] == seq[-1]
+    assert sum(a != b for a, b in zip(seq, child)) == 1
+
+
+@settings(deadline=None)
+@given(peptides, rngs)
+def test_conflict_mutation_properties(seq, rng):
+    child = conflict_mass_mutation(seq, rng)
+    assert len(child) <= MAX_PEPTIDE_LENGTH
+    if child != seq:
+        assert len(child) == len(seq) + 1
+        assert nominal_mass(child) == nominal_mass(seq)
+        assert child[-1] == seq[-1]
+
+
+@settings(deadline=None)
+@given(peptides, peptides, rngs)
+def test_two_point_crossover_properties(s1, s2, rng):
+    o1, o2 = two_point_crossover(s1, s2, rng)
+    assert o1[-1] == s1[-1] and o2[-1] == s2[-1]
+    assert max(len(o1), len(o2)) <= MAX_PEPTIDE_LENGTH
+    # A child that outgrew the cap took more than its share of the residues,
+    # so its stand-in parent leaves the pair shorter than the parents.
+    if len(o1) + len(o2) == len(s1) + len(s2):
+        assert Counter(o1 + o2) == Counter(s1 + s2)
+    else:
+        assert o1 == s1 or o2 == s2
+
+
+@st.composite
+def anchored(draw, terminus):
+    seq = draw(peptides)
+    score = draw(st.integers(1, len(seq) - 1))
+    fitness = draw(st.floats(-5.0, 5.0))
+    if terminus == "n":
+        return Individual(seq, fitness, score, 0, 0.0)
+    return Individual(seq, fitness, 0, score, 0.0)
+
+
+@settings(deadline=None)
+@given(
+    anchored("n"),
+    anchored("c"),
+    peptides,
+    st.floats(200.0, 8000.0),
+    rngs,
+)
+def test_nterm_cterm_crossover_returns_capped_tryptic_peptide(
+    n_parent, c_parent, helper, precursor, rng
+):
+    child = nterm_cterm_crossover(
+        n_parent, c_parent, Individual(helper, 0.0, 0, 0, 0.0), precursor, TAU, rng
+    )
+    assert 2 <= len(child) <= MAX_PEPTIDE_LENGTH
+    assert is_tryptic(child)
 
 
 def test_evolve_zero_generations_returns_pool_best(aaal_spectrum):
@@ -276,26 +350,28 @@ def test_operators_fall_back_at_length_cap():
     # The precursor is far heavier than any 64-residue G/A candidate, so every
     # crossover of these parents would outgrow MAX_PEPTIDE_LENGTH somewhere.
     precursor = parent_mass("W" * 62 + "K")
-    spec = make_spectrum("heavy", precursor + PROTON_MASS, 1, [100.0, 200.0], [1.0, 1.0])
 
     def ind(peptide, fitness=0.0, nterm=0, cterm=0):
         return Individual(peptide, fitness, nterm, cterm, 0.0)
 
-    full = ind("W" * 63 + "K")
-    assert conflict_mass_mutation(full, spec, TAU, random.Random(1)) is full
+    full = "W" * 63 + "K"
+    assert conflict_mass_mutation(full, random.Random(1)) == full
     # Prefix plus suffix alone is 80 residues.
     n_long, c_long = ind("G" * 40 + "K", 1.0, nterm=39), ind("A" * 40 + "R", 2.0, cterm=39)
-    assert nterm_cterm_crossover(n_long, c_long, n_long, spec, TAU, random.Random(1)) is c_long
+    rng = random.Random(1)
+    child = nterm_cterm_crossover(n_long, c_long, n_long, precursor, TAU, rng)
+    assert child == c_long.peptide
     # 42 residues that the helper's window, then mass adjustment, must grow.
     n_part, c_part = ind("G" * 30 + "K", 1.0, nterm=20), ind("G" * 30 + "R", 2.0, cterm=20)
     helper = ind("G" * 63 + "K")
     for seed in range(30):
         rng = random.Random(seed)
-        assert nterm_cterm_crossover(n_part, c_part, helper, spec, TAU, rng) is c_part
-    p1, p2 = ind("A" * 62 + "K"), ind("G" * 62 + "R")
+        child = nterm_cterm_crossover(n_part, c_part, helper, precursor, TAU, rng)
+        assert child == c_part.peptide
+    p1, p2 = "A" * 62 + "K", "G" * 62 + "R"
     for seed in range(30):
-        o1, o2 = two_point_crossover(p1, p2, spec, TAU, random.Random(seed))
-        assert max(len(o1.peptide), len(o2.peptide)) <= MAX_PEPTIDE_LENGTH
+        o1, o2 = two_point_crossover(p1, p2, random.Random(seed))
+        assert max(len(o1), len(o2)) <= MAX_PEPTIDE_LENGTH
 
 
 @pytest.mark.parametrize("length", [40, 62])

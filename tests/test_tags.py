@@ -324,8 +324,8 @@ def test_build_init_pool_invariants():
     spec = clean_spectrum("AAALAAADAR")
     rng = random.Random(77)
     pool = build_init_pool(spec, TAU, 200, rng)
-    assert len(pool.candidates) == 200
-    for cand in pool.candidates:
+    assert len(pool) == 200
+    for cand in pool:
         assert is_tryptic(cand.peptide)
         assert abs(cand.delta_mass) < DELTA_BOUND
 
@@ -333,19 +333,19 @@ def test_build_init_pool_invariants():
 def test_build_init_pool_zero_size():
     spec = clean_spectrum("AAALAAADAR")
     pool = build_init_pool(spec, TAU, 0, random.Random(1))
-    assert pool.candidates == ()
+    assert pool == ()
 
 
 def test_build_init_pool_reproducible():
     spec = clean_spectrum("LGVTLYK")
     a = build_init_pool(spec, TAU, 150, random.Random("seed"))
     b = build_init_pool(spec, TAU, 150, random.Random("seed"))
-    assert [c.peptide for c in a.candidates] == [c.peptide for c in b.candidates]
-    assert [c.fitness for c in a.candidates] == [c.fitness for c in b.candidates]
+    assert [c.peptide for c in a] == [c.peptide for c in b]
+    assert [c.fitness for c in a] == [c.fitness for c in b]
 
 
 def test_build_init_pool_candidates_distinct():
     spec = clean_spectrum("LGVTLYK")
     pool = build_init_pool(spec, TAU, 150, random.Random(5))
-    peptides = [c.peptide for c in pool.candidates]
+    peptides = [c.peptide for c in pool]
     assert len(set(peptides)) == len(peptides)
