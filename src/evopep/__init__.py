@@ -52,8 +52,6 @@ from .scoring import (
     TheoreticalSpectrum,
     fitness,
     fitness_from_terms,
-    match_peaks,
-    nterm_cterm_scores,
     theoretical_spectrum,
 )
 from .spectrum import (
@@ -115,12 +113,10 @@ __all__ = [
     "fitness_from_terms",
     "flip_aa_mutation",
     "make_spectrum",
-    "match_peaks",
     "matched_amino_acids",
     "random_tryptic_peptide",
     "normalize",
     "nterm_cterm_crossover",
-    "nterm_cterm_scores",
     "parent_mass",
     "parse_mgf",
     "precursor_mass",

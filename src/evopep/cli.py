@@ -16,9 +16,11 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
+from typing import TextIO
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
 from .engine import EvolutionError, GaConfig, evolve
@@ -118,10 +120,13 @@ def _rates_flag(text: str) -> str:
 
 
 def _option_value(key: str, text: str):
-    """Convert an option's text to its default's type, within its minimum."""
+    """Convert an option's text to its default's type, within its minimum;
+    rates must parse as four numbers."""
     value = type(_DEFAULTS[key])(text)
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
+    if key == "rates":
+        _parse_rates(value)
     return value
 
 
@@ -189,11 +194,15 @@ def _ga_config(options: dict) -> GaConfig:
     )
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _open_output(path: str | None) -> AbstractContextManager[TextIO]:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return open(path, "w", encoding="utf-8")
+    return nullcontext(sys.stdout)
+
+
+def _write_output(text: str, path: str | None) -> None:
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _spectrum_id(spec: Spectrum, index: int) -> str:
@@ -351,7 +360,10 @@ def _format_metrics_row(label: str, metrics) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
-    truth = load_ground_truth(Path(args.truth).read_text(encoding="utf-8"))
+    try:
+        truth = load_ground_truth(Path(args.truth).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{args.truth}: {exc}") from None
     if not truth:
         raise ValueError(f"truth file {args.truth} has no records")
     truth_ids = {record.spectrum_id for record in truth}
@@ -430,20 +442,23 @@ def cmd_tags(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     pre_cfg = PreprocessConfig(tolerance=options["tau"])
     spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
-    lines = ["spectrum_id\tstart_mz\tresidues\tpeak_indices"]
-    for index, spec in enumerate(spectra):
-        prepared = preprocess(spec, pre_cfg, complements=not args.no_complements)
-        spectrum_id = _spectrum_id(spec, index)
-        # The index lists tags by start peak, in ascending m/z, so sorting one
-        # start peak at a time gives the rows of a sort by (start_mz, ...).
-        tags = extract_tags(prepared, options["tau"])
-        for _, group in groupby(tags, key=lambda t: t.peak_indices[0]):
-            for tag in sorted(group, key=lambda t: (t.residues, t.peak_indices)):
-                indices = ",".join(str(i) for i in tag.peak_indices)
-                lines.append(
-                    f"{spectrum_id}\t{tag.start_mz:.6f}\t{tag.residues}\t{indices}"
-                )
-    _write_output("\n".join(lines) + "\n", args.output)
+    with _open_output(args.output) as out:
+        out.write("spectrum_id\tstart_mz\tresidues\tpeak_indices\n")
+        for index, spec in enumerate(spectra):
+            prepared = preprocess(spec, pre_cfg, complements=not args.no_complements)
+            spectrum_id = _spectrum_id(spec, index)
+            # The index lists tags by start peak, in ascending m/z, so sorting
+            # one start peak at a time gives the rows of a sort by
+            # (start_mz, ...). Rows are written as they come, so memory holds
+            # at most one start peak's tags.
+            tags = extract_tags(prepared, options["tau"])
+            for _, group in groupby(tags, key=lambda t: t.peak_indices[0]):
+                for tag in sorted(group, key=lambda t: (t.residues, t.peak_indices)):
+                    indices = ",".join(str(i) for i in tag.peak_indices)
+                    out.write(
+                        f"{spectrum_id}\t{tag.start_mz:.6f}"
+                        f"\t{tag.residues}\t{indices}\n"
+                    )
     return 0
 
 

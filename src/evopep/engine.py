@@ -11,6 +11,7 @@ spectrum in one place, after the operator loop.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -61,20 +62,28 @@ class GaConfig:
             self.rate_flip,
             self.rate_conflict,
         )
-        if any(r < 0 for r in rates):
-            raise ValueError("operator rates must be non-negative")
+        # Written so that NaN, which fails every comparison, is refused too.
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError(f"operator rates must be finite and >= 0, got {rates}")
         if abs(sum(rates) - 1.0) > 1e-9:
             raise ValueError(f"operator rates must sum to 1.0, got {sum(rates)}")
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.population < 3:
             raise ValueError("population must be at least 3")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must be in [0, population)")
+        if self.elitism < 0:
+            raise ValueError("elitism must be >= 0")
+        if self.population <= self.elitism:
+            raise ValueError(
+                f"population must exceed elitism ({self.elitism}), "
+                f"got {self.population}"
+            )
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.tournament_k < 1:
             raise ValueError("tournament_k must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
     @property
     def sub_pool(self) -> int:

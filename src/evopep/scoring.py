@@ -46,16 +46,6 @@ class TheoreticalSpectrum:
 
 
 @dataclass(frozen=True)
-class PeakAssignment:
-    """Ion-level match flags plus the set of experimental peaks they hit."""
-
-    matched_peaks: tuple[int, ...]
-    b_matched: tuple[bool, ...]
-    y_matched: tuple[bool, ...]
-    internal_matched: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class MatchResult:
     """All terms of one peptide-spectrum match, plus the combined fitness."""
 
@@ -137,11 +127,13 @@ def _leading_pair_count(flags: np.ndarray) -> int:
 
 
 def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
-    """Matched intensity, unmatched b/y count, nterm and cterm of a sequence."""
+    """Matched intensity, unmatched b/y count, nterm and cterm of a sequence.
+
+    A peak hit by several ions counts its intensity once. ``spec`` must hold a
+    peak: ``fitness``, the one caller, refuses a spectrum without intensity.
+    """
     b, y, internal = _ion_arrays(seq)
     n_by = len(b) + len(y)
-    if spec.mz.size == 0:
-        return 0.0, n_by, 0, 0
     nearest, dist = nearest_peaks(spec.mz, np.concatenate([b, y, internal]))
     matched = dist <= tau
     matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
@@ -153,42 +145,6 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, in
     nterm = _leading_pair_count(anchored[: len(b)])
     cterm = _leading_pair_count(anchored[len(b) :])
     return matched_intensity, n_unmatched, nterm, cterm
-
-
-def match_peaks(
-    theo: TheoreticalSpectrum, spec: Spectrum, tau: float
-) -> PeakAssignment:
-    """Match theoretical ions against experimental peaks within ``tau``.
-
-    An ion matches when the nearest peak lies within the tolerance; a peak may
-    satisfy several ions but contributes its intensity only once.
-    """
-    n_b = len(theo.b_ions)
-    n_by = n_b + len(theo.y_ions)
-    ions = np.array(theo.b_ions + theo.y_ions + theo.internal_ions, dtype=np.float64)
-    nearest, dist = nearest_peaks(spec.mz, ions)
-    matched = dist <= tau
-    flags = tuple(matched.tolist())
-    return PeakAssignment(
-        matched_peaks=tuple(np.unique(nearest[matched]).tolist()),
-        b_matched=flags[:n_b],
-        y_matched=flags[n_b:n_by],
-        internal_matched=flags[n_by:],
-    )
-
-
-def nterm_cterm_scores(peptide: str, spec: Spectrum, tau: float) -> tuple[int, int]:
-    """Sequential-match scores from each terminus.
-
-    Counts consecutive matched-ion pairs along the b-ladder (N-terminus) and
-    y-ladder (C-terminus), requiring each matched peak's precursor complement
-    to be corroborated by a peak within twice the tolerance.
-    """
-    seq = validate_peptide(peptide)
-    if len(seq) < 2:
-        raise InvalidPeptideError("scores require length >= 2")
-    _, _, nterm, cterm = _evaluate(seq, spec, tau)
-    return nterm, cterm
 
 
 def fitness_from_terms(

@@ -55,8 +55,10 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.window_count < 1:
             raise ValueError("window_count must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,14 @@
+import io
 import logging
 import os
+import sys
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evopep import cli
 from evopep.chem import CANONICAL_ALPHABET, residue_mass
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, main
 from evopep.engine import GaConfig, evolve
@@ -459,6 +463,27 @@ def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("s1\tLGVTLYK\ns2\tAAAK\n", "truth line 1: expected the header"),
+        (
+            "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAAAK\ns1\tLGVTLYK\n",
+            "truth line 4: spectrum id 's1' repeats line 2",
+        ),
+    ],
+    ids=["no-header", "repeated-id"],
+)
+def test_evaluate_faulty_truth_file_errors(tmp_path, capsys, text, where):
+    truth = write(tmp_path / "t.tsv", text)
+    results = write(
+        tmp_path / "r.tsv",
+        "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\ns2\t0\tAAAK\n",
+    )
+    assert run("evaluate", results, truth) == 2
+    assert f"error: {truth}: {where}" in capsys.readouterr().err
+
+
 # Ids that a TITLE line can carry (one stripped line) and `sequence` accepts.
 accepted_ids = st.text(min_size=1).filter(
     lambda sid: sid == sid.strip()
@@ -470,7 +495,9 @@ peptides = st.text(CANONICAL_ALPHABET, min_size=1, max_size=64)
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(accepted_ids, peptides), max_size=6))
+@given(
+    st.lists(st.tuples(accepted_ids, peptides), max_size=6, unique_by=lambda r: r[0])
+)
 def test_ground_truth_round_trip(rows):
     records = [GroundTruthRecord(spectrum_id=sid, peptide=pep) for sid, pep in rows]
     assert load_ground_truth(ground_truth_tsv(records)) == records
@@ -552,6 +579,37 @@ def test_tags_rows_equal_a_full_sort(tmp_path):
     assert out.read_text().splitlines()[1:] == expected
 
 
+class _RowCountingOutput(io.StringIO):
+    rows = -1  # the header is not a row
+
+    def write(self, text):
+        self.rows += text.count("\n")
+        return super().write(text)
+
+
+def test_tags_writes_each_start_peak_as_it_goes(tmp_path, peptide_file, monkeypatch):
+    mgf, _ = synth(tmp_path, peptide_file, "--noise", "40")
+    out = _RowCountingOutput()
+    pulled = []  # (spectrum, start peak) of each tag pulled from the index
+    pending = []  # tags pulled but not yet written, at each pull
+
+    def counting_extract_tags(spec, tau):
+        for tag in extract_tags(spec, tau):
+            pulled.append((id(spec), tag.peak_indices[0]))
+            pending.append(len(pulled) - out.rows)
+            yield tag
+
+    monkeypatch.setattr(cli, "extract_tags", counting_extract_tags)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run("tags", str(mgf)) == 0
+    assert out.rows == len(pulled)
+    # A start peak's rows are written once the first tag of the next one has
+    # been pulled, so at most two start peaks' tags are ever pending.
+    groups = [len(list(g)) for _, g in groupby(pulled)]
+    assert len(groups) > 10
+    assert max(pending) <= max(a + b for a, b in zip(groups, groups[1:]))
+
+
 def test_tags_too_few_peaks_gives_no_rows(tmp_path):
     mgf = write(
         tmp_path / "small.mgf",
@@ -569,6 +627,37 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("sequence", "x.mgf", "--runs", "-1") == 1
     assert run("sequence", "x.mgf", "--jobs", "0") == 1
     assert run("sequence", "x.mgf", "--jobs", "-3") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rates", "nan,0,0,1"], "operator rates must be finite and >= 0"),
+        (["--tau", "nan"], "tau must be finite and positive, got nan"),
+        (["--pool-size", "0"], "pool_size must be >= 1, got 0"),
+        (["--population", "3"], "population must exceed elitism (3), got 3"),
+    ],
+    ids=["nan-rate", "nan-tau", "empty-pool", "population-at-elitism"],
+)
+def test_sequence_refuses_bad_ga_setting(
+    tmp_path, peptide_file, capsys, flags, message
+):
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = tmp_path / "out.tsv"
+    assert run("sequence", str(mgf), "--runs", "1", "-o", str(out), *flags) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "tags"])
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_non_finite_tau_errors(tmp_path, peptide_file, capsys, command, tau):
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = str(tmp_path / "out")
+    output = [out] if command == "preprocess" else ["-o", out]
+    assert run(command, str(mgf), *output, "--tau", tau) == 2
+    message = f"error: tolerance must be finite and positive, got {tau}"
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path, peptide_file):
@@ -597,7 +686,7 @@ def test_config_file_unknown_key(tmp_path, peptide_file):
     assert run("sequence", str(mgf), "--config", str(config)) == 2
 
 
-@pytest.mark.parametrize("line", ["jobs=0", "runs=-2"])
+@pytest.mark.parametrize("line", ["jobs=0", "runs=-2", "rates=1,2"])
 def test_config_file_count_below_minimum_errors(tmp_path, peptide_file, capsys, line):
     mgf, _ = synth(tmp_path, peptide_file)
     config = write(

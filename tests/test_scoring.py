@@ -8,8 +8,6 @@ from evopep import (
     fitness,
     fitness_from_terms,
     make_spectrum,
-    match_peaks,
-    nterm_cterm_scores,
     theoretical_spectrum,
 )
 from evopep.chem import PROTON_MASS, InvalidPeptideError, parent_mass
@@ -63,19 +61,7 @@ def test_theoretical_spectrum_rejects_short_peptide():
 
 
 def test_self_match_all_ions_hit(ladder_lgvtlyk):
-    theo = theoretical_spectrum("LGVTLYK")
-    result = match_peaks(theo, ladder_lgvtlyk, TAU)
-    assert all(result.b_matched)
-    assert all(result.y_matched)
-
-
-def test_empty_spectrum_matches_nothing():
-    spec = make_spectrum("mt", 400.0, 2, [], [])
-    theo = theoretical_spectrum("LGVTLYK")
-    result = match_peaks(theo, spec, TAU)
-    assert not any(result.b_matched)
-    assert not any(result.y_matched)
-    assert result.matched_peaks == ()
+    assert fitness("LGVTLYK", ladder_lgvtlyk, TAU).n_unmatched == 0
 
 
 def brute_force_match(ions, spec, tau):
@@ -95,66 +81,52 @@ def brute_force_match(ions, spec, tau):
 
 
 def test_matcher_agrees_with_brute_force_on_fixture():
+    # Distinct powers of two: the matched intensity names the matched peaks.
+    # 258.4 lies near an internal ion only.
     spec = make_spectrum(
         "fx",
         400.0,
         2,
-        [100.0, 100.6, 171.2, 310.0, 550.0],
-        [1.0] * 5,
+        [100.0, 100.6, 171.2, 258.4, 310.0, 550.0],
+        [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
     )
     theo = theoretical_spectrum("LGVTLYK")
-    result = match_peaks(theo, spec, TAU)
-    for ions, flags in (
-        (theo.b_ions, result.b_matched),
-        (theo.y_ions, result.y_matched),
-        (theo.internal_ions, result.internal_matched),
-    ):
-        expected, _ = brute_force_match(ions, spec, TAU)
-        assert list(flags) == expected
+    result = fitness("LGVTLYK", spec, TAU)
+    by_flags, _ = brute_force_match(theo.b_ions + theo.y_ions, spec, TAU)
+    _, hit_peaks = brute_force_match(
+        theo.b_ions + theo.y_ions + theo.internal_ions, spec, TAU
+    )
+    assert result.matched_intensity_sum == sum(spec.intensity[i] for i in hit_peaks)
+    assert result.n_unmatched == by_flags.count(False)
 
 
 def test_shared_peak_counted_once():
-    # one experimental peak within tau of two theoretical ions
-    spec = make_spectrum("sp", 400.0, 2, [171.3], [5.0])
-    theo = theoretical_spectrum("LGVTLYK")  # b2 = 171.11; internal GV = 157.6 no
-    result = match_peaks(theo, spec, TAU)
-    assert result.matched_peaks == (0,)
-
-
-def test_match_peaks_agrees_with_fitness(ladder_aaal):
-    intensities = ladder_aaal.intensity
-    for pep in ("AAALAAADAR", "AAALAGGWR", "LGVTLYK", "GGGGK", "DAAAALAAAR"):
-        assignment = match_peaks(theoretical_spectrum(pep), ladder_aaal, TAU)
-        result = fitness(pep, ladder_aaal, TAU)
-        matched = intensities[list(assignment.matched_peaks)].sum()
-        assert matched == result.matched_intensity_sum
-        flags = assignment.b_matched + assignment.y_matched
-        assert flags.count(False) == result.n_unmatched
+    # one experimental peak within tau of two theoretical ions: b4 and the
+    # internal fragment GVT have the same mass
+    spec = make_spectrum("sp", 400.0, 2, [371.3], [5.0])
+    theo = theoretical_spectrum("LGVTLYK")
+    ions = theo.b_ions + theo.y_ions + theo.internal_ions
+    assert sum(abs(ion - 371.3) <= TAU for ion in ions) == 2
+    assert fitness("LGVTLYK", spec, TAU).matched_intensity_sum == 5.0
 
 
 def test_nterm_cterm_ground_truth(ladder_aaal):
-    assert nterm_cterm_scores("AAALAAADAR", ladder_aaal, TAU) == (8, 8)
+    result = fitness("AAALAAADAR", ladder_aaal, TAU)
+    assert (result.nterm, result.cterm) == (8, 8)
 
 
 def test_nterm_partial_prefix_parent(ladder_aaal):
     # shares only the 5-residue prefix AAALA with the true peptide
-    nterm, _ = nterm_cterm_scores("AAALAGGWR", ladder_aaal, TAU)
-    assert nterm == 4
-
-
-def test_scores_on_empty_spectrum():
-    spec = make_spectrum("mt", 400.0, 2, [], [])
-    assert nterm_cterm_scores("LGVTLYK", spec, TAU) == (0, 0)
+    assert fitness("AAALAGGWR", ladder_aaal, TAU).nterm == 4
 
 
 def test_scores_bounded_and_maximal_on_self_match():
     rng = random.Random(23)
     for _ in range(20):
         pep = random_tryptic_peptide(rng)
-        spec = clean_spectrum(pep)
-        nterm, cterm = nterm_cterm_scores(pep, spec, TAU)
-        assert nterm == len(pep) - 2
-        assert cterm == len(pep) - 2
+        result = fitness(pep, clean_spectrum(pep), TAU)
+        assert result.nterm == len(pep) - 2
+        assert result.cterm == len(pep) - 2
 
 
 def test_fitness_assembly_ground_truth_row():
@@ -212,9 +184,10 @@ def test_intensity_term_scale_invariant(ladder_aaal):
 
 
 def test_fitness_rejects_zero_intensity():
-    spec = make_spectrum("z", 400.0, 2, [100.0], [0.0])
-    with pytest.raises(InvalidSpectrumError):
-        fitness("LGVTLYK", spec, TAU)
+    for mz, intensity in (([100.0], [0.0]), ([], [])):
+        spec = make_spectrum("z", 400.0, 2, mz, intensity)
+        with pytest.raises(InvalidSpectrumError):
+            fitness("LGVTLYK", spec, TAU)
 
 
 def test_fitness_rejects_short_peptide(ladder_aaal):
