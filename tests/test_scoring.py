@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from evopep import (
@@ -12,6 +13,7 @@ from evopep import (
 )
 from evopep.chem import PROTON_MASS, InvalidPeptideError, parent_mass
 from evopep.evaluation import random_tryptic_peptide
+from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -62,6 +64,17 @@ def test_theoretical_spectrum_rejects_short_peptide():
 
 def test_self_match_all_ions_hit(ladder_lgvtlyk):
     assert fitness("LGVTLYK", ladder_lgvtlyk, TAU).n_unmatched == 0
+
+
+def test_empty_spectrum_matches_nothing():
+    spec = make_spectrum("mt", 400.0, 2, [], [])
+    theo = theoretical_spectrum("LGVTLYK")
+    ions = np.array(theo.b_ions + theo.y_ions + theo.internal_ions)
+    nearest, dist = nearest_peaks(spec.mz, ions)
+    assert (nearest == -1).all()
+    assert not (dist <= TAU).any()
+    with pytest.raises(InvalidSpectrumError):
+        fitness("LGVTLYK", spec, TAU)
 
 
 def brute_force_match(ions, spec, tau):
@@ -184,10 +197,9 @@ def test_intensity_term_scale_invariant(ladder_aaal):
 
 
 def test_fitness_rejects_zero_intensity():
-    for mz, intensity in (([100.0], [0.0]), ([], [])):
-        spec = make_spectrum("z", 400.0, 2, mz, intensity)
-        with pytest.raises(InvalidSpectrumError):
-            fitness("LGVTLYK", spec, TAU)
+    spec = make_spectrum("z", 400.0, 2, [100.0], [0.0])
+    with pytest.raises(InvalidSpectrumError):
+        fitness("LGVTLYK", spec, TAU)
 
 
 def test_fitness_rejects_short_peptide(ladder_aaal):
