@@ -20,7 +20,7 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
 from .engine import EvolutionError, GaConfig, evolve
@@ -44,31 +44,6 @@ from .spectrum import (
 from .tags import extract_tags
 
 logger = logging.getLogger(__name__)
-
-_DEFAULTS = {
-    "seed": "0",
-    "runs": 30,
-    "generations": GaConfig.generations,
-    "population": GaConfig.population,
-    "pool_size": GaConfig.pool_size,
-    "tournament": GaConfig.tournament_k,
-    "tau": GaConfig.tau,
-    "rates": ",".join(
-        str(rate)
-        for rate in (
-            GaConfig.rate_nterm_cterm_cx,
-            GaConfig.rate_two_point_cx,
-            GaConfig.rate_flip,
-            GaConfig.rate_conflict,
-        )
-    ),
-    "jobs": 1,
-    "dropout": 0.0,
-    "noise": 0,
-}
-
-# Smallest accepted value of a count option, from a flag or a config file.
-_MINIMUM = {"runs": 0, "jobs": 1}
 
 SEQUENCE_COLUMNS = (
     "spectrum_id",
@@ -99,50 +74,74 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _OptionError(ValueError, argparse.ArgumentTypeError):
+    """A bad option value. argparse prints its message after the flag; for a
+    plain ValueError it would print only "invalid <parser> value"."""
+
+
 def _parse_rates(text: str) -> tuple[float, float, float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise ValueError(
+        raise _OptionError(
             "rates must be 4 comma-separated numbers: "
             "nterm-cterm,two-point,flip,conflict"
         )
-    values = tuple(float(p) for p in parts)
-    return values  # type: ignore[return-value]
-
-
-def _rates_flag(text: str) -> str:
-    # Validate eagerly so a malformed flag is a usage error, not a data error.
     try:
-        _parse_rates(text)
+        return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return text
+        raise _OptionError(str(exc)) from None
 
 
-def _option_value(key: str, text: str):
-    """Convert an option's text to its default's type, within its minimum;
-    rates must parse as four numbers."""
-    value = type(_DEFAULTS[key])(text)
-    if key in _MINIMUM and value < _MINIMUM[key]:
-        raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
-    if key == "rates":
-        _parse_rates(value)
-    return value
-
-
-def _count_flag(key: str):
+def _count(key: str, minimum: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
-            return _option_value(key, text)
+            value = int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+            raise _OptionError(str(exc)) from None
+        if value < minimum:
+            raise _OptionError(f"{key} must be >= {minimum}, got {value}")
+        return value
 
     return parse
 
 
+class _Option(NamedTuple):
+    default: object
+    parse: Callable[[str], object]
+    help: str
+
+
+# Every option that a flag or a config-file line can set. Its flag is its key
+# with "-" for "_", and a flag and a config line both go through ``parse``.
+_OPTIONS = {
+    "seed": _Option("0", str, "random seed (default 0)"),
+    "runs": _Option(30, _count("runs", 0), "independent runs per spectrum"),
+    "generations": _Option(GaConfig.generations, int, "GA generations"),
+    "population": _Option(GaConfig.population, int, "GA population size"),
+    "pool_size": _Option(GaConfig.pool_size, int, "initialization pool size"),
+    "tournament": _Option(GaConfig.tournament_k, int, "tournament size"),
+    "tau": _Option(GaConfig.tau, float, "fragment mass tolerance (Da)"),
+    "rates": _Option(
+        (
+            GaConfig.rate_nterm_cterm_cx,
+            GaConfig.rate_two_point_cx,
+            GaConfig.rate_flip,
+            GaConfig.rate_conflict,
+        ),
+        _parse_rates,
+        "operator rates: nterm-cterm,two-point,flip,conflict",
+    ),
+    "jobs": _Option(1, _count("jobs", 1), "parallel worker count"),
+    "dropout": _Option(0.0, float, "per-ion dropout probability"),
+    "noise": _Option(0, int, "noise peaks per spectrum"),
+}
+_DEFAULTS = {key: option.default for key, option in _OPTIONS.items()}
+
+
 def _load_config_file(path: str) -> dict:
     values: dict = {}
-    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8")
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,10 +149,10 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{number}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ValueError(f"{path}:{number}: unknown option {key!r}")
         try:
-            values[key] = _option_value(key, value.strip())
+            values[key] = _OPTIONS[key].parse(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
     return values
@@ -162,25 +161,17 @@ def _load_config_file(path: str) -> dict:
 def _effective_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and explicit flags (in that order)."""
     options = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        options.update(_load_config_file(config_path))
-    for key in _DEFAULTS:
+    if args.config:
+        options.update(_load_config_file(args.config))
+    for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             options[key] = flag_value
     return options
 
 
-def _seed_value(seed: str) -> int | str:
-    try:
-        return int(seed)
-    except ValueError:
-        return seed
-
-
 def _ga_config(options: dict) -> GaConfig:
-    rates = _parse_rates(options["rates"])
+    rates = options["rates"]
     return GaConfig(
         pool_size=options["pool_size"],
         population=options["population"],
@@ -237,9 +228,8 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list
     spec, cfg, seed, spec_index, run_indices, spectrum_id = task
     rows = []
     for run_index in run_indices:
-        run_seed = _seed_value(f"{seed}|{spec_index}|{run_index}")
         try:
-            result = evolve(spec, replace(cfg, seed=run_seed))
+            result = evolve(spec, replace(cfg, seed=f"{seed}|{spec_index}|{run_index}"))
         except (EvolutionError, ValueError) as exc:
             logger.warning(
                 "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
@@ -407,7 +397,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     synth_cfg = SynthConfig(
         noise_peaks=options["noise"],
         dropout=options["dropout"],
-        tolerance=options["tau"],
     )
     peptides: list[str] = []
     for number, raw in enumerate(
@@ -417,20 +406,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            validate_peptide(line)
+            seq = validate_peptide(line)
         except (InvalidResidueError, InvalidPeptideError) as exc:
             raise ValueError(f"{args.input}:{number}: {exc}") from exc
+        if len(seq) < 2:
+            raise ValueError(
+                f"{args.input}:{number}: theoretical spectrum requires length >= 2"
+            )
         peptides.append(line)
     spectra = []
     records = []
     for index, peptide in enumerate(peptides):
         rng = random.Random(f"{options['seed']}|synth|{index}")
         title = f"synth-{index:05d}"
-        try:
-            spec = synthesize_spectrum(peptide, synth_cfg, rng, title=title)
-        except (InvalidResidueError, InvalidPeptideError) as exc:
-            raise ValueError(f"{args.input}: peptide {index + 1}: {exc}") from exc
-        spectra.append(spec)
+        spectra.append(synthesize_spectrum(peptide, synth_cfg, rng, title=title))
         records.append(GroundTruthRecord(spectrum_id=title, peptide=peptide.upper()))
     Path(args.output).write_text(emit_mgf(spectra), encoding="utf-8")
     truth_path = args.truth or str(Path(args.output).with_suffix(".truth.tsv"))
@@ -467,51 +456,14 @@ def cmd_tags(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    if "config" in names:
-        parser.add_argument("--config", help="key=value config file")
-    if "seed" in names:
-        parser.add_argument("--seed", help="random seed (default 0)")
-    if "runs" in names:
+def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """Add --config and the flags of the options ``keys`` to a subcommand."""
+    parser.add_argument("--config", help="key=value config file")
+    for key in keys:
+        option = _OPTIONS[key]
         parser.add_argument(
-            "--runs", type=_count_flag("runs"), help="independent runs per spectrum"
+            "--" + key.replace("_", "-"), dest=key, type=option.parse, help=option.help
         )
-    if "generations" in names:
-        parser.add_argument("--generations", type=int, help="GA generations")
-    if "population" in names:
-        parser.add_argument("--population", type=int, help="GA population size")
-    if "pool_size" in names:
-        parser.add_argument(
-            "--pool-size", dest="pool_size", type=int, help="initialization pool size"
-        )
-    if "tournament" in names:
-        parser.add_argument("--tournament", type=int, help="tournament size")
-    if "tau" in names:
-        parser.add_argument("--tau", type=float, help="fragment mass tolerance (Da)")
-    if "rates" in names:
-        parser.add_argument(
-            "--rates",
-            type=_rates_flag,
-            help="operator rates: nterm-cterm,two-point,flip,conflict",
-        )
-    if "jobs" in names:
-        parser.add_argument(
-            "--jobs", type=_count_flag("jobs"), help="parallel worker count"
-        )
-    if "output" in names:
-        parser.add_argument("-o", "--output", help="output path (default stdout)")
-    if "no_complements" in names:
-        parser.add_argument(
-            "--no-complements",
-            action="store_true",
-            help="skip complementary-peak augmentation",
-        )
-    if "dropout" in names:
-        parser.add_argument(
-            "--dropout", type=float, help="per-ion dropout probability"
-        )
-    if "noise" in names:
-        parser.add_argument("--noise", type=int, help="noise peaks per spectrum")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,18 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="De novo peptide sequencing with a genetic algorithm.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output_help = "output path (default stdout)"
+    complements_help = "skip complementary-peak augmentation"
 
     p = sub.add_parser("preprocess", help="denoise, normalize and augment an MGF")
     p.add_argument("input", help="input MGF path")
     p.add_argument("output", help="output MGF path")
-    _add_common(p, "config", "tau", "no_complements")
+    _add_options(p, "tau")
+    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("sequence", help="sequence spectra from an MGF")
     p.add_argument("input", help="input MGF path (raw spectra)")
-    _add_common(
+    _add_options(
         p,
-        "config",
         "seed",
         "runs",
         "generations",
@@ -541,15 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
         "tau",
         "rates",
         "jobs",
-        "output",
-        "no_complements",
     )
+    p.add_argument("-o", "--output", help=output_help)
+    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("results", help="results TSV from the sequence command")
     p.add_argument("truth", help="ground-truth TSV (spectrum_id, peptide)")
-    _add_common(p, "config", "tau", "output")
+    _add_options(p, "tau")
+    p.add_argument("-o", "--output", help=output_help)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="synthesize spectra from a peptide list")
@@ -560,12 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--truth", help="ground-truth TSV path (default: output with .truth.tsv)"
     )
-    _add_common(p, "config", "seed", "tau", "dropout", "noise")
+    _add_options(p, "seed", "dropout", "noise")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("tags", help="dump extracted 3-letter tags as TSV")
     p.add_argument("input", help="input MGF path")
-    _add_common(p, "config", "tau", "output", "no_complements")
+    _add_options(p, "tau")
+    p.add_argument("-o", "--output", help=output_help)
+    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_tags)
 
     return parser

@@ -78,18 +78,14 @@ class MetricsSummary:
 class SynthConfig:
     """Controls for the synthetic-spectrum generator used as a test oracle."""
 
-    intensity: float = 1.0
     noise_peaks: int = 0
     dropout: float = 0.0
-    tolerance: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout must be within [0, 1]")
         if self.noise_peaks < 0:
             raise ValueError("noise_peaks must be >= 0")
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
 
 
 def random_tryptic_peptide(
@@ -136,6 +132,8 @@ def compute_metrics(
 
     An empty predicted sequence is allowed and counts as a complete miss.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     pairs = list(results)
     if not pairs:
         raise ValueError("compute_metrics needs at least one (predicted, truth) pair")
@@ -182,12 +180,12 @@ def synthesize_spectrum(
     theo = theoretical_spectrum(seq)
     ladder = list(theo.b_ions) + list(theo.y_ions)
     mz = [mass for mass in ladder if rng.random() >= cfg.dropout]
-    intensity = [cfg.intensity] * len(mz)
+    intensity = [1.0] * len(mz)
     lo = min(ladder) - _NOISE_MARGIN
     hi = max(ladder) + _NOISE_MARGIN
     for _ in range(cfg.noise_peaks):
         mz.append(rng.uniform(max(lo, 1.0), hi))
-        intensity.append(rng.uniform(0.1, 1.0) * cfg.intensity)
+        intensity.append(rng.uniform(0.1, 1.0))
     pepmass = (parent_mass(seq) + 2 * PROTON_MASS) / 2
     return make_spectrum(title or f"synthetic:{seq}", pepmass, 2, mz, intensity)
 

@@ -30,6 +30,9 @@ DUPLICATE_MZ_TOLERANCE = 1e-4
 # Intensities are bucketed to 2 decimals when computing the modal intensity.
 _MODE_DECIMALS = 2
 
+# A window holding more peaks than this is noise-filtered.
+_WINDOW_PEAK_LIMIT = 9
+
 
 class MgfParseError(ValueError):
     """MGF syntax or header error, carrying the offending line number."""
@@ -49,7 +52,6 @@ class Peak(NamedTuple):
 @dataclass(frozen=True)
 class PreprocessConfig:
     window_count: int = 10
-    max_peaks_per_window: int = 9
     tolerance: float = 0.5
 
     def __post_init__(self):
@@ -352,13 +354,13 @@ def _modal_intensity(intensity: np.ndarray) -> float:
 def denoise(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
     """Remove likely noise peaks window by window.
 
-    A window holding more than ``max_peaks_per_window`` peaks uses its modal
+    A window holding more than ``_WINDOW_PEAK_LIMIT`` peaks uses its modal
     intensity as the noise threshold and drops peaks strictly below it;
     windows at or under the limit pass through unchanged.
     """
     window = _window_index(spec.mz, cfg.window_count)
     keep = np.ones(len(window), dtype=bool)
-    for w in np.flatnonzero(np.bincount(window) > cfg.max_peaks_per_window):
+    for w in np.flatnonzero(np.bincount(window) > _WINDOW_PEAK_LIMIT):
         members = window == w
         threshold = _modal_intensity(spec.intensity[members])
         keep[members] = spec.intensity[members] >= threshold

@@ -88,6 +88,13 @@ def test_synth_invalid_residue_line_numbered(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_synth_one_residue_peptide_errors_at_its_line(tmp_path, capsys):
+    peps = write(tmp_path / "peps2.txt", "LGVTLYK\n# comment\n\nK\n")
+    assert run("synth", peps, "-o", str(tmp_path / "x.mgf")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {peps}:4: theoretical spectrum requires length >= 2" in err
+
+
 def test_synth_dropout_noise_counts(tmp_path, peptide_file):
     mgf, _ = synth(tmp_path, peptide_file, "--dropout", "0.2", "--noise", "30")
     records = mgf.read_text().split("BEGIN IONS")[1:]
@@ -440,6 +447,18 @@ def test_evaluate_missing_prediction_penalizes_recall(tmp_path):
     assert float(fields[2]) == pytest.approx(7 / 11)  # recall penalized
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.5"])
+def test_evaluate_refuses_bad_tau(tmp_path, capsys, tau):
+    truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
+    results = write(
+        tmp_path / "r.tsv",
+        "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\n",
+    )
+    assert run("evaluate", results, truth, "--tau", tau) == 2
+    message = f"error: tau must be finite and positive, got {float(tau)}"
+    assert message in capsys.readouterr().err
+
+
 def test_evaluate_empty_results_errors(tmp_path):
     truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
     empty = write(tmp_path / "r.tsv", "")
@@ -627,6 +646,7 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("sequence", "x.mgf", "--runs", "-1") == 1
     assert run("sequence", "x.mgf", "--jobs", "0") == 1
     assert run("sequence", "x.mgf", "--jobs", "-3") == 1
+    assert run("synth", "x.txt", "-o", "x.mgf", "--tau", "0.3") == 1
 
 
 @pytest.mark.parametrize(
@@ -678,6 +698,38 @@ def test_config_file_precedence(tmp_path, peptide_file):
         r.split("\t")[7] == "1"
         for r in out_flag.read_text().strip().splitlines()[1:]
     )
+
+
+# Per option: the subcommand that takes its flag, a text, and its value.
+OPTION_TEXTS = {
+    "seed": ("sequence", "abc", "abc"),
+    "runs": ("sequence", "4", 4),
+    "generations": ("sequence", "7", 7),
+    "population": ("sequence", "40", 40),
+    "pool_size": ("sequence", "80", 80),
+    "tournament": ("sequence", "5", 5),
+    "tau": ("sequence", "0.3", 0.3),
+    "rates": ("sequence", "0.1, 0.2,0.3,0.4", (0.1, 0.2, 0.3, 0.4)),
+    "jobs": ("sequence", "2", 2),
+    "dropout": ("synth", "0.25", 0.25),
+    "noise": ("synth", "12", 12),
+}
+
+
+def test_option_texts_cover_every_option():
+    assert OPTION_TEXTS.keys() == cli._OPTIONS.keys()
+
+
+@pytest.mark.parametrize("key", OPTION_TEXTS)
+def test_flag_and_config_line_parse_alike(tmp_path, key):
+    command, text, value = OPTION_TEXTS[key]
+    config = write(tmp_path / "run.cfg", f"{key}={text}\n")
+    base = [command, "in", "-o", "out"]
+    parser = cli.build_parser()
+    from_flag = parser.parse_args([*base, "--" + key.replace("_", "-"), text])
+    from_config = parser.parse_args([*base, "--config", config])
+    assert cli._effective_options(from_flag)[key] == value
+    assert cli._effective_options(from_config)[key] == value
 
 
 def test_config_file_unknown_key(tmp_path, peptide_file):
