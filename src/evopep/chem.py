@@ -37,6 +37,8 @@ RESIDUE_MASSES: dict[str, float] = {
     "Y": 163.0633285,
 }
 
+_SYMBOLS = frozenset(RESIDUE_MASSES)
+
 # Canonical alphabet used when generating or mutating sequences: I is folded
 # into L, leaving 19 distinct symbols.
 CANONICAL_ALPHABET: tuple[str, ...] = tuple(
@@ -89,9 +91,9 @@ def validate_peptide(sequence: str) -> str:
         raise InvalidPeptideError(
             f"peptide length {len(seq)} exceeds maximum {MAX_PEPTIDE_LENGTH}"
         )
-    for sym in seq:
-        if sym not in RESIDUE_MASSES:
-            raise InvalidResidueError(f"unknown amino-acid symbol {sym!r}")
+    if not _SYMBOLS.issuperset(seq):
+        bad = next(sym for sym in seq if sym not in _SYMBOLS)
+        raise InvalidResidueError(f"unknown amino-acid symbol {bad!r}")
     return seq
 
 
@@ -103,7 +105,7 @@ def is_tryptic(sequence: str) -> bool:
 def parent_mass(sequence: str) -> float:
     """Total peptide mass: sum of residue masses plus one water."""
     seq = validate_peptide(sequence)
-    return sum(RESIDUE_MASSES[sym] for sym in seq) + H2O_MASS
+    return sum(map(RESIDUE_MASSES.__getitem__, seq)) + H2O_MASS
 
 
 def precursor_mass(pepmass: float, charge: int) -> float:

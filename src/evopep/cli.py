@@ -138,7 +138,8 @@ _OPTIONS = {
 _DEFAULTS = {key: option.default for key, option in _OPTIONS.items()}
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict:
+    """Options set by a config file for ``command``, which takes ``keys``."""
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -151,6 +152,10 @@ def _load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise ValueError(f"{path}:{number}: unknown option {key!r}")
+        if key not in keys:
+            raise ValueError(
+                f"{path}:{number}: option {key!r} does not apply to {command}"
+            )
         try:
             values[key] = _OPTIONS[key].parse(value.strip())
         except ValueError as exc:
@@ -162,8 +167,8 @@ def _effective_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and explicit flags (in that order)."""
     options = dict(_DEFAULTS)
     if args.config:
-        options.update(_load_config_file(args.config))
-    for key in _OPTIONS:
+        options.update(_load_config_file(args.config, args.command, args.option_keys))
+    for key in args.option_keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             options[key] = flag_value
@@ -457,8 +462,10 @@ def cmd_tags(args: argparse.Namespace) -> int:
 
 
 def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
-    """Add --config and the flags of the options ``keys`` to a subcommand."""
+    """Add --config and the flags of the options ``keys`` to a subcommand;
+    its config file may set those options only."""
     parser.add_argument("--config", help="key=value config file")
+    parser.set_defaults(option_keys=keys)
     for key in keys:
         option = _OPTIONS[key]
         parser.add_argument(

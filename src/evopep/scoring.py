@@ -11,6 +11,7 @@ normalized by peptide length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -86,23 +87,39 @@ class Individual:
         return cached
 
 
-def _ion_arrays(seq: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b, y and internal fragment masses of a validated sequence."""
-    masses = [RESIDUE_MASSES[sym] for sym in seq]
-    prefix = list(accumulate(masses))
-    total = prefix[-1]
-    p = np.array(prefix[:-1], dtype=np.float64)
-    b = p + B_ION_OFFSET
-    y = (total - p)[::-1] + Y_ION_OFFSET
-    # Internal b-type fragments: contiguous interior runs of >= 2 residues,
-    # excluding both termini.
-    length = len(seq)
-    internal: list[float] = []
-    for start in range(1, length - 2):
-        base = prefix[start - 1]
-        for end in range(start + 1, length - 1):
-            internal.append(prefix[end] - base + B_ION_OFFSET)
-    return b, y, np.array(internal, dtype=np.float64)
+@lru_cache(maxsize=None)  # one entry per length, at most MAX_PEPTIDE_LENGTH
+def _ion_index(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each ion of a peptide length reads its prefix sums.
+
+    Ion ``i`` is ``prefix[hi[i]] - prefix[lo[i]] + offset[i]``, ``prefix[k]``
+    being the mass of the first ``k`` residues. The ions are the
+    ``length - 1`` b-ions, then as many y-ions, then the internal b-type
+    fragments: contiguous interior runs of >= 2 residues, excluding both
+    termini, by start then end.
+    """
+    ions = [(cut, 0, B_ION_OFFSET) for cut in range(1, length)]
+    ions += [(length, cut, Y_ION_OFFSET) for cut in range(length - 1, 0, -1)]
+    ions += [
+        (end, start, B_ION_OFFSET)
+        for start in range(1, length - 2)
+        for end in range(start + 2, length)
+    ]
+    arrays = tuple(np.array(column) for column in zip(*ions))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _ions(seq: str) -> np.ndarray:
+    """b, y and internal fragment masses of a validated sequence, in the
+    order of ``_ion_index``."""
+    prefix = np.fromiter(
+        accumulate(map(RESIDUE_MASSES.__getitem__, seq), initial=0.0),
+        np.float64,
+        len(seq) + 1,
+    )
+    hi, lo, offset = _ion_index(len(seq))
+    return prefix[hi] - prefix[lo] + offset
 
 
 def theoretical_spectrum(peptide: str) -> TheoreticalSpectrum:
@@ -110,20 +127,13 @@ def theoretical_spectrum(peptide: str) -> TheoreticalSpectrum:
     seq = validate_peptide(peptide)
     if len(seq) < 2:
         raise InvalidPeptideError("theoretical spectrum requires length >= 2")
-    b, y, internal = _ion_arrays(seq)
+    ions = _ions(seq).tolist()
+    cuts = len(seq) - 1
     return TheoreticalSpectrum(
-        b_ions=tuple(b.tolist()),
-        y_ions=tuple(y.tolist()),
-        internal_ions=tuple(sorted(internal.tolist())),
+        b_ions=tuple(ions[:cuts]),
+        y_ions=tuple(ions[cuts : 2 * cuts]),
+        internal_ions=tuple(sorted(ions[2 * cuts :])),
     )
-
-
-def _leading_pair_count(flags: np.ndarray) -> int:
-    """Number of consecutive (j, j+1) pairs, from the start, with both true."""
-    if len(flags) == 0 or not flags[0]:
-        return 0
-    run = int(np.argmin(flags)) if not flags.all() else len(flags)
-    return max(run - 1, 0)
 
 
 def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
@@ -132,18 +142,24 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, in
     A peak hit by several ions counts its intensity once. ``spec`` must hold a
     peak: ``fitness``, the one caller, refuses a spectrum without intensity.
     """
-    b, y, internal = _ion_arrays(seq)
-    n_by = len(b) + len(y)
-    nearest, dist = nearest_peaks(spec.mz, np.concatenate([b, y, internal]))
+    cuts = len(seq) - 1
+    n_by = 2 * cuts
+    nearest, dist = nearest_peaks(spec.mz, _ions(seq))
     matched = dist <= tau
-    matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
-    n_unmatched = int((~matched[:n_by]).sum())
+    # The mask sums each hit peak once, in m/z order.
+    hit = np.zeros(len(spec.mz), dtype=bool)
+    hit[nearest[matched]] = True
+    matched_intensity = float(spec.intensity[hit].sum())
+    n_unmatched = n_by - int(np.count_nonzero(matched[:n_by]))
     # Noise peaks land on single b or y m/z values by chance, while a real
     # cleavage usually shows both of its complementary ions; so only ions
-    # whose complement is observed extend a terminus-anchored run.
+    # whose complement is observed extend a terminus-anchored run. A run of
+    # k anchored ions from a terminus scores its k - 1 consecutive pairs.
     anchored = matched[:n_by] & (spec.partner_distance[nearest[:n_by]] <= 2 * tau)
-    nterm = _leading_pair_count(anchored[: len(b)])
-    cterm = _leading_pair_count(anchored[len(b) :])
+    flags = anchored.tobytes()
+    n_gap, c_gap = flags.find(0, 0, cuts), flags.find(0, cuts, n_by)
+    nterm = max((cuts if n_gap < 0 else n_gap) - 1, 0)
+    cterm = max((n_by if c_gap < 0 else c_gap) - cuts - 1, 0)
     return matched_intensity, n_unmatched, nterm, cterm
 
 

@@ -116,13 +116,13 @@ class Spectrum:
         """Distance from each peak's precursor complement to the nearest peak."""
         return nearest_peaks(self.mz, self.partner_mz)[1]
 
-    @property
+    @cached_property
     def total_intensity(self) -> float:
         return float(self.intensity.sum())
 
     def __getstate__(self):
-        # The partner distances are rebuilt on demand and the memos start
-        # empty; keep pickles lean.
+        # The partner distances and total intensity are rebuilt on demand and
+        # the memos start empty; keep pickles lean.
         return (self.title, self.pepmass, self.charge, self.mz, self.intensity)
 
     def __setstate__(self, state):
@@ -142,7 +142,7 @@ def nearest_peaks(
     dist_left = targets - padded[idx]
     dist_right = padded[idx + 1] - targets
     take_left = dist_left <= dist_right
-    return idx - take_left, np.where(take_left, dist_left, dist_right)
+    return idx - take_left, np.minimum(dist_left, dist_right)
 
 
 def make_spectrum(
@@ -210,8 +210,10 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     """Parse MGF text into spectra.
 
     Records are delimited by BEGIN IONS / END IONS and must carry PEPMASS and
-    CHARGE headers; TITLE is optional. Records with zero peaks are skipped
-    with a warning. Malformed input raises MgfParseError with a line number.
+    CHARGE headers; TITLE is optional. A CHARGE line outside the records is
+    the charge of the records after it that give none. Records with zero
+    peaks are skipped with a warning. Malformed input raises MgfParseError
+    with a line number.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -224,6 +226,10 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     title = ""
     pepmass: float | None = None
     charge: int | None = None
+    # The value and line of the last global CHARGE. It is parsed only when a
+    # record needs it, so a file whose records all give a CHARGE parses as
+    # it would without one.
+    global_charge: tuple[str, int] | None = None
     mzs: list[float] = []
     intensities: list[float] = []
     line_number = 0
@@ -238,7 +244,11 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                 record_start = line_number
                 title, pepmass, charge = "", None, None
                 mzs, intensities = [], []
-            # Anything outside records (global headers, comments) is ignored.
+            else:
+                key, equals, value = line.partition("=")
+                if equals and key.strip().upper() == "CHARGE":
+                    global_charge = (value.strip(), line_number)
+            # Any other line outside records is ignored.
             continue
         if line == "BEGIN IONS":
             raise MgfParseError("BEGIN IONS inside an open record", line_number)
@@ -246,7 +256,9 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
             if pepmass is None:
                 raise MgfParseError("record missing PEPMASS header", line_number)
             if charge is None:
-                raise MgfParseError("record missing CHARGE header", line_number)
+                if global_charge is None:
+                    raise MgfParseError("record missing CHARGE header", line_number)
+                charge = _parse_charge(*global_charge)
             if not mzs:
                 logger.warning(
                     "skipping MGF record %r (line %d): no peaks",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evopep import chem
 
@@ -117,3 +119,15 @@ def test_is_tryptic():
     assert chem.is_tryptic("AAR")
     assert not chem.is_tryptic("AKA")
     assert not chem.is_tryptic("")
+
+
+def test_validate_peptide_names_the_first_bad_symbol():
+    with pytest.raises(chem.InvalidResidueError, match="unknown amino-acid symbol 'X'"):
+        chem.validate_peptide("AXZ")
+
+
+@given(st.text("".join(chem.RESIDUE_MASSES) + "il", min_size=1, max_size=64))
+def test_parent_mass_equals_generator_sum(peptide):
+    seq = chem.canonical(peptide)
+    expected = sum(chem.RESIDUE_MASSES[sym] for sym in seq) + chem.H2O_MASS
+    assert chem.parent_mass(peptide) == expected

@@ -738,6 +738,25 @@ def test_config_file_unknown_key(tmp_path, peptide_file):
     assert run("sequence", str(mgf), "--config", str(config)) == 2
 
 
+def test_synth_config_refuses_options_synth_does_not_take(tmp_path, peptide_file, capsys):
+    config = write(tmp_path / "synth.cfg", "seed=3\ntau=nan\njobs=4\n")
+    out = tmp_path / "out.mgf"
+    assert run("synth", peptide_file, "-o", str(out), "--config", config) == 2
+    message = f"error: {config}:2: option 'tau' does not apply to synth"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["noise=5", "dropout=0.1"])
+def test_sequence_config_refuses_synth_options(tmp_path, peptide_file, capsys, line):
+    mgf, _ = synth(tmp_path, peptide_file)
+    config = write(tmp_path / "run.cfg", f"runs=1\n{line}\n")
+    assert run("sequence", str(mgf), "--config", config) == 2
+    key = line.partition("=")[0]
+    message = f"error: {config}:2: option {key!r} does not apply to sequence"
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["jobs=0", "runs=-2", "rates=1,2"])
 def test_config_file_count_below_minimum_errors(tmp_path, peptide_file, capsys, line):
     mgf, _ = synth(tmp_path, peptide_file)

@@ -1,17 +1,29 @@
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopep import (
     Individual,
     InvalidSpectrumError,
+    MatchResult,
+    TheoreticalSpectrum,
     fitness,
     fitness_from_terms,
     make_spectrum,
     theoretical_spectrum,
 )
-from evopep.chem import PROTON_MASS, InvalidPeptideError, parent_mass
+from evopep.chem import (
+    H2O_MASS,
+    PROTON_MASS,
+    RESIDUE_MASSES,
+    InvalidPeptideError,
+    canonical,
+    parent_mass,
+)
 from evopep.evaluation import random_tryptic_peptide
 from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
@@ -212,3 +224,121 @@ def test_individual_caches_scores(ladder_aaal):
     again = Individual.score("AAALAAADAR", ladder_aaal, TAU)
     assert ind is again
     assert ind.fitness == pytest.approx(2.6, abs=1e-9)
+
+
+# A reference scorer kept apart from the program: the ion ladders built in a
+# double loop over plain prefix sums, the nearest-peak search with
+# ``np.where``, matched peaks through ``np.unique``, and runs counted with
+# ``np.argmin``. The kernel must give the same bits.
+
+
+def reference_ions(seq):
+    prefix = list(accumulate(RESIDUE_MASSES[sym] for sym in seq))
+    total = prefix[-1]
+    p = np.array(prefix[:-1], dtype=np.float64)
+    b = p + PROTON_MASS
+    y = (total - p)[::-1] + (H2O_MASS + PROTON_MASS)
+    internal = [
+        prefix[end] - prefix[start - 1] + PROTON_MASS
+        for start in range(1, len(seq) - 2)
+        for end in range(start + 1, len(seq) - 1)
+    ]
+    return b, y, np.array(internal, dtype=np.float64)
+
+
+def reference_nearest(mz, targets):
+    idx = np.searchsorted(mz, targets)
+    padded = np.concatenate(([-np.inf], mz, [np.inf]))
+    dist_left = targets - padded[idx]
+    dist_right = padded[idx + 1] - targets
+    take_left = dist_left <= dist_right
+    return idx - take_left, np.where(take_left, dist_left, dist_right)
+
+
+def reference_pairs(flags):
+    if len(flags) == 0 or not flags[0]:
+        return 0
+    run = int(np.argmin(flags)) if not flags.all() else len(flags)
+    return max(run - 1, 0)
+
+
+def reference_fitness(peptide, spec, tau):
+    seq = canonical(peptide)
+    b, y, internal = reference_ions(seq)
+    n_by = len(b) + len(y)
+    _, partner_distance = reference_nearest(spec.mz, spec.partner_mz)
+    nearest, dist = reference_nearest(spec.mz, np.concatenate([b, y, internal]))
+    matched = dist <= tau
+    matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
+    anchored = matched[:n_by] & (partner_distance[nearest[:n_by]] <= 2 * tau)
+    total = float(spec.intensity.sum())
+    mass = sum(RESIDUE_MASSES[sym] for sym in seq) + H2O_MASS
+    delta = spec.precursor_mass - mass
+    terms = dict(
+        matched_intensity_sum=matched_intensity,
+        total_intensity_sum=total,
+        n_unmatched=int((~matched[:n_by]).sum()),
+        delta_mass=delta,
+        nterm=reference_pairs(anchored[: len(b)]),
+        cterm=reference_pairs(anchored[len(b) :]),
+    )
+    value = fitness_from_terms(
+        matched_intensity / total,
+        abs(delta) / spec.precursor_mass,
+        terms["nterm"],
+        terms["cterm"],
+        terms["n_unmatched"],
+        len(seq),
+    )
+    return MatchResult(**terms, fitness=value)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A peptide of 2-64 residues (I included), a spectrum and a tolerance.
+
+    Peaks lie on a half-Da grid, at ion masses shifted by 0, +-tau/2, +-tau or
+    2 tau (so ties and ions exactly tau away occur), on a subset of the b/y
+    ladder (so terminus-anchored runs start and break), or anywhere in range.
+    """
+    peptide = draw(st.text("".join(RESIDUE_MASSES), min_size=2, max_size=64))
+    tau = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    top = parent_mass(peptide) + 20.0
+    b, y, internal = reference_ions(canonical(peptide))
+    shift = st.sampled_from([-tau, -tau / 2, 0.0, tau / 2, tau, 2 * tau])
+    kind = draw(st.sampled_from(["grid", "ions", "ladder", "uniform"]))
+    if kind == "grid":
+        steps = st.lists(st.integers(1, int(2 * top)), min_size=1, max_size=120)
+        mz = [0.5 * step for step in draw(steps)]
+    elif kind == "ions":
+        ions = np.concatenate([b, y, internal]).tolist()
+        pair = st.tuples(st.sampled_from(ions), shift)
+        pairs = st.lists(pair, min_size=1, max_size=120)
+        mz = [ion + delta for ion, delta in draw(pairs)]
+    elif kind == "ladder":
+        ladder = np.concatenate([b, y]).tolist()
+        size = len(ladder)
+        kept = st.lists(st.tuples(st.booleans(), shift), min_size=size, max_size=size)
+        mz = [ion + delta for ion, (keep, delta) in zip(ladder, draw(kept)) if keep]
+        mz = mz or ladder
+    else:
+        mz = draw(st.lists(st.floats(1.0, top), min_size=1, max_size=120))
+    weights = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1e4)
+    intensity = draw(st.lists(weights, min_size=len(mz), max_size=len(mz)))
+    intensity[0] = max(intensity[0], 1.0)
+    charge = draw(st.integers(1, 3))
+    offset = st.sampled_from([0.0, tau, 2 * tau]) | st.floats(-3.0, 3.0)
+    neutral = parent_mass(peptide) + draw(offset)
+    pepmass = (neutral + charge * PROTON_MASS) / charge
+    return peptide, make_spectrum("h", pepmass, charge, mz, intensity), tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_kernel_equals_reference_bit_for_bit(case):
+    peptide, spec, tau = case
+    assert fitness(peptide, spec, tau) == reference_fitness(peptide, spec, tau)
+    b, y, internal = reference_ions(canonical(peptide))
+    assert theoretical_spectrum(peptide) == TheoreticalSpectrum(
+        tuple(b.tolist()), tuple(y.tolist()), tuple(sorted(internal.tolist()))
+    )

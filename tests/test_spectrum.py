@@ -102,6 +102,46 @@ def test_parse_charge_dialects(text, expected):
     assert parse_mgf(mgf)[0].charge == expected
 
 
+GLOBAL_CHARGE_MGF = """\
+COM=global header
+CHARGE=3+
+SEARCH=MIS
+
+BEGIN IONS
+TITLE=inherits
+PEPMASS=500
+100 1
+END IONS
+BEGIN IONS
+TITLE=own
+PEPMASS=500
+CHARGE=1+
+100 1
+END IONS
+"""
+
+
+def test_global_charge_is_the_default_of_later_records():
+    spectra = parse_mgf(GLOBAL_CHARGE_MGF)
+    assert [(s.title, s.charge) for s in spectra] == [("inherits", 3), ("own", 1)]
+
+
+def test_global_charge_applies_only_after_it():
+    mgf = "BEGIN IONS\nPEPMASS=500\n100 1\nEND IONS\nCHARGE=2+\n"
+    with pytest.raises(MgfParseError, match="record missing CHARGE") as err:
+        parse_mgf(mgf)
+    assert err.value.line_number == 4
+
+
+def test_bad_global_charge_refused_at_its_line_when_used():
+    mgf = "CHARGE=two\nBEGIN IONS\nPEPMASS=500\n100 1\nEND IONS\n"
+    with pytest.raises(MgfParseError, match="malformed CHARGE") as err:
+        parse_mgf(mgf)
+    assert err.value.line_number == 1
+    # A record that gives its own charge never reads the global one.
+    assert parse_mgf(mgf.replace("PEPMASS=500", "PEPMASS=500\nCHARGE=2")) != []
+
+
 def test_zero_peak_record_skipped_with_warning(caplog):
     mgf = "BEGIN IONS\nTITLE=empty\nPEPMASS=500\nCHARGE=2+\nEND IONS\n" + SIMPLE_MGF
     with caplog.at_level(logging.WARNING):
