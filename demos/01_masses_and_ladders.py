@@ -4,8 +4,8 @@ Run with: python demos/01_masses_and_ladders.py
 """
 
 from evopep import (
+    CONFLICT_REPLACEMENTS,
     RESIDUE_MASSES,
-    conflict_replacements,
     parent_mass,
     precursor_mass,
     theoretical_spectrum,
@@ -37,4 +37,4 @@ print("  internal fragments:", len(theo.internal_ions))
 # precision; this drives one of the GA's mutation operators.
 print("\nconflict-mass replacements:")
 for symbol in "WRQN":
-    print(f"  {symbol} -> {', '.join(conflict_replacements(symbol))}")
+    print(f"  {symbol} -> {', '.join(CONFLICT_REPLACEMENTS.get(symbol, ()))}")

@@ -16,7 +16,6 @@ from .chem import (
     InvalidPeptideError,
     InvalidResidueError,
     canonical,
-    conflict_replacements,
     parent_mass,
     precursor_mass,
     residue_mass,
@@ -25,7 +24,6 @@ from .engine import (
     EvolutionError,
     EvolveResult,
     GaConfig,
-    Pools,
     conflict_mass_mutation,
     evolve,
     flip_aa_mutation,
@@ -48,7 +46,6 @@ from .evaluation import (
 from .scoring import (
     Individual,
     InvalidSpectrumError,
-    MatchResult,
     TheoreticalSpectrum,
     fitness,
     fitness_from_terms,
@@ -85,12 +82,10 @@ __all__ = [
     "InvalidPeptideError",
     "InvalidResidueError",
     "InvalidSpectrumError",
-    "MatchResult",
     "Metrics",
     "MetricsSummary",
     "MgfParseError",
     "Peak",
-    "Pools",
     "PreprocessConfig",
     "Spectrum",
     "SynthConfig",
@@ -104,7 +99,6 @@ __all__ = [
     "canonical",
     "compute_metrics",
     "conflict_mass_mutation",
-    "conflict_replacements",
     "denoise",
     "emit_mgf",
     "evolve",

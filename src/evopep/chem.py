@@ -116,9 +116,3 @@ def precursor_mass(pepmass: float, charge: int) -> float:
         raise ValueError(f"charge must be a positive integer, got {charge}")
     return pepmass * charge - charge * PROTON_MASS
 
-
-def conflict_replacements(symbol: str) -> tuple[str, ...]:
-    """Di-peptide replacements sharing the symbol's nominal mass (may be empty)."""
-    if symbol not in RESIDUE_MASSES:
-        raise InvalidResidueError(f"unknown amino-acid symbol {symbol!r}")
-    return CONFLICT_REPLACEMENTS.get(symbol, ())

@@ -288,7 +288,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         for block in blocks
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sequence_job, tasks))
     else:
         results = list(map(_sequence_job, tasks))
@@ -337,6 +338,11 @@ def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
             raise ValueError(
                 f"{path}:{number}: repeated row for spectrum {key[0]!r} run {run_index}"
             )
+        if parts[pep_col]:  # an empty prediction is a failed run
+            try:
+                validate_peptide(parts[pep_col])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
         predictions[key] = parts[pep_col]
         runs.add(run_index)
     if not predictions:

@@ -2,18 +2,23 @@
 
 Each generation builds four pools (fitness-ranked helper pool, Nterm pool,
 Cterm pool, tournament pool), creates offspring with one of four operators
-drawn at configured rates, and carries over three elites (best by fitness,
-by Nterm score, by Cterm score). Candidates are variable-length tryptic
-sequences. The operators map peptide strings to peptide strings and never
-score; ``evolve`` scores each generation's children against the run's
-spectrum in one place, after the operator loop.
+drawn at configured rates, and carries over the elites (best by fitness, by
+Nterm score, by Cterm score, then the fitness ranking from its head). Each
+population is ranked once in each of these three orders, by ``_rankings``.
+Candidates are variable-length tryptic sequences. The operators map peptide
+strings to peptide strings and never score; ``evolve`` scores each
+generation's children against the run's spectrum in one place, after the
+operator loop.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import attrgetter
 
 from .chem import (
     CANONICAL_ALPHABET,
@@ -33,6 +38,11 @@ OPERATOR_CONFLICT = "conflict"
 # Mass window (Da) that nterm_cterm_crossover regrows a child into before
 # handing it to the mass-adjustment loop.
 RELAXED_CX_BOUND = 100.0
+
+# The three orders a population is ranked in, each best first: by fitness,
+# by Nterm score and by Cterm score, both with fitness breaking ties.
+_FITNESS = attrgetter("fitness")
+_RANK_KEYS = (_FITNESS, attrgetter("nterm", "fitness"), attrgetter("cterm", "fitness"))
 
 
 class EvolutionError(RuntimeError):
@@ -92,12 +102,14 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class Pools:
-    """The four per-generation selection pools."""
+    """The four per-generation selection pools, and the elites that the
+    next generation carries over."""
 
     helper: tuple[Individual, ...]
     nterm_pool: tuple[Individual, ...]
     cterm_pool: tuple[Individual, ...]
     tournament: tuple[Individual, ...]
+    elites: tuple[Individual, ...]
 
 
 @dataclass(frozen=True)
@@ -130,45 +142,41 @@ def choose_operator(cfg: GaConfig, rng: random.Random) -> str:
     return OPERATOR_CONFLICT
 
 
+def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:
+    """The population in each order of ``_RANK_KEYS``, best first.
+
+    The sorts are stable, so equal keys keep population order and each
+    ranking opens with the element ``max`` would pick.
+    """
+    return [sorted(population, key=key, reverse=True) for key in _RANK_KEYS]
+
+
 def select_pools(
     population: list[Individual], cfg: GaConfig, rng: random.Random
 ) -> Pools:
-    """Build the four selection pools from a scored population.
+    """Build the four selection pools and the elites from a scored population.
 
     The Nterm/Cterm pools only admit individuals with a score of at least one
     and may therefore be under-filled or empty. The tournament pool holds
     winners of size-``tournament_k`` fitness tournaments drawn with
-    replacement.
+    replacement. The elites are the head of each ranking, then the fitness
+    ranking from its head, ``elitism`` in all.
     """
     k = cfg.sub_pool
-    by_fitness = sorted(population, key=lambda ind: ind.fitness, reverse=True)
-    helper = tuple(by_fitness[:k])
-    nterm_pool = tuple(
-        sorted(
-            (ind for ind in population if ind.nterm >= 1),
-            key=lambda ind: (ind.nterm, ind.fitness),
-            reverse=True,
-        )[:k]
-    )
-    cterm_pool = tuple(
-        sorted(
-            (ind for ind in population if ind.cterm >= 1),
-            key=lambda ind: (ind.cterm, ind.fitness),
-            reverse=True,
-        )[:k]
-    )
+    by_fitness, by_nterm, by_cterm = _rankings(population)
     tournament = tuple(
-        max(
-            (rng.choice(population) for _ in range(cfg.tournament_k)),
-            key=lambda ind: ind.fitness,
-        )
+        max((rng.choice(population) for _ in range(cfg.tournament_k)), key=_FITNESS)
         for _ in range(k)
     )
+    heads = (by_fitness[0], by_nterm[0], by_cterm[0])
+    # Members with a score of at least one lead their terminus ranking, in
+    # the order that a stable sort of those members alone gives.
     return Pools(
-        helper=helper,
-        nterm_pool=nterm_pool,
-        cterm_pool=cterm_pool,
+        helper=tuple(by_fitness[:k]),
+        nterm_pool=tuple(takewhile(lambda ind: ind.nterm >= 1, by_nterm[:k])),
+        cterm_pool=tuple(takewhile(lambda ind: ind.cterm >= 1, by_cterm[:k])),
         tournament=tournament,
+        elites=(*heads, *by_fitness[: cfg.elitism])[: cfg.elitism],
     )
 
 
@@ -289,34 +297,13 @@ def _initial_population(
     """Top third by fitness, by Nterm and by Cterm from the init pool;
     shortfalls are refilled with the next-best by fitness."""
     k = cfg.sub_pool
-    by_fitness = sorted(candidates, key=lambda ind: ind.fitness, reverse=True)
-    by_nterm = sorted(
-        candidates, key=lambda ind: (ind.nterm, ind.fitness), reverse=True
-    )
-    by_cterm = sorted(
-        candidates, key=lambda ind: (ind.cterm, ind.fitness), reverse=True
-    )
+    by_fitness, by_nterm, by_cterm = _rankings(candidates)
     selected = by_fitness[:k] + by_nterm[:k] + by_cterm[:k]
     refill = k
     while len(selected) < cfg.population:
         selected.append(by_fitness[refill % len(by_fitness)])
         refill += 1
     return selected[: cfg.population]
-
-
-def _select_elites(population: list[Individual], count: int) -> list[Individual]:
-    if count <= 0:
-        return []
-    criteria = [
-        lambda ind: ind.fitness,
-        lambda ind: (ind.nterm, ind.fitness),
-        lambda ind: (ind.cterm, ind.fitness),
-    ]
-    elites = [max(population, key=key) for key in criteria[:count]]
-    if count > len(criteria):
-        by_fitness = sorted(population, key=lambda ind: ind.fitness, reverse=True)
-        elites.extend(by_fitness[: count - len(criteria)])
-    return elites
 
 
 def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
@@ -333,8 +320,8 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
             "the spectrum may be degenerate or the precursor mass unreachable"
         )
     population = _initial_population(pool, cfg)
-    best = max(population, key=lambda ind: ind.fitness)
-    trace = [_trace_row(0, population)]
+    best = max(population, key=_FITNESS)
+    trace = [_trace_row(0, population, best)]
 
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
@@ -376,25 +363,26 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
         # A two-point crossover drawn last may overshoot the target by one;
         # its second child is dropped unscored.
         offspring = [Individual.score(seq, spec, cfg.tau) for seq in children[:target]]
-        population = offspring + _select_elites(population, cfg.elitism)
-        generation_best = max(population, key=lambda ind: ind.fitness)
-        if generation_best.fitness > best.fitness:
-            best = generation_best
-        trace.append(_trace_row(generation, population))
+        population = [*offspring, *pools.elites]
+        leader = max(population, key=_FITNESS)
+        if leader.fitness > best.fitness:
+            best = leader
+        trace.append(_trace_row(generation, population, leader))
 
     return EvolveResult(
         best=best, trace=tuple(trace), generations_used=cfg.generations
     )
 
 
-def _trace_row(generation: int, population: list[Individual]) -> TraceRow:
-    best = max(population, key=lambda ind: ind.fitness)
+def _trace_row(
+    generation: int, population: list[Individual], leader: Individual
+) -> TraceRow:
     mean = sum(ind.fitness for ind in population) / len(population)
     return TraceRow(
         generation=generation,
-        best_fitness=best.fitness,
+        best_fitness=leader.fitness,
         mean_fitness=mean,
-        best_peptide=best.peptide,
+        best_peptide=leader.peptide,
     )
 
 

@@ -252,11 +252,11 @@ def load_ground_truth(source: str | IO[str] | Iterable[str]) -> list[GroundTruth
                 f"line {first_line[parts[0]]}"
             )
         first_line[parts[0]] = number
-        records.append(
-            GroundTruthRecord(
-                spectrum_id=parts[0], peptide=validate_peptide(parts[1])
-            )
-        )
+        try:
+            peptide = validate_peptide(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"truth line {number}: {exc}") from None
+        records.append(GroundTruthRecord(spectrum_id=parts[0], peptide=peptide))
     return records
 
 

@@ -47,21 +47,9 @@ class TheoreticalSpectrum:
 
 
 @dataclass(frozen=True)
-class MatchResult:
-    """All terms of one peptide-spectrum match, plus the combined fitness."""
-
-    matched_intensity_sum: float
-    total_intensity_sum: float
-    n_unmatched: int
-    delta_mass: float
-    nterm: int
-    cterm: int
-    fitness: float
-
-
-@dataclass(frozen=True)
 class Individual:
-    """A candidate peptide with its cached scores; the GA chromosome."""
+    """A candidate peptide with its scores; the GA chromosome and the one
+    result type of ``fitness``."""
 
     peptide: str
     fitness: float
@@ -76,14 +64,7 @@ class Individual:
         key = (peptide, tau)
         cached = spec.scores.get(key)
         if cached is None:
-            result = fitness(peptide, spec, tau)
-            cached = spec.scores[key] = cls(
-                peptide=peptide,
-                fitness=result.fitness,
-                nterm=result.nterm,
-                cterm=result.cterm,
-                delta_mass=result.delta_mass,
-            )
+            cached = spec.scores[key] = fitness(peptide, spec, tau)
         return cached
 
 
@@ -179,8 +160,9 @@ def fitness_from_terms(
     )
 
 
-def fitness(peptide: str, spec: Spectrum, tau: float) -> MatchResult:
-    """Score a peptide-spectrum match; returns every term plus the fitness."""
+def fitness(peptide: str, spec: Spectrum, tau: float) -> Individual:
+    """Score a peptide-spectrum match: the peptide as passed, with its
+    fitness, terminus scores and precursor mass difference."""
     seq = validate_peptide(peptide)
     if len(seq) < 2:
         raise InvalidPeptideError("fitness requires peptide length >= 2")
@@ -198,12 +180,6 @@ def fitness(peptide: str, spec: Spectrum, tau: float) -> MatchResult:
         n_unmatched=n_unmatched,
         length=len(seq),
     )
-    return MatchResult(
-        matched_intensity_sum=matched_intensity,
-        total_intensity_sum=total,
-        n_unmatched=n_unmatched,
-        delta_mass=delta,
-        nterm=nterm,
-        cterm=cterm,
-        fitness=value,
+    return Individual(
+        peptide=peptide, fitness=value, nterm=nterm, cterm=cterm, delta_mass=delta
     )

@@ -93,11 +93,12 @@ def test_precursor_mass_rejects_bad_inputs():
 
 
 def test_conflict_dictionary_contents():
-    assert chem.conflict_replacements("W") == ("DA", "AD", "EG", "GE", "VS", "SV")
-    assert chem.conflict_replacements("R") == ("VG", "GV")
-    assert chem.conflict_replacements("Q") == ("AG", "GA")
-    assert chem.conflict_replacements("N") == ("GG",)
-    assert chem.conflict_replacements("A") == ()
+    replacements = chem.CONFLICT_REPLACEMENTS
+    assert replacements["W"] == ("DA", "AD", "EG", "GE", "VS", "SV")
+    assert replacements["R"] == ("VG", "GV")
+    assert replacements["Q"] == ("AG", "GA")
+    assert replacements["N"] == ("GG",)
+    assert set(replacements) == {"W", "R", "Q", "N"}
 
 
 def test_conflict_masses_agree_at_nominal_and_monoisotopic():

@@ -193,6 +193,7 @@ class _RecordingPool:
     started = []
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.tasks = []
         _RecordingPool.started.append(self)
 
@@ -260,6 +261,21 @@ def test_sequence_task_count_is_multiple_of_jobs(
         for spec in range(peptides.count("\n"))
         for _ in range(blocks)
     ]
+
+
+def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monkeypatch):
+    import evopep.cli
+
+    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started.clear()
+    mgf, _ = synth(tmp_path, peptide_file)
+    assert run(
+        "sequence", str(mgf), "--runs", "1", "--generations", "1", "--jobs", "8",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    (pool,) = _RecordingPool.started
+    assert len(pool.tasks) == 2
+    assert pool.max_workers == 2
 
 
 def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):
@@ -471,8 +487,10 @@ def test_evaluate_empty_results_errors(tmp_path):
         ("s1\t0\n", "r.tsv:2:"),  # fewer fields than the header
         ("s1\tfirst\tLGVTLYK\n", "r.tsv:2:"),  # non-integer run_index
         ("s1\t0\tLGVTLYK\n\ns1\t0\tAAAK\n", "r.tsv:4: repeated row for spectrum 's1' run 0"),
+        # The empty prediction of a failed run on line 2 is allowed.
+        ("s1\t0\t\ns1\t1\tAXZK\n", "r.tsv:3: unknown amino-acid symbol 'X'"),
     ],
-    ids=["short-row", "non-integer-run", "repeated-row"],
+    ids=["short-row", "non-integer-run", "repeated-row", "bad-peptide"],
 )
 def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
     truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
@@ -490,8 +508,12 @@ def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
             "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAAAK\ns1\tLGVTLYK\n",
             "truth line 4: spectrum id 's1' repeats line 2",
         ),
+        (
+            "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAXZK\n",
+            "truth line 3: unknown amino-acid symbol 'X'",
+        ),
     ],
-    ids=["no-header", "repeated-id"],
+    ids=["no-header", "repeated-id", "bad-peptide"],
 )
 def test_evaluate_faulty_truth_file_errors(tmp_path, capsys, text, where):
     truth = write(tmp_path / "t.tsv", text)

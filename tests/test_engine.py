@@ -27,7 +27,7 @@ from evopep.chem import (
     parent_mass,
     residue_mass,
 )
-from evopep.engine import choose_operator, trace_to_tsv
+from evopep.engine import _initial_population, choose_operator, trace_to_tsv
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -94,6 +94,105 @@ def test_select_pools_sizes_bounded(aaal_spectrum):
     pools = select_pools(population, cfg, rng)
     for pool in (pools.helper, pools.nterm_pool, pools.cterm_pool, pools.tournament):
         assert len(pool) <= cfg.sub_pool
+
+
+# The rankings as they were built before one stable sort per order served
+# them: each terminus pool filtered, then sorted; each elite head a ``max``;
+# the initial population from its own three sorts.
+
+
+def fitness_key(ind):
+    return ind.fitness
+
+
+def reference_pools(population, cfg):
+    k = cfg.sub_pool
+
+    def terminus_pool(score):
+        members = (ind for ind in population if score(ind) >= 1)
+        ranked = sorted(members, key=lambda ind: (score(ind), ind.fitness), reverse=True)
+        return ranked[:k]
+
+    by_fitness = sorted(population, key=fitness_key, reverse=True)
+    return (
+        by_fitness[:k],
+        terminus_pool(lambda ind: ind.nterm),
+        terminus_pool(lambda ind: ind.cterm),
+    )
+
+
+def reference_elites(population, count):
+    if count <= 0:
+        return []
+    criteria = [
+        fitness_key,
+        lambda ind: (ind.nterm, ind.fitness),
+        lambda ind: (ind.cterm, ind.fitness),
+    ]
+    elites = [max(population, key=key) for key in criteria[:count]]
+    if count > len(criteria):
+        by_fitness = sorted(population, key=fitness_key, reverse=True)
+        elites.extend(by_fitness[: count - len(criteria)])
+    return elites
+
+
+def reference_tournament(population, cfg, rng):
+    return [
+        max((rng.choice(population) for _ in range(cfg.tournament_k)), key=fitness_key)
+        for _ in range(cfg.sub_pool)
+    ]
+
+
+def reference_initial_population(candidates, cfg):
+    k = cfg.sub_pool
+    by_fitness = sorted(candidates, key=fitness_key, reverse=True)
+    by_nterm = sorted(candidates, key=lambda ind: (ind.nterm, ind.fitness), reverse=True)
+    by_cterm = sorted(candidates, key=lambda ind: (ind.cterm, ind.fitness), reverse=True)
+    selected = by_fitness[:k] + by_nterm[:k] + by_cterm[:k]
+    refill = k
+    while len(selected) < cfg.population:
+        selected.append(by_fitness[refill % len(by_fitness)])
+        refill += 1
+    return selected[: cfg.population]
+
+
+@st.composite
+def tied_populations(draw):
+    """Individuals with distinct peptides and heavily tied scores, and a GA
+    setting whose population may be larger or smaller than the list."""
+    terms = st.tuples(
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.integers(0, 3), st.integers(0, 3)
+    )
+    rows = draw(st.lists(terms, min_size=1, max_size=40))
+    population = [
+        Individual(f"P{index}K", fit, nterm, cterm, 0.0)
+        for index, (fit, nterm, cterm) in enumerate(rows)
+    ]
+    elitism = draw(st.integers(0, 6))
+    size = draw(st.integers(max(3, elitism + 1), 60))
+    cfg = GaConfig(population=size, elitism=elitism, tournament_k=draw(st.integers(1, 7)))
+    return population, cfg
+
+
+def peptides_of(individuals):
+    return [ind.peptide for ind in individuals]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_populations(), st.integers(0, 2**32))
+def test_rankings_match_the_filtered_sorts_and_max_elites(case, seed):
+    population, cfg = case
+    pools = select_pools(population, cfg, random.Random(seed))
+    helper, nterm_pool, cterm_pool = reference_pools(population, cfg)
+    assert peptides_of(pools.helper) == peptides_of(helper)
+    assert peptides_of(pools.nterm_pool) == peptides_of(nterm_pool)
+    assert peptides_of(pools.cterm_pool) == peptides_of(cterm_pool)
+    tournament = reference_tournament(population, cfg, random.Random(seed))
+    assert peptides_of(pools.tournament) == peptides_of(tournament)
+    elites = reference_elites(population, cfg.elitism)
+    assert peptides_of(pools.elites) == peptides_of(elites)
+    initial = reference_initial_population(population, cfg)
+    assert peptides_of(_initial_population(tuple(population), cfg)) == peptides_of(initial)
 
 
 def test_nterm_cterm_crossover_published_reconstruction(aaal_spectrum):

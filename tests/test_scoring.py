@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from evopep import (
     Individual,
     InvalidSpectrumError,
-    MatchResult,
     TheoreticalSpectrum,
     fitness,
     fitness_from_terms,
@@ -25,10 +24,17 @@ from evopep.chem import (
     parent_mass,
 )
 from evopep.evaluation import random_tryptic_peptide
+from evopep.scoring import _evaluate
 from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
+
+
+def match_terms(peptide, spec, tau=TAU):
+    """Matched intensity, unmatched b/y count, nterm and cterm, as ``fitness``
+    computes them."""
+    return _evaluate(canonical(peptide), spec, tau)
 
 
 def test_ladder_lgvtlyk_matches_published_values():
@@ -75,7 +81,8 @@ def test_theoretical_spectrum_rejects_short_peptide():
 
 
 def test_self_match_all_ions_hit(ladder_lgvtlyk):
-    assert fitness("LGVTLYK", ladder_lgvtlyk, TAU).n_unmatched == 0
+    _, n_unmatched, _, _ = match_terms("LGVTLYK", ladder_lgvtlyk)
+    assert n_unmatched == 0
 
 
 def test_empty_spectrum_matches_nothing():
@@ -116,13 +123,13 @@ def test_matcher_agrees_with_brute_force_on_fixture():
         [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
     )
     theo = theoretical_spectrum("LGVTLYK")
-    result = fitness("LGVTLYK", spec, TAU)
+    matched_intensity, n_unmatched, _, _ = match_terms("LGVTLYK", spec)
     by_flags, _ = brute_force_match(theo.b_ions + theo.y_ions, spec, TAU)
     _, hit_peaks = brute_force_match(
         theo.b_ions + theo.y_ions + theo.internal_ions, spec, TAU
     )
-    assert result.matched_intensity_sum == sum(spec.intensity[i] for i in hit_peaks)
-    assert result.n_unmatched == by_flags.count(False)
+    assert matched_intensity == sum(spec.intensity[i] for i in hit_peaks)
+    assert n_unmatched == by_flags.count(False)
 
 
 def test_shared_peak_counted_once():
@@ -132,7 +139,8 @@ def test_shared_peak_counted_once():
     theo = theoretical_spectrum("LGVTLYK")
     ions = theo.b_ions + theo.y_ions + theo.internal_ions
     assert sum(abs(ion - 371.3) <= TAU for ion in ions) == 2
-    assert fitness("LGVTLYK", spec, TAU).matched_intensity_sum == 5.0
+    matched_intensity, _, _, _ = match_terms("LGVTLYK", spec)
+    assert matched_intensity == 5.0
 
 
 def test_nterm_cterm_ground_truth(ladder_aaal):
@@ -174,15 +182,17 @@ def test_fitness_no_match_closed_form():
     result = fitness(pep, spec, TAU)
     length = len(pep)
     assert result.fitness == pytest.approx(-2 * (length - 1) / length, abs=1e-9)
-    assert result.n_unmatched == 2 * (length - 1)
+    _, n_unmatched, _, _ = match_terms(pep, spec)
+    assert n_unmatched == 2 * (length - 1)
 
 
 def test_fitness_self_match_dominates_and_terms(ladder_aaal):
     result = fitness("AAALAAADAR", ladder_aaal, TAU)
-    assert result.n_unmatched == 0
+    matched_intensity, n_unmatched, _, _ = match_terms("AAALAAADAR", ladder_aaal)
+    assert n_unmatched == 0
     assert abs(result.delta_mass) < 1e-6
     assert result.nterm == result.cterm == 8
-    assert result.matched_intensity_sum == pytest.approx(result.total_intensity_sum)
+    assert matched_intensity == pytest.approx(ladder_aaal.total_intensity)
 
 
 def test_fitness_monotone_in_delta():
@@ -202,8 +212,8 @@ def test_intensity_term_scale_invariant(ladder_aaal):
     )
     a = fitness("AAALAGGWR", ladder_aaal, TAU)
     b = fitness("AAALAGGWR", scaled, TAU)
-    ratio_a = a.matched_intensity_sum / a.total_intensity_sum
-    ratio_b = b.matched_intensity_sum / b.total_intensity_sum
+    ratio_a = match_terms("AAALAGGWR", ladder_aaal)[0] / ladder_aaal.total_intensity
+    ratio_b = match_terms("AAALAGGWR", scaled)[0] / scaled.total_intensity
     assert ratio_a == pytest.approx(ratio_b, abs=1e-12)
     assert a.fitness == pytest.approx(b.fitness, abs=1e-9)
 
@@ -223,6 +233,7 @@ def test_individual_caches_scores(ladder_aaal):
     ind = Individual.score("AAALAAADAR", ladder_aaal, TAU)
     again = Individual.score("AAALAAADAR", ladder_aaal, TAU)
     assert ind is again
+    assert ind == fitness("AAALAAADAR", ladder_aaal, TAU)
     assert ind.fitness == pytest.approx(2.6, abs=1e-9)
 
 
@@ -263,6 +274,8 @@ def reference_pairs(flags):
 
 
 def reference_fitness(peptide, spec, tau):
+    """The reference ``Individual``, the four terms that ``_evaluate`` returns
+    and the total intensity."""
     seq = canonical(peptide)
     b, y, internal = reference_ions(seq)
     n_by = len(b) + len(y)
@@ -274,23 +287,19 @@ def reference_fitness(peptide, spec, tau):
     total = float(spec.intensity.sum())
     mass = sum(RESIDUE_MASSES[sym] for sym in seq) + H2O_MASS
     delta = spec.precursor_mass - mass
-    terms = dict(
-        matched_intensity_sum=matched_intensity,
-        total_intensity_sum=total,
-        n_unmatched=int((~matched[:n_by]).sum()),
-        delta_mass=delta,
-        nterm=reference_pairs(anchored[: len(b)]),
-        cterm=reference_pairs(anchored[len(b) :]),
-    )
+    n_unmatched = int((~matched[:n_by]).sum())
+    nterm = reference_pairs(anchored[: len(b)])
+    cterm = reference_pairs(anchored[len(b) :])
     value = fitness_from_terms(
         matched_intensity / total,
         abs(delta) / spec.precursor_mass,
-        terms["nterm"],
-        terms["cterm"],
-        terms["n_unmatched"],
+        nterm,
+        cterm,
+        n_unmatched,
         len(seq),
     )
-    return MatchResult(**terms, fitness=value)
+    individual = Individual(peptide, value, nterm, cterm, delta)
+    return individual, (matched_intensity, n_unmatched, nterm, cterm), total
 
 
 @st.composite
@@ -337,7 +346,10 @@ def scoring_cases(draw):
 @given(scoring_cases())
 def test_kernel_equals_reference_bit_for_bit(case):
     peptide, spec, tau = case
-    assert fitness(peptide, spec, tau) == reference_fitness(peptide, spec, tau)
+    individual, terms, total = reference_fitness(peptide, spec, tau)
+    assert fitness(peptide, spec, tau) == individual
+    assert _evaluate(canonical(peptide), spec, tau) == terms
+    assert spec.total_intensity == total
     b, y, internal = reference_ions(canonical(peptide))
     assert theoretical_spectrum(peptide) == TheoreticalSpectrum(
         tuple(b.tolist()), tuple(y.tolist()), tuple(sorted(internal.tolist()))
