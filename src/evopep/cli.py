@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
-from .engine import EvolutionError, GaConfig, evolve
+from .engine import OPERATORS, EvolutionError, GaConfig, evolve
 from .evaluation import (
     GroundTruthRecord,
     SynthConfig,
@@ -79,12 +79,14 @@ class _OptionError(ValueError, argparse.ArgumentTypeError):
     plain ValueError it would print only "invalid <parser> value"."""
 
 
+_RATE_NAMES = ",".join(op.replace("_", "-") for op in OPERATORS)
+
+
 def _parse_rates(text: str) -> tuple[float, float, float, float]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
+    if len(parts) != len(OPERATORS):
         raise _OptionError(
-            "rates must be 4 comma-separated numbers: "
-            "nterm-cterm,two-point,flip,conflict"
+            f"rates must be {len(OPERATORS)} comma-separated numbers: {_RATE_NAMES}"
         )
     try:
         return tuple(float(p) for p in parts)  # type: ignore[return-value]
@@ -121,16 +123,7 @@ _OPTIONS = {
     "pool_size": _Option(GaConfig.pool_size, int, "initialization pool size"),
     "tournament": _Option(GaConfig.tournament_k, int, "tournament size"),
     "tau": _Option(GaConfig.tau, float, "fragment mass tolerance (Da)"),
-    "rates": _Option(
-        (
-            GaConfig.rate_nterm_cterm_cx,
-            GaConfig.rate_two_point_cx,
-            GaConfig.rate_flip,
-            GaConfig.rate_conflict,
-        ),
-        _parse_rates,
-        "operator rates: nterm-cterm,two-point,flip,conflict",
-    ),
+    "rates": _Option(GaConfig.rates, _parse_rates, f"operator rates: {_RATE_NAMES}"),
     "jobs": _Option(1, _count("jobs", 1), "parallel worker count"),
     "dropout": _Option(0.0, float, "per-ion dropout probability"),
     "noise": _Option(0, int, "noise peaks per spectrum"),
@@ -141,7 +134,7 @@ _DEFAULTS = {key: option.default for key, option in _OPTIONS.items()}
 def _load_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict:
     """Options set by a config file for ``command``, which takes ``keys``."""
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,18 +169,20 @@ def _effective_options(args: argparse.Namespace) -> dict:
 
 
 def _ga_config(options: dict) -> GaConfig:
-    rates = options["rates"]
     return GaConfig(
         pool_size=options["pool_size"],
         population=options["population"],
         generations=options["generations"],
         tournament_k=options["tournament"],
-        rate_nterm_cterm_cx=rates[0],
-        rate_two_point_cx=rates[1],
-        rate_flip=rates[2],
-        rate_conflict=rates[3],
+        rates=options["rates"],
         tau=options["tau"],
     )
+
+
+def _read_text(path: str) -> str:
+    """The text of an input file. A UTF-8 byte-order mark, which some editors
+    write, is dropped rather than read as part of the first line."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _open_output(path: str | None) -> AbstractContextManager[TextIO]:
@@ -213,7 +208,7 @@ def _spectrum_id(spec: Spectrum, index: int) -> str:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     cfg = PreprocessConfig(tolerance=options["tau"])
-    spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
+    spectra = parse_mgf(_read_text(args.input))
     processed = []
     for index, spec in enumerate(spectra):
         out = preprocess(spec, cfg, complements=not args.no_complements)
@@ -255,7 +250,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     ga = _ga_config(options)
     pre_cfg = PreprocessConfig(tolerance=ga.tau)
-    spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
+    spectra = parse_mgf(_read_text(args.input))
     ids = [_spectrum_id(spec, index) for index, spec in enumerate(spectra)]
     repeated = [sid for sid, count in Counter(ids).items() if count > 1]
     if repeated:
@@ -303,7 +298,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
     """Predictions keyed by (spectrum_id, run_index), plus the run list."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     body = [
         (number, line.split("\t"))
         for number, line in enumerate(lines, start=1)
@@ -362,7 +357,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
     try:
-        truth = load_ground_truth(Path(args.truth).read_text(encoding="utf-8"))
+        truth = load_ground_truth(_read_text(args.truth))
     except ValueError as exc:
         raise ValueError(f"{args.truth}: {exc}") from None
     if not truth:
@@ -410,9 +405,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         dropout=options["dropout"],
     )
     peptides: list[str] = []
-    for number, raw in enumerate(
-        Path(args.input).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for number, raw in enumerate(_read_text(args.input).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -441,7 +434,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_tags(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     pre_cfg = PreprocessConfig(tolerance=options["tau"])
-    spectra = parse_mgf(Path(args.input).read_text(encoding="utf-8"))
+    spectra = parse_mgf(_read_text(args.input))
     with _open_output(args.output) as out:
         out.write("spectrum_id\tstart_mz\tresidues\tpeak_indices\n")
         for index, spec in enumerate(spectra):

@@ -2,9 +2,9 @@
 
 Each generation builds four pools (fitness-ranked helper pool, Nterm pool,
 Cterm pool, tournament pool), creates offspring with one of four operators
-drawn at configured rates, and carries over the elites (best by fitness, by
-Nterm score, by Cterm score, then the fitness ranking from its head). Each
-population is ranked once in each of these three orders, by ``_rankings``.
+drawn at configured rates, and carries over three elites: the best by
+fitness, by Nterm score and by Cterm score. Each population is ranked once in
+each of these three orders, by ``_rankings``.
 Candidates are variable-length tryptic sequences. The operators map peptide
 strings to peptide strings and never score; ``evolve`` scores each
 generation's children against the run's spectrum in one place, after the
@@ -17,7 +17,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from operator import attrgetter
 
 from .chem import (
@@ -34,6 +34,11 @@ OPERATOR_NTERM_CTERM = "nterm_cterm"
 OPERATOR_TWO_POINT = "two_point"
 OPERATOR_FLIP = "flip"
 OPERATOR_CONFLICT = "conflict"
+# The order of the operators in ``GaConfig.rates`` and in ``--rates``.
+OPERATORS = (OPERATOR_NTERM_CTERM, OPERATOR_TWO_POINT, OPERATOR_FLIP, OPERATOR_CONFLICT)
+
+# Individuals carried over into each generation: the head of each ranking.
+ELITES = 3
 
 # Mass window (Da) that nterm_cterm_crossover regrows a child into before
 # handing it to the mass-adjustment loop.
@@ -57,21 +62,17 @@ class GaConfig:
     population: int = 300
     generations: int = 50
     tournament_k: int = 7
-    rate_nterm_cterm_cx: float = 0.40
-    rate_two_point_cx: float = 0.35
-    rate_flip: float = 0.10
-    rate_conflict: float = 0.15
-    elitism: int = 3
+    # Draw rates of the operators, in the order of ``OPERATORS``.
+    rates: tuple[float, float, float, float] = (0.40, 0.35, 0.10, 0.15)
     tau: float = 0.5
     seed: int | str | None = None
 
     def __post_init__(self):
-        rates = (
-            self.rate_nterm_cterm_cx,
-            self.rate_two_point_cx,
-            self.rate_flip,
-            self.rate_conflict,
-        )
+        rates = self.rates
+        if len(rates) != len(OPERATORS):
+            raise ValueError(
+                f"operator rates must be {len(OPERATORS)} numbers, got {rates}"
+            )
         # Written so that NaN, which fails every comparison, is refused too.
         if not all(math.isfinite(r) and r >= 0 for r in rates):
             raise ValueError(f"operator rates must be finite and >= 0, got {rates}")
@@ -79,14 +80,9 @@ class GaConfig:
             raise ValueError(f"operator rates must sum to 1.0, got {sum(rates)}")
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.population < 3:
-            raise ValueError("population must be at least 3")
-        if self.elitism < 0:
-            raise ValueError("elitism must be >= 0")
-        if self.population <= self.elitism:
+        if self.population <= ELITES:
             raise ValueError(
-                f"population must exceed elitism ({self.elitism}), "
-                f"got {self.population}"
+                f"population must exceed elitism ({ELITES}), got {self.population}"
             )
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
@@ -130,16 +126,10 @@ class EvolveResult:
 def choose_operator(cfg: GaConfig, rng: random.Random) -> str:
     """Draw one operator name according to the configured rates."""
     draw = rng.random()
-    edge = cfg.rate_nterm_cterm_cx
-    if draw < edge:
-        return OPERATOR_NTERM_CTERM
-    edge += cfg.rate_two_point_cx
-    if draw < edge:
-        return OPERATOR_TWO_POINT
-    edge += cfg.rate_flip
-    if draw < edge:
-        return OPERATOR_FLIP
-    return OPERATOR_CONFLICT
+    for op, edge in zip(OPERATORS, accumulate(cfg.rates[:-1])):
+        if draw < edge:
+            return op
+    return OPERATORS[-1]
 
 
 def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:
@@ -159,8 +149,7 @@ def select_pools(
     The Nterm/Cterm pools only admit individuals with a score of at least one
     and may therefore be under-filled or empty. The tournament pool holds
     winners of size-``tournament_k`` fitness tournaments drawn with
-    replacement. The elites are the head of each ranking, then the fitness
-    ranking from its head, ``elitism`` in all.
+    replacement. The elites are the head of each ranking.
     """
     k = cfg.sub_pool
     by_fitness, by_nterm, by_cterm = _rankings(population)
@@ -168,7 +157,6 @@ def select_pools(
         max((rng.choice(population) for _ in range(cfg.tournament_k)), key=_FITNESS)
         for _ in range(k)
     )
-    heads = (by_fitness[0], by_nterm[0], by_cterm[0])
     # Members with a score of at least one lead their terminus ranking, in
     # the order that a stable sort of those members alone gives.
     return Pools(
@@ -176,7 +164,7 @@ def select_pools(
         nterm_pool=tuple(takewhile(lambda ind: ind.nterm >= 1, by_nterm[:k])),
         cterm_pool=tuple(takewhile(lambda ind: ind.cterm >= 1, by_cterm[:k])),
         tournament=tournament,
-        elites=(*heads, *by_fitness[: cfg.elitism])[: cfg.elitism],
+        elites=(by_fitness[0], by_nterm[0], by_cterm[0]),
     )
 
 
@@ -325,7 +313,7 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
 
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
-        target = cfg.population - cfg.elitism
+        target = cfg.population - ELITES
         children: list[str] = []
         while len(children) < target:
             op = choose_operator(cfg, rng)

@@ -323,10 +323,17 @@ def emit_mgf(spectra: Iterable[Spectrum]) -> str:
     """Serialize spectra as MGF text.
 
     m/z and intensity are written to 6 decimal places; parse(emit(s))
-    reproduces headers and peak values at that precision.
+    reproduces headers and peak values at that precision. Peaks are merged
+    by ``make_spectrum`` on the values written, so every peak line written
+    is a peak that parsing keeps.
     """
     blocks: list[str] = []
     for spec in spectra:
+        written = [
+            [float(f"{x:.6f}") for x in values.tolist()]
+            for values in (spec.mz, spec.intensity)
+        ]
+        spec = make_spectrum(spec.title, spec.pepmass, spec.charge, *written)
         lines = ["BEGIN IONS"]
         if spec.title:
             lines.append(f"TITLE={spec.title}")

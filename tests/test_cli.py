@@ -51,11 +51,7 @@ def test_defaults_match_published_parameters():
     assert cfg.sub_pool == 100
     assert cfg.generations == 50
     assert cfg.tournament_k == 7
-    assert cfg.rate_flip == 0.10
-    assert cfg.rate_conflict == 0.15
-    assert cfg.rate_two_point_cx == 0.35
-    assert cfg.rate_nterm_cterm_cx == 0.40
-    assert cfg.elitism == 3
+    assert cfg.rates == (0.40, 0.35, 0.10, 0.15)
     assert cfg.tau == 0.5
 
 
@@ -758,6 +754,52 @@ def test_config_file_unknown_key(tmp_path, peptide_file):
     mgf, _ = synth(tmp_path, peptide_file)
     config = write(tmp_path / "bad.cfg", "bogus=1\n")
     assert run("sequence", str(mgf), "--config", str(config)) == 2
+
+
+# A UTF-8 byte-order mark, as some editors write it, ahead of each input kind.
+BOM = "\ufeff"
+
+
+def test_sequence_reads_an_mgf_that_starts_with_a_bom(tmp_path, peptide_file):
+    mgf, _ = synth(tmp_path, peptide_file)
+    marked = write(tmp_path / "bom.mgf", BOM + mgf.read_text(encoding="utf-8"))
+    outputs = []
+    for source in (str(mgf), marked):
+        out = tmp_path / "out.tsv"
+        assert run(
+            "sequence", source, "--runs", "1", "--generations", "0", "-o", str(out)
+        ) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert outputs[1] == outputs[0]
+    assert [row.split("\t")[0] for row in outputs[1].splitlines()[1:]] == [
+        "synth-00000",
+        "synth-00001",
+    ]
+
+
+def test_evaluate_reads_a_truth_file_that_starts_with_a_bom(tmp_path):
+    text = "spectrum_id\tpeptide\ns1\tLGVTLYK\n"
+    results = write(
+        tmp_path / "r.tsv", "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\n"
+    )
+    reports = []
+    for name, truth_text in (("t.tsv", text), ("bom.tsv", BOM + text)):
+        report = tmp_path / f"{name}.metrics"
+        truth = write(tmp_path / name, truth_text)
+        assert run("evaluate", results, truth, "-o", str(report)) == 0
+        reports.append(report.read_text(encoding="utf-8"))
+    assert reports[1] == reports[0]
+    assert "\n0\t1.000000\t1.000000\t1.000000\t" in reports[1]
+
+
+def test_config_file_that_starts_with_a_bom(tmp_path, peptide_file):
+    mgf, _ = synth(tmp_path, peptide_file)
+    config = write(tmp_path / "bom.cfg", BOM + "runs=2\ngenerations=1\n")
+    out = tmp_path / "out.tsv"
+    assert run("sequence", str(mgf), "--config", config, "-o", str(out)) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 4  # runs=2 from the file's first line
+    assert all(row.split("\t")[7] == "1" for row in rows)
 
 
 def test_synth_config_refuses_options_synth_does_not_take(tmp_path, peptide_file, capsys):

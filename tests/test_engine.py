@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -45,9 +47,11 @@ def scored(peptide, spec):
 
 def test_config_validates_rates():
     with pytest.raises(ValueError):
-        GaConfig(rate_flip=0.2)  # rates no longer sum to 1
+        GaConfig(rates=(0.40, 0.35, 0.20, 0.15))  # rates no longer sum to 1
     with pytest.raises(ValueError):
-        GaConfig(rate_flip=-0.1, rate_conflict=0.35)
+        GaConfig(rates=(0.40, 0.35, -0.10, 0.35))
+    with pytest.raises(ValueError, match="must be 4 numbers"):
+        GaConfig(rates=(0.50, 0.35, 0.15))  # sums to 1, one operator short
 
 
 def test_config_sub_pool_derived():
@@ -63,6 +67,52 @@ def test_operator_draw_frequencies():
     assert counts["two_point"] / 100_000 == pytest.approx(0.35, abs=0.01)
     assert counts["flip"] / 100_000 == pytest.approx(0.10, abs=0.01)
     assert counts["conflict"] / 100_000 == pytest.approx(0.15, abs=0.01)
+
+
+def reference_choose_operator(cfg, rng):
+    """The draw as an explicit walk over the rate edges, in operator order."""
+    draw = rng.random()
+    nterm_cterm, two_point, flip, _ = cfg.rates
+    edge = nterm_cterm
+    if draw < edge:
+        return "nterm_cterm"
+    edge += two_point
+    if draw < edge:
+        return "two_point"
+    edge += flip
+    if draw < edge:
+        return "flip"
+    return "conflict"
+
+
+def fixed_draw(value):
+    """A stand-in generator whose ``random()`` returns ``value``."""
+    return SimpleNamespace(random=lambda: value)
+
+
+@st.composite
+def rates_and_draws(draw):
+    """Rates with zeros among them, and draws on, just below and just above
+    each edge of the walk, besides arbitrary ones."""
+    weights = draw(
+        st.lists(st.sampled_from([0, 1, 2, 3, 7]), min_size=4, max_size=4).filter(any)
+    )
+    rates = tuple(w / sum(weights) for w in weights)
+    edges = [0.0, rates[0], rates[0] + rates[1], rates[0] + rates[1] + rates[2]]
+    around = [math.nextafter(e, toward) for e in edges for toward in (0.0, 1.0)]
+    values = st.one_of(
+        st.sampled_from(edges + around), st.floats(0.0, 1.0, exclude_max=True)
+    )
+    return GaConfig(rates=rates), draw(st.lists(values, min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates_and_draws())
+def test_choose_operator_matches_the_edge_walk(case):
+    cfg, values = case
+    for value in values:
+        expected = reference_choose_operator(cfg, fixed_draw(value))
+        assert choose_operator(cfg, fixed_draw(value)) == expected
 
 
 def test_select_pools_identical_population(aaal_spectrum):
@@ -121,19 +171,13 @@ def reference_pools(population, cfg):
     )
 
 
-def reference_elites(population, count):
-    if count <= 0:
-        return []
+def reference_elites(population):
     criteria = [
         fitness_key,
         lambda ind: (ind.nterm, ind.fitness),
         lambda ind: (ind.cterm, ind.fitness),
     ]
-    elites = [max(population, key=key) for key in criteria[:count]]
-    if count > len(criteria):
-        by_fitness = sorted(population, key=fitness_key, reverse=True)
-        elites.extend(by_fitness[: count - len(criteria)])
-    return elites
+    return [max(population, key=key) for key in criteria]
 
 
 def reference_tournament(population, cfg, rng):
@@ -168,9 +212,8 @@ def tied_populations(draw):
         Individual(f"P{index}K", fit, nterm, cterm, 0.0)
         for index, (fit, nterm, cterm) in enumerate(rows)
     ]
-    elitism = draw(st.integers(0, 6))
-    size = draw(st.integers(max(3, elitism + 1), 60))
-    cfg = GaConfig(population=size, elitism=elitism, tournament_k=draw(st.integers(1, 7)))
+    size = draw(st.integers(4, 60))
+    cfg = GaConfig(population=size, tournament_k=draw(st.integers(1, 7)))
     return population, cfg
 
 
@@ -189,7 +232,7 @@ def test_rankings_match_the_filtered_sorts_and_max_elites(case, seed):
     assert peptides_of(pools.cterm_pool) == peptides_of(cterm_pool)
     tournament = reference_tournament(population, cfg, random.Random(seed))
     assert peptides_of(pools.tournament) == peptides_of(tournament)
-    elites = reference_elites(population, cfg.elitism)
+    elites = reference_elites(population)
     assert peptides_of(pools.elites) == peptides_of(elites)
     initial = reference_initial_population(population, cfg)
     assert peptides_of(_initial_population(tuple(population), cfg)) == peptides_of(initial)
@@ -493,17 +536,13 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
 def ga_settings(draw):
     population = draw(st.integers(6, 30))
     weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
-    rates = [w / sum(weights) for w in weights]
+    rates = tuple(w / sum(weights) for w in weights)
     return GaConfig(
         pool_size=draw(st.integers(population, 60)),
         population=population,
         generations=draw(st.integers(0, 5)),
         tournament_k=draw(st.integers(1, 7)),
-        rate_nterm_cterm_cx=rates[0],
-        rate_two_point_cx=rates[1],
-        rate_flip=rates[2],
-        rate_conflict=rates[3],
-        elitism=draw(st.integers(1, min(5, population - 1))),
+        rates=rates,
         seed=draw(st.integers(0, 2**32)),
     )
 

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evopep import (
@@ -400,3 +400,25 @@ def test_make_spectrum_idempotent(raw):
     assert again == spec
     gaps = np.diff(spec.mz)
     assert (gaps >= DUPLICATE_MZ_TOLERANCE).all()
+
+
+# Off-grid m/z, many a whole number of tolerances apart give or take 1e-6,
+# where rounding to the six decimals that MGF text holds can move a gap
+# across the tolerance.
+off_grid_mz = st.one_of(
+    st.floats(100.0, 100.001),
+    st.tuples(st.integers(0, 40), st.floats(-1e-6, 1e-6)).map(
+        lambda kj: 627.09 + kj[0] * DUPLICATE_MZ_TOLERANCE + kj[1]
+    ),
+)
+
+
+@example([(627.0900366, 1.0), (627.0901374, 2.0)])
+@given(st.lists(st.tuples(off_grid_mz, heights), min_size=1, max_size=40))
+def test_emit_mgf_writes_only_peaks_that_parsing_keeps(raw):
+    spec = make_spectrum("e", 500.0, 2, *peaks(*raw))
+    text = emit_mgf([spec])
+    peak_lines = [line for line in text.splitlines() if line[:1].isdigit()]
+    (parsed,) = parse_mgf(text)
+    assert len(parsed.mz) == len(peak_lines)
+    assert emit_mgf([parsed]) == text
