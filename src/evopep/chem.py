@@ -103,9 +103,17 @@ def is_tryptic(sequence: str) -> bool:
 
 
 def parent_mass(sequence: str) -> float:
-    """Total peptide mass: sum of residue masses plus one water."""
+    """Total peptide mass: sum of residue masses plus one water.
+
+    The masses are added left to right, as the builtin ``sum`` adds floats
+    before Python 3.12, which made it compensated; so every Python gives the
+    same bits.
+    """
     seq = validate_peptide(sequence)
-    return sum(map(RESIDUE_MASSES.__getitem__, seq)) + H2O_MASS
+    mass = 0.0
+    for symbol in seq:
+        mass += RESIDUE_MASSES[symbol]
+    return mass + H2O_MASS
 
 
 def precursor_mass(pepmass: float, charge: int) -> float:

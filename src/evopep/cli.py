@@ -221,8 +221,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list[str]:
     """Result rows of one block of a spectrum's runs.
 
-    The runs share the spectrum's tag and score memos, which are emptied
-    before the job returns. Run ``r`` of spectrum ``i`` is seeded with
+    The runs share the spectrum's tag, score and match-table memos, which are
+    emptied before the job returns. Run ``r`` of spectrum ``i`` is seeded with
     ``f"{seed}|{i}|{r}"``, so rows do not depend on how runs are blocked.
     """
     spec, cfg, seed, spec_index, run_indices, spectrum_id = task
@@ -243,6 +243,7 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list
         )
     spec.scores.clear()
     spec.tags.clear()
+    spec.match_tables.clear()
     return rows
 
 

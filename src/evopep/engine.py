@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, takewhile
 from operator import attrgetter
 
@@ -95,6 +97,12 @@ class GaConfig:
     def sub_pool(self) -> int:
         return self.population // 3
 
+    @cached_property
+    def rate_edges(self) -> tuple[float, ...]:
+        """Upper draw edge of each operator but the last, in ``OPERATORS``
+        order; ``accumulate`` adds the rates left to right."""
+        return tuple(accumulate(self.rates[:-1]))
+
 
 @dataclass(frozen=True)
 class Pools:
@@ -125,11 +133,8 @@ class EvolveResult:
 
 def choose_operator(cfg: GaConfig, rng: random.Random) -> str:
     """Draw one operator name according to the configured rates."""
-    draw = rng.random()
-    for op, edge in zip(OPERATORS, accumulate(cfg.rates[:-1])):
-        if draw < edge:
-            return op
-    return OPERATORS[-1]
+    # The first operator whose edge lies above the draw, or the last.
+    return OPERATORS[bisect_right(cfg.rate_edges, rng.random())]
 
 
 def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:

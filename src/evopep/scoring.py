@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .chem import (
     parent_mass,
     validate_peptide,
 )
-from .spectrum import Spectrum, nearest_peaks
+from .spectrum import Spectrum
 
 # Singly protonated fragments: a b-ion is a prefix plus one proton, a y-ion a
 # suffix plus water and one proton, so complementary pairs sum to
@@ -117,27 +118,109 @@ def theoretical_spectrum(peptide: str) -> TheoreticalSpectrum:
     )
 
 
+class MatchTable(NamedTuple):
+    """What an ion matches, as one lookup per ion.
+
+    Segment ``j = bounds.searchsorted(x)`` holds every m/z with
+    ``bounds[j - 1] < x <= bounds[j]``, and every ion in it has the same
+    outcome under ``spectrum.nearest_peaks`` and ``distance <= tau``:
+    ``peak[j]`` is the index of the peak it matches, or the peak count when
+    its nearest peak is farther than tau, and ``anchored[j]`` says whether a
+    matched peak's precursor complement has a peak within ``2 * tau``.
+    """
+
+    bounds: np.ndarray
+    peak: np.ndarray
+    anchored: np.ndarray
+
+
+# XOR with this on a negative float's bits reverses their order, so that
+# float64 bit patterns, read as int64, sort like the floats they encode.
+_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ordered(bits: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 key of float64 bits; its own inverse."""
+    return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
+
+
+def _last_true(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per interval, the largest float x in ``(lo, hi]`` for which ``holds``
+    is true, or ``lo`` where it holds nowhere.
+
+    ``holds`` maps an array of candidates, one per interval, to a mask, and
+    must be true up to a threshold and false above it in every interval.
+    Bisection runs over the ordered keys of the floats, so the answer is
+    exact, and 64 halvings narrow any float interval to one key.
+    """
+    lo = _ordered(lo.view(np.int64))
+    hi = _ordered(hi.view(np.int64)) + 1
+    for _ in range(64):
+        # The floor of (lo + hi) / 2, without overflowing int64.
+        mid = (lo & hi) + ((lo ^ hi) >> 1)
+        true = holds(_ordered(mid).view(np.float64))
+        np.copyto(lo, mid, where=true)
+        np.copyto(hi, mid, where=~true)
+    return _ordered(lo).view(np.float64)
+
+
+def _match_table(spec: Spectrum, tau: float) -> MatchTable:
+    """The ``MatchTable`` of a spectrum at tolerance ``tau``.
+
+    ``nearest_peaks`` puts an ion x with ``a < x <= b`` (``a``, ``b``
+    neighbouring peaks, or -inf and inf past the ends) in gap ``(a, b]`` and
+    compares ``fl(x - a)``, ``fl(b - x)`` and tau. Rounding is monotone, so
+    within a gap ``fl(x - a) <= fl(b - x)``, ``fl(x - a) <= tau`` and
+    ``fl(b - x) > tau`` each hold up to one float threshold, found exactly by
+    ``_last_true``. Those cut each gap into three segments: matched to ``a``,
+    unmatched, matched to ``b`` (any of them may be empty).
+    """
+    n = len(spec.mz)
+    padded = np.concatenate(([-np.inf], spec.mz, [np.inf]))
+    a, b = padded[:-1], padded[1:]
+    # At the ends an infinite peak gives inf - inf = nan, which fails every
+    # comparison, as the infinite distance of nearest_peaks does.
+    with np.errstate(invalid="ignore"):
+        nearer_a = _last_true(lambda x: x - a <= b - x, a, b)
+        within_a = _last_true(lambda x: x - a <= tau, a, b)
+        beyond_b = _last_true(lambda x: b - x > tau, a, b)
+    bounds = np.stack(
+        [np.minimum(within_a, nearer_a), np.maximum(beyond_b, nearer_a), b], axis=1
+    ).ravel()
+    # Gap k reads peaks k - 1, none, k; the first gap has no peak below it and
+    # the last none above, and past the last bound lies no peak either.
+    peak = np.full(len(bounds) + 1, n)
+    peak[2::3] = peak[3::3] = np.arange(n + 1)
+    anchored = np.append(spec.partner_distance <= 2 * tau, False)[peak]
+    return MatchTable(bounds, peak, anchored)
+
+
 def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
     """Matched intensity, unmatched b/y count, nterm and cterm of a sequence.
 
     A peak hit by several ions counts its intensity once. ``spec`` must hold a
     peak: ``fitness``, the one caller, refuses a spectrum without intensity.
+    The spectrum's ``MatchTable`` at ``tau`` is built on first use and kept in
+    ``spec.match_tables``.
     """
     cuts = len(seq) - 1
     n_by = 2 * cuts
-    nearest, dist = nearest_peaks(spec.mz, _ions(seq))
-    matched = dist <= tau
-    # The mask sums each hit peak once, in m/z order.
-    hit = np.zeros(len(spec.mz), dtype=bool)
-    hit[nearest[matched]] = True
-    matched_intensity = float(spec.intensity[hit].sum())
-    n_unmatched = n_by - int(np.count_nonzero(matched[:n_by]))
+    n = len(spec.mz)
+    table = spec.match_tables.get(tau)
+    if table is None:
+        table = spec.match_tables[tau] = _match_table(spec, tau)
+    segment = table.bounds.searchsorted(_ions(seq))
+    peak = table.peak[segment]
+    # The mask sums each hit peak once, in m/z order; slot n takes the misses.
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[peak] = True
+    matched_intensity = float(spec.intensity[hit[:n]].sum())
+    n_unmatched = int(np.count_nonzero(peak[:n_by] == n))
     # Noise peaks land on single b or y m/z values by chance, while a real
     # cleavage usually shows both of its complementary ions; so only ions
     # whose complement is observed extend a terminus-anchored run. A run of
     # k anchored ions from a terminus scores its k - 1 consecutive pairs.
-    anchored = matched[:n_by] & (spec.partner_distance[nearest[:n_by]] <= 2 * tau)
-    flags = anchored.tobytes()
+    flags = table.anchored[segment[:n_by]].tobytes()
     n_gap, c_gap = flags.find(0, 0, cuts), flags.find(0, cuts, n_by)
     nterm = max((cuts if n_gap < 0 else n_gap) - 1, 0)
     cterm = max((n_by if c_gap < 0 else c_gap) - cuts - 1, 0)

@@ -71,10 +71,11 @@ class Spectrum:
     arrays, and the metadata is immutable. Equality compares the title,
     precursor and peaks. ``partner_distance`` holds, per peak, the
     distance from its precursor complement to the nearest peak; preprocessing
-    and scoring both read it. Two mutable memos, left out of equality, ``repr``
-    and pickling, are emptied by whoever owns the spectrum: ``scores`` maps
-    (peptide, tau) to its scored ``Individual``, and ``tags`` maps tau to
-    the ``TagIndex`` of ``extract_tags`` (``build_init_pool``).
+    and scoring both read it. Three mutable memos, left out of equality,
+    ``repr`` and pickling, are emptied by whoever owns the spectrum: ``scores``
+    maps (peptide, tau) to its scored ``Individual``, ``tags`` maps tau to
+    the ``TagIndex`` of ``extract_tags`` (``build_init_pool``), and
+    ``match_tables`` maps tau to the ``MatchTable`` that scoring reads.
     """
 
     title: str
@@ -84,6 +85,7 @@ class Spectrum:
     intensity: np.ndarray
     scores: dict = field(default_factory=dict, init=False, repr=False)
     tags: dict = field(default_factory=dict, init=False, repr=False)
+    match_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.mz.flags.writeable = False
@@ -101,7 +103,7 @@ class Spectrum:
         """The peaks as (mz, intensity) pairs, rebuilt on every access."""
         return tuple(map(Peak, self.mz.tolist(), self.intensity.tolist()))
 
-    @property
+    @cached_property
     def precursor_mass(self) -> float:
         return precursor_mass(self.pepmass, self.charge)
 
@@ -121,8 +123,8 @@ class Spectrum:
         return float(self.intensity.sum())
 
     def __getstate__(self):
-        # The partner distances and total intensity are rebuilt on demand and
-        # the memos start empty; keep pickles lean.
+        # The cached properties are rebuilt on demand and the memos start
+        # empty; keep pickles lean.
         return (self.title, self.pepmass, self.charge, self.mz, self.intensity)
 
     def __setstate__(self, state):

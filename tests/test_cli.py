@@ -161,7 +161,7 @@ def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypa
     extracted = []
 
     def spy(spec, cfg):
-        calls.append((spec, len(spec.scores)))
+        calls.append((spec, len(spec.scores), len(spec.match_tables)))
         return evolve(spec, cfg)
 
     def extract_spy(spec, tau):
@@ -175,12 +175,15 @@ def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypa
         "sequence", str(mgf), "--runs", "2", "--generations", "2",
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
-    # The second run of each spectrum starts from the first run's scores and
-    # tags, and both memos are emptied after the spectrum's last run.
-    assert [size > 0 for _, size in calls] == [False, True, False, True]
+    # The second run of each spectrum starts from the first run's scores,
+    # tags and match table, and every memo is emptied after the spectrum's
+    # last run.
+    assert [size > 0 for _, size, _ in calls] == [False, True, False, True]
+    assert [tables for _, _, tables in calls] == [0, 1, 0, 1]
     assert extracted == ["synth-00000", "synth-00001"]
-    assert all(spec.scores == {} for spec, _ in calls)
-    assert all(spec.tags == {} for spec, _ in calls)
+    assert all(spec.scores == {} for spec, _, _ in calls)
+    assert all(spec.tags == {} for spec, _, _ in calls)
+    assert all(spec.match_tables == {} for spec, _, _ in calls)
 
 
 class _RecordingPool:

@@ -24,7 +24,7 @@ from evopep.chem import (
     parent_mass,
 )
 from evopep.evaluation import random_tryptic_peptide
-from evopep.scoring import _evaluate
+from evopep.scoring import _evaluate, _match_table
 from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
 
@@ -285,7 +285,10 @@ def reference_fitness(peptide, spec, tau):
     matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
     anchored = matched[:n_by] & (partner_distance[nearest[:n_by]] <= 2 * tau)
     total = float(spec.intensity.sum())
-    mass = sum(RESIDUE_MASSES[sym] for sym in seq) + H2O_MASS
+    mass = 0.0
+    for sym in seq:
+        mass += RESIDUE_MASSES[sym]
+    mass += H2O_MASS
     delta = spec.precursor_mass - mass
     n_unmatched = int((~matched[:n_by]).sum())
     nterm = reference_pairs(anchored[: len(b)])
@@ -354,3 +357,70 @@ def test_kernel_equals_reference_bit_for_bit(case):
     assert theoretical_spectrum(peptide) == TheoreticalSpectrum(
         tuple(b.tolist()), tuple(y.tolist()), tuple(sorted(internal.tolist()))
     )
+
+
+@st.composite
+def table_cases(draw):
+    """A spectrum and a tolerance for the match table.
+
+    Peaks lie on a half- or quarter-Da grid (so ions fall exactly tau from a
+    peak or halfway between two), anywhere, alone, or closer together than
+    tau. The precursor puts some peak complements within 2 tau of a peak.
+    """
+    tau = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 5.0))
+    kind = draw(st.sampled_from(["half", "quarter", "uniform", "single", "close"]))
+    if kind in ("half", "quarter"):
+        step = 0.5 if kind == "half" else 0.25
+        grid = st.lists(st.integers(1, 8000), min_size=1, max_size=60)
+        mz = [step * k for k in draw(grid)]
+    elif kind == "uniform":
+        mz = draw(st.lists(st.floats(1e-3, 2000.0), min_size=1, max_size=60))
+    elif kind == "single":
+        mz = [draw(st.floats(1e-3, 2000.0))]
+    else:
+        gaps = st.lists(st.floats(2e-4, tau), min_size=1, max_size=30)
+        mz = list(accumulate(draw(gaps), initial=draw(st.floats(1.0, 2000.0))))
+    offset = st.sampled_from([0.0, tau, 2 * tau]) | st.floats(-3.0, 3.0)
+    neutral = max(min(mz) + max(mz) - 2 * PROTON_MASS + draw(offset), 1.0)
+    return make_spectrum("t", neutral + PROTON_MASS, 1, mz, [1.0] * len(mz)), tau
+
+
+def assert_table_matches_nearest_peaks(spec, tau):
+    """The table's outcome at every bound, every peak, every ``mz +- tau``,
+    every midpoint between peaks, and 1-3 ulps either side of each, equals
+    that of ``nearest_peaks`` and ``dist <= tau``."""
+    table = _match_table(spec, tau)
+    mz = spec.mz
+    # Skip the infinite bounds, and the largest float (a bound past the last
+    # peak), whose next float would overflow.
+    bounds = table.bounds[np.abs(table.bounds) < np.finfo(np.float64).max]
+    centres = np.concatenate([bounds, mz, mz - tau, mz + tau, (mz[:-1] + mz[1:]) / 2])
+    points = [centres]
+    up = down = centres
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        points += [up, down]
+    x = np.concatenate(points)
+    nearest, dist = nearest_peaks(mz, x)
+    matched = dist <= tau
+    segment = table.bounds.searchsorted(x)
+    expected_peak = np.where(matched, nearest, len(mz))
+    expected_anchored = matched & (spec.partner_distance[nearest] <= 2 * tau)
+    assert (table.peak[segment] == expected_peak).all()
+    assert (table.anchored[segment] == expected_anchored).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_match_table_equals_nearest_peaks_within_tau(case):
+    assert_table_matches_nearest_peaks(*case)
+
+
+def test_match_table_of_a_peak_one_tolerance_above_zero():
+    # mz - tau is 0.0: stepping down one ulp at a time from there would walk
+    # through the subnormals before reaching the threshold near -1.1e-16.
+    spec = make_spectrum("one", 1.0, 1, [1.0], [1.0])
+    assert_table_matches_nearest_peaks(spec, 1.0)
+    table = _match_table(spec, 1.0)
+    segment = table.bounds.searchsorted([-1e-15, 0.0, 2.0, 2.0 + 1e-15])
+    assert table.peak[segment].tolist() == [1, 0, 0, 1]

@@ -18,6 +18,7 @@ from evopep import (
     parse_mgf,
     preprocess,
 )
+from evopep import chem
 from evopep.chem import PROTON_MASS
 from evopep.spectrum import DUPLICATE_MZ_TOLERANCE, nearest_peaks
 
@@ -285,12 +286,21 @@ def test_pickle_round_trip_starts_empty_memo():
     spec = make_spectrum("pk", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
     spec.scores[("GK", 0.5)] = None
     spec.tags[0.5] = ["GAG"]
+    spec.match_tables[0.5] = "table"
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
     assert again.scores == {}
     assert again.tags == {}
+    assert again.match_tables == {}
     assert again.mz.tolist() == spec.mz.tolist()
     assert again.intensity.tolist() == spec.intensity.tolist()
+
+
+def test_precursor_mass_is_the_chem_value_across_pickle():
+    spec = make_spectrum("pm", 643.3, 3, *peaks((171.11, 4.0), (310.18, 16.0)))
+    expected = chem.precursor_mass(643.3, 3)
+    assert spec.precursor_mass == expected
+    assert pickle.loads(pickle.dumps(spec)).precursor_mass == expected
 
 
 def test_peak_arrays_read_only_across_pickle():
