@@ -6,7 +6,6 @@ Run with: python demos/02_spectra_and_preprocessing.py
 import random
 
 from evopep import (
-    PreprocessConfig,
     SynthConfig,
     add_complements,
     denoise,
@@ -32,19 +31,19 @@ print("\n".join(text.splitlines()[:6]))
 again = parse_mgf(text)[0]
 assert len(again.mz) == len(raw.mz)
 
-# Preprocessing stage 1: windowed noise filtering. Windows with more than 9
-# peaks drop everything below their modal intensity.
-pcfg = PreprocessConfig()
-quiet = denoise(again, pcfg)
+# Preprocessing stage 1: windowed noise filtering. The m/z range is cut into
+# 10 equal windows; windows with more than 9 peaks drop everything below
+# their modal intensity.
+quiet = denoise(again)
 print(f"\nafter denoise:    {len(quiet.mz)} peaks")
 
 # Stage 2: square-root intensities, normalized to 1.0 per window.
-flat = normalize(quiet, pcfg)
+flat = normalize(quiet)
 print(f"after normalize:  {len(flat.mz)} peaks, max intensity "
       f"{flat.intensity.max():.2f}")
 
 # Stage 3: complementary-peak augmentation. Each fragment peak implies a
 # partner at precursor + 2*proton - m/z; missing partners are inserted.
-full = add_complements(flat, pcfg)
+full = add_complements(flat)
 added = len(full.mz) - len(flat.mz)
 print(f"after complements: {len(full.mz)} peaks ({added} added)")

@@ -43,7 +43,7 @@ print(f"mean |mass error|: "
 # Compare with naive random initialization (no mass adjustment): fitness is
 # dominated by the mass-difference penalty.
 random_candidates = [
-    Individual.score(random_peptide(random.Random(i), 7, 12), spec, 0.5)
+    Individual.score(random_peptide(random.Random(i)), spec, 0.5)
     for i in range(1000)
 ]
 best_random = max(random_candidates, key=lambda c: c.fitness)

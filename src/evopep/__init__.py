@@ -15,7 +15,6 @@ from .chem import (
     RESIDUE_MASSES,
     InvalidPeptideError,
     InvalidResidueError,
-    canonical,
     parent_mass,
     precursor_mass,
     residue_mass,
@@ -24,15 +23,9 @@ from .engine import (
     EvolutionError,
     EvolveResult,
     GaConfig,
-    conflict_mass_mutation,
     evolve,
-    flip_aa_mutation,
-    nterm_cterm_crossover,
-    select_pools,
-    two_point_crossover,
 )
 from .evaluation import (
-    NATURAL_RESIDUE_WEIGHTS,
     GroundTruthRecord,
     Metrics,
     MetricsSummary,
@@ -48,7 +41,6 @@ from .scoring import (
     InvalidSpectrumError,
     TheoreticalSpectrum,
     fitness,
-    fitness_from_terms,
     theoretical_spectrum,
 )
 from .spectrum import (
@@ -64,13 +56,12 @@ from .spectrum import (
     parse_mgf,
     preprocess,
 )
-from .tags import Tag, TagIndex, adjust_mass, build_init_pool, extract_tags
+from .tags import Tag, TagIndex, build_init_pool, extract_tags
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CONFLICT_REPLACEMENTS",
-    "NATURAL_RESIDUE_WEIGHTS",
     "H2O_MASS",
     "PROTON_MASS",
     "RESIDUE_MASSES",
@@ -93,31 +84,23 @@ __all__ = [
     "TagIndex",
     "TheoreticalSpectrum",
     "add_complements",
-    "adjust_mass",
     "aggregate_runs",
     "build_init_pool",
-    "canonical",
     "compute_metrics",
-    "conflict_mass_mutation",
     "denoise",
     "emit_mgf",
     "evolve",
     "extract_tags",
     "fitness",
-    "fitness_from_terms",
-    "flip_aa_mutation",
     "make_spectrum",
     "matched_amino_acids",
     "random_tryptic_peptide",
     "normalize",
-    "nterm_cterm_crossover",
     "parent_mass",
     "parse_mgf",
     "precursor_mass",
     "preprocess",
     "residue_mass",
-    "select_pools",
     "synthesize_spectrum",
     "theoretical_spectrum",
-    "two_point_crossover",
 ]

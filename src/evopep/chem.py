@@ -97,11 +97,6 @@ def validate_peptide(sequence: str) -> str:
     return seq
 
 
-def is_tryptic(sequence: str) -> bool:
-    """True when the sequence ends in K or R (trypsin cleavage rule)."""
-    return bool(sequence) and sequence[-1] in TRYPTIC_TERMINALS
-
-
 def parent_mass(sequence: str) -> float:
     """Total peptide mass: sum of residue masses plus one water.
 
@@ -117,10 +112,14 @@ def parent_mass(sequence: str) -> float:
 
 
 def precursor_mass(pepmass: float, charge: int) -> float:
-    """Neutral precursor mass from the measured m/z and charge state."""
+    """Neutral precursor mass from the measured m/z and charge state; a
+    pepmass at or below one proton, giving a mass of 0 or below, is refused."""
     if pepmass <= 0:
         raise ValueError(f"pepmass must be positive, got {pepmass}")
     if charge < 1:
         raise ValueError(f"charge must be a positive integer, got {charge}")
-    return pepmass * charge - charge * PROTON_MASS
+    mass = pepmass * charge - charge * PROTON_MASS
+    if mass <= 0:
+        raise ValueError(f"neutral precursor mass must be positive, got {mass}")
+    return mass
 

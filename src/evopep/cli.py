@@ -34,7 +34,6 @@ from .evaluation import (
     synthesize_spectrum,
 )
 from .spectrum import (
-    MgfParseError,
     PreprocessConfig,
     Spectrum,
     emit_mgf,
@@ -544,15 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        MgfParseError,
-        EvolutionError,
-        InvalidResidueError,
-        InvalidPeptideError,
-        ValueError,
-        OSError,
-        BrokenProcessPool,
-    ) as exc:
+    except (EvolutionError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import IO, Iterable
 
-from .chem import PROTON_MASS, RESIDUE_MASSES, canonical, parent_mass, validate_peptide
+from .chem import PROTON_MASS, RESIDUE_MASSES, parent_mass, validate_peptide
 from .scoring import theoretical_spectrum
 from .spectrum import Spectrum, make_spectrum
 
@@ -24,7 +24,7 @@ _NOISE_MARGIN = 50.0
 
 # Average residue frequencies in proteins (%), with I folded into L. Used to
 # draw realistic benchmark peptides.
-NATURAL_RESIDUE_WEIGHTS: dict[str, float] = {
+_NATURAL_RESIDUE_WEIGHTS: dict[str, float] = {
     "A": 8.25,
     "C": 1.38,
     "D": 5.45,
@@ -43,8 +43,8 @@ NATURAL_RESIDUE_WEIGHTS: dict[str, float] = {
     "W": 1.10,
     "Y": 2.92,
 }
-_NATURAL_SYMBOLS = tuple(NATURAL_RESIDUE_WEIGHTS)
-_NATURAL_WEIGHTS = tuple(NATURAL_RESIDUE_WEIGHTS.values())
+_NATURAL_SYMBOLS = tuple(_NATURAL_RESIDUE_WEIGHTS)
+_NATURAL_WEIGHTS = tuple(_NATURAL_RESIDUE_WEIGHTS.values())
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,11 @@ class SynthConfig:
             raise ValueError("noise_peaks must be >= 0")
 
 
-def random_tryptic_peptide(
-    rng: random.Random, min_length: int = 7, max_length: int = 12
-) -> str:
-    """Random fully-tryptic peptide: natural-frequency interior residues
-    (no internal K/R, i.e. no missed cleavages) ending in K or R."""
-    length = rng.randint(min_length, max_length)
+def random_tryptic_peptide(rng: random.Random) -> str:
+    """Random fully-tryptic peptide of 7 to 12 residues: natural-frequency
+    interior residues (no internal K/R, i.e. no missed cleavages) ending in
+    K or R."""
+    length = rng.randint(7, 12)
     body = "".join(rng.choices(_NATURAL_SYMBOLS, weights=_NATURAL_WEIGHTS, k=length - 1))
     return body + rng.choice("KR")
 
@@ -149,7 +148,7 @@ def compute_metrics(
         pred = validate_peptide(predicted)
         total_predicted += len(pred)
         total_matched += matched_amino_acids(pred, true, tau)
-        if pred == canonical(truth):
+        if pred == true:
             exact += 1
     n = len(pairs)
     return Metrics(
@@ -163,10 +162,7 @@ def compute_metrics(
 
 
 def synthesize_spectrum(
-    peptide: str,
-    cfg: SynthConfig = SynthConfig(),
-    rng: random.Random | None = None,
-    title: str = "",
+    peptide: str, cfg: SynthConfig, rng: random.Random, title: str = ""
 ) -> Spectrum:
     """Build a spectrum from a peptide by inverting ladder construction.
 
@@ -175,7 +171,6 @@ def synthesize_spectrum(
     range widened by 50 Da. The precursor metadata is chosen so the derived
     precursor mass equals the peptide's parent mass exactly (charge 2).
     """
-    rng = rng or random.Random()
     seq = validate_peptide(peptide)
     theo = theoretical_spectrum(seq)
     ladder = list(theo.b_ions) + list(theo.y_ions)

@@ -30,7 +30,9 @@ DUPLICATE_MZ_TOLERANCE = 1e-4
 # Intensities are bucketed to 2 decimals when computing the modal intensity.
 _MODE_DECIMALS = 2
 
-# A window holding more peaks than this is noise-filtered.
+# Denoising and normalization cut the m/z range into this many windows; a
+# window holding more than _WINDOW_PEAK_LIMIT peaks is noise-filtered.
+_WINDOW_COUNT = 10
 _WINDOW_PEAK_LIMIT = 9
 
 
@@ -51,12 +53,9 @@ class Peak(NamedTuple):
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    window_count: int = 10
     tolerance: float = 0.5
 
     def __post_init__(self):
-        if self.window_count < 1:
-            raise ValueError("window_count must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
@@ -94,8 +93,11 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return (self.title, self.pepmass, self.charge, self.peaks) == (
-            other.title, other.pepmass, other.charge, other.peaks
+        return (
+            (self.title, self.pepmass, self.charge)
+            == (other.title, other.pepmass, other.charge)
+            and np.array_equal(self.mz, other.mz)
+            and np.array_equal(self.intensity, other.intensity)
         )
 
     @property
@@ -227,6 +229,7 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     record_start = 0
     title = ""
     pepmass: float | None = None
+    pepmass_line = 0
     charge: int | None = None
     # The value and line of the last global CHARGE. It is parsed only when a
     # record needs it, so a file whose records all give a CHARGE parses as
@@ -261,6 +264,10 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                 if global_charge is None:
                     raise MgfParseError("record missing CHARGE header", line_number)
                 charge = _parse_charge(*global_charge)
+            try:
+                precursor_mass(pepmass, charge)
+            except ValueError as exc:
+                raise MgfParseError(str(exc), pepmass_line) from None
             if not mzs:
                 logger.warning(
                     "skipping MGF record %r (line %d): no peaks",
@@ -297,6 +304,7 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                     raise MgfParseError(
                         f"PEPMASS must be positive, got {value!r}", line_number
                     )
+                pepmass_line = line_number
             elif key == "CHARGE":
                 charge = _parse_charge(value, line_number)
             # Other headers (RTINSECONDS, SCANS, ...) are tolerated and dropped.
@@ -353,15 +361,16 @@ def emit_mgf(spectra: Iterable[Spectrum]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _window_index(mz: np.ndarray, window_count: int) -> np.ndarray:
-    """Window of each peak among equal-width windows over [min mz, max mz].
+def _window_index(mz: np.ndarray) -> np.ndarray:
+    """Window of each peak among _WINDOW_COUNT equal-width windows over
+    [min mz, max mz].
 
     Windows are left-closed; the final window is also right-closed.
     """
     if len(mz) < 2:
         return np.zeros(len(mz), dtype=np.intp)
-    width = (mz[-1] - mz[0]) / window_count
-    return np.minimum(((mz - mz[0]) / width).astype(np.intp), window_count - 1)
+    width = (mz[-1] - mz[0]) / _WINDOW_COUNT
+    return np.minimum(((mz - mz[0]) / width).astype(np.intp), _WINDOW_COUNT - 1)
 
 
 def _modal_intensity(intensity: np.ndarray) -> float:
@@ -372,14 +381,14 @@ def _modal_intensity(intensity: np.ndarray) -> float:
     return min(value for value, n in counts.items() if n == best)
 
 
-def denoise(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
+def denoise(spec: Spectrum) -> Spectrum:
     """Remove likely noise peaks window by window.
 
     A window holding more than ``_WINDOW_PEAK_LIMIT`` peaks uses its modal
     intensity as the noise threshold and drops peaks strictly below it;
     windows at or under the limit pass through unchanged.
     """
-    window = _window_index(spec.mz, cfg.window_count)
+    window = _window_index(spec.mz)
     keep = np.ones(len(window), dtype=bool)
     for w in np.flatnonzero(np.bincount(window) > _WINDOW_PEAK_LIMIT):
         members = window == w
@@ -390,11 +399,11 @@ def denoise(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spect
     )
 
 
-def normalize(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
+def normalize(spec: Spectrum) -> Spectrum:
     """Square-root each intensity, then scale each window to a max of 1.0."""
-    window = _window_index(spec.mz, cfg.window_count)
+    window = _window_index(spec.mz)
     rooted = np.sqrt(spec.intensity)
-    top = np.zeros(cfg.window_count)
+    top = np.zeros(_WINDOW_COUNT)
     np.maximum.at(top, window, rooted)
     top = top[window]
     scaled = np.divide(rooted, top, out=np.zeros_like(rooted), where=top > 0)
@@ -426,7 +435,7 @@ def preprocess(
     complements: bool = True,
 ) -> Spectrum:
     """Full pipeline: denoise, normalize, then (optionally) add complements."""
-    out = normalize(denoise(spec, cfg), cfg)
+    out = normalize(denoise(spec))
     if complements:
         out = add_complements(out, cfg)
     return out

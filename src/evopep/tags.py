@@ -181,13 +181,10 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     )
 
 
-def random_peptide(
-    rng: random.Random,
-    min_length: int = FALLBACK_MIN_LENGTH,
-    max_length: int = FALLBACK_MAX_LENGTH,
-) -> str:
-    """Uniform random tryptic sequence of length min_length..max_length."""
-    length = rng.randint(min_length, max_length)
+def random_peptide(rng: random.Random) -> str:
+    """Uniform random tryptic sequence of length FALLBACK_MIN_LENGTH to
+    FALLBACK_MAX_LENGTH."""
+    length = rng.randint(FALLBACK_MIN_LENGTH, FALLBACK_MAX_LENGTH)
     body = "".join(rng.choice(CANONICAL_ALPHABET) for _ in range(length - 1))
     return body + rng.choice(TRYPTIC_TERMINALS)
 
@@ -206,24 +203,20 @@ def random_sequence_from_tags(tags: Sequence[str], rng: random.Random) -> str:
 
 
 def adjust_mass(
-    seq: str,
-    precursor: float,
-    rng: random.Random,
-    tau: float = 0.5,
-    max_iterations: int = ADJUST_MAX_ITERATIONS,
+    seq: str, precursor: float, rng: random.Random, tau: float
 ) -> tuple[str, bool]:
     """Insert or remove residues until |precursor - parent mass| is below
     mass(G) + tau.
 
     The terminal residue is never touched. Returns (sequence, ok); ``ok`` is
     False when the sequence would shrink below two residues, grow past
-    MAX_PEPTIDE_LENGTH, or the iteration cap is reached, in which case the
-    best sequence seen is returned and the caller should discard it.
+    MAX_PEPTIDE_LENGTH, or ADJUST_MAX_ITERATIONS edits are spent, in which
+    case the last sequence whose mass was computed is returned and the
+    caller should discard it.
     """
     bound = residue_mass("G") + tau
     delta = precursor - parent_mass(seq)
-    best, best_delta = seq, abs(delta)
-    for _ in range(max_iterations):
+    for _ in range(ADJUST_MAX_ITERATIONS):
         if abs(delta) < bound:
             return seq, True
         if delta > 0:
@@ -232,20 +225,18 @@ def adjust_mass(
             ] or ["G"]
             sym = rng.choice(candidates)
             pos = rng.randrange(len(seq))  # any slot that keeps the terminal last
+            # Checked after the draws: the caller's stream goes on after a
+            # failed call, so moving them would change every later draw.
+            if len(seq) >= MAX_PEPTIDE_LENGTH:
+                return seq, False
             seq = seq[:pos] + sym + seq[pos:]
-            if len(seq) > MAX_PEPTIDE_LENGTH:
-                return best, False
         else:
             if len(seq) <= 2:
                 return seq, False
             pos = rng.randrange(len(seq) - 1)
             seq = seq[:pos] + seq[pos + 1 :]
         delta = precursor - parent_mass(seq)
-        if abs(delta) < best_delta:
-            best, best_delta = seq, abs(delta)
-    if abs(delta) < bound:
-        return seq, True
-    return best, False
+    return seq, abs(delta) < bound
 
 
 def build_init_pool(

@@ -18,13 +18,13 @@ from evopep import (
     evolve,
     extract_tags,
     make_spectrum,
-    nterm_cterm_crossover,
     preprocess,
     synthesize_spectrum,
     theoretical_spectrum,
 )
 from evopep.chem import CONFLICT_REPLACEMENTS, PROTON_MASS, parent_mass
 from evopep.cli import main as cli_main
+from evopep.engine import conflict_mass_mutation, nterm_cterm_crossover
 from evopep.evaluation import random_tryptic_peptide
 from evopep.scoring import fitness_from_terms
 from evopep.tags import build_init_pool, random_peptide
@@ -113,8 +113,6 @@ def test_criterion_03_conflict_dictionary():
         "Q": ("AG", "GA"),
         "N": ("GG",),
     }
-    from evopep import conflict_mass_mutation
-
     rng = random.Random(33)
     max_drift = 0.0
     applied = 0
@@ -160,7 +158,7 @@ def test_criterion_06_initialization_superiority():
         pool = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
         rng = random.Random(f"rand|{seed}")
         baseline = [
-            Individual.score(random_peptide(rng, 7, 12), spec, TAU)
+            Individual.score(random_peptide(rng), spec, TAU)
             for _ in range(1000)
         ]
         if max(c.fitness for c in pool) > max(c.fitness for c in baseline):

@@ -90,6 +90,10 @@ def test_precursor_mass_rejects_bad_inputs():
         chem.precursor_mass(0, 2)
     with pytest.raises(ValueError):
         chem.precursor_mass(500.0, 0)
+    # A pepmass at or below one proton gives a neutral mass of 0 or below.
+    for pepmass, charge in (chem.PROTON_MASS, 1), (0.5, 2), (1.0, 3):
+        with pytest.raises(ValueError, match="neutral precursor mass must be positive"):
+            chem.precursor_mass(pepmass, charge)
 
 
 def test_conflict_dictionary_contents():
@@ -113,13 +117,6 @@ def test_conflict_masses_agree_at_nominal_and_monoisotopic():
 def test_canonicalization_folds_isoleucine():
     assert chem.canonical("PEPTIDE") == "PEPTLDE"
     assert chem.validate_peptide("gik") == "GLK"
-
-
-def test_is_tryptic():
-    assert chem.is_tryptic("AAK")
-    assert chem.is_tryptic("AAR")
-    assert not chem.is_tryptic("AKA")
-    assert not chem.is_tryptic("")
 
 
 def test_validate_peptide_names_the_first_bad_symbol():

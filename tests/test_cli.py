@@ -347,6 +347,19 @@ def test_non_positive_pepmass_errors_at_its_line(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["sequence", "tags"])
+def test_precursor_at_or_below_one_proton_errors_at_its_line(tmp_path, capsys, command):
+    mgf = write(
+        tmp_path / "bad.mgf",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500\nCHARGE=2+\n150.0 1.0\nEND IONS\n"
+        "BEGIN IONS\nTITLE=b\nPEPMASS=0.5\nCHARGE=2+\n150.0 1.0\nEND IONS\n",
+    )
+    assert run(command, mgf, "-o", str(tmp_path / "out.tsv")) == 2
+    err = capsys.readouterr().err
+    assert "error: line 9: neutral precursor mass must be positive" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "header,peak",
     [("PEPMASS=500", "nan 5.0"), ("PEPMASS=500", "100.0 inf"), ("PEPMASS=nan", "100.0 5.0")],

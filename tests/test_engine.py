@@ -12,24 +12,27 @@ from evopep import (
     GaConfig,
     Individual,
     SynthConfig,
-    conflict_mass_mutation,
     evolve,
-    flip_aa_mutation,
-    nterm_cterm_crossover,
     preprocess,
-    select_pools,
     synthesize_spectrum,
-    two_point_crossover,
 )
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
     TRYPTIC_TERMINALS,
-    is_tryptic,
     parent_mass,
     residue_mass,
 )
-from evopep.engine import _initial_population, choose_operator, trace_to_tsv
+from evopep.engine import (
+    _initial_population,
+    choose_operator,
+    conflict_mass_mutation,
+    flip_aa_mutation,
+    nterm_cterm_crossover,
+    select_pools,
+    trace_to_tsv,
+    two_point_crossover,
+)
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -253,7 +256,7 @@ def test_nterm_cterm_crossover_published_reconstruction(aaal_spectrum):
             ),
             aaal_spectrum,
         )
-        assert is_tryptic(child.peptide)
+        assert child.peptide.endswith(TRYPTIC_TERMINALS)
         if child.peptide == "AAALAAADAR":
             exact += 1
             assert child.fitness == pytest.approx(2.6, abs=1e-6)
@@ -453,7 +456,7 @@ def test_nterm_cterm_crossover_returns_capped_tryptic_peptide(
         n_parent, c_parent, Individual(helper, 0.0, 0, 0, 0.0), precursor, TAU, rng
     )
     assert 2 <= len(child) <= MAX_PEPTIDE_LENGTH
-    assert is_tryptic(child)
+    assert child.endswith(TRYPTIC_TERMINALS)
 
 
 def test_evolve_zero_generations_returns_pool_best(aaal_spectrum):
@@ -477,7 +480,7 @@ def test_evolve_population_invariants(aaal_spectrum):
     assert len(result.trace) == 7
     fits = [row.best_fitness for row in result.trace]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
-    assert is_tryptic(result.best.peptide)
+    assert result.best.peptide.endswith(TRYPTIC_TERMINALS)
 
 
 def test_evolve_recovers_ground_truth(aaal_spectrum):
@@ -527,7 +530,7 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
     )
     evolve(spec, GaConfig(population=30, pool_size=60, generations=5, seed=1))
     assert all(
-        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and is_tryptic(peptide)
+        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and peptide.endswith(TRYPTIC_TERMINALS)
         for peptide, _ in spec.scores
     )
 
@@ -564,7 +567,7 @@ def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal
     except EvolutionError:  # no candidate reached the precursor mass
         result = None
     assert all(
-        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and is_tryptic(peptide)
+        2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and peptide.endswith(TRYPTIC_TERMINALS)
         for peptide, _ in spec.scores
     )
     if result is not None:

@@ -1,0 +1,36 @@
+"""The names ``evopep`` exports: each resolves, and they cover every name a
+demo or the benchmark imports from the package."""
+
+import ast
+from pathlib import Path
+
+import evopep
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_from_evopep(path: Path) -> set[str]:
+    """Names a file imports with ``from evopep import ...``, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "evopep" and not node.level
+        for alias in node.names
+    }
+
+
+def test_all_names_are_distinct_and_resolve():
+    assert len(evopep.__all__) == len(set(evopep.__all__))
+    assert [name for name in evopep.__all__ if not hasattr(evopep, name)] == []
+
+
+def test_demos_and_benchmark_import_only_exported_names():
+    files = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    imports = {
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in files
+        for name in imported_from_evopep(path)
+    }
+    assert {path for path, _ in imports} >= {"demos/01_masses_and_ladders.py", "perfbench/run.py"}
+    assert sorted((path, name) for path, name in imports if name not in evopep.__all__) == []

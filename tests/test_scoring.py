@@ -11,7 +11,6 @@ from evopep import (
     InvalidSpectrumError,
     TheoreticalSpectrum,
     fitness,
-    fitness_from_terms,
     make_spectrum,
     theoretical_spectrum,
 )
@@ -24,7 +23,7 @@ from evopep.chem import (
     parent_mass,
 )
 from evopep.evaluation import random_tryptic_peptide
-from evopep.scoring import _evaluate, _match_table
+from evopep.scoring import _evaluate, _match_table, fitness_from_terms
 from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
 
@@ -224,6 +223,15 @@ def test_fitness_rejects_zero_intensity():
         fitness("LGVTLYK", spec, TAU)
 
 
+@pytest.mark.parametrize("pepmass,charge", [(PROTON_MASS, 1), (0.5, 2)])
+def test_fitness_refuses_non_positive_precursor(pepmass, charge):
+    # A zero precursor would divide the mass penalty by zero, and a negative
+    # one would turn the penalty into a reward.
+    spec = make_spectrum("z", pepmass, charge, [100.0, 200.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="neutral precursor mass must be positive"):
+        fitness("AK", spec, TAU)
+
+
 def test_fitness_rejects_short_peptide(ladder_aaal):
     with pytest.raises(InvalidPeptideError):
         fitness("K", ladder_aaal, TAU)
@@ -419,7 +427,7 @@ def test_match_table_equals_nearest_peaks_within_tau(case):
 def test_match_table_of_a_peak_one_tolerance_above_zero():
     # mz - tau is 0.0: stepping down one ulp at a time from there would walk
     # through the subnormals before reaching the threshold near -1.1e-16.
-    spec = make_spectrum("one", 1.0, 1, [1.0], [1.0])
+    spec = make_spectrum("one", 2.0, 1, [1.0], [1.0])
     assert_table_matches_nearest_peaks(spec, 1.0)
     table = _match_table(spec, 1.0)
     segment = table.bounds.searchsorted([-1e-15, 0.0, 2.0, 2.0 + 1e-15])

@@ -38,6 +38,12 @@ def peaks(*mz_int):
     return [m for m, _ in mz_int], [i for _, i in mz_int]
 
 
+# A peak far above the others. With it, each of the 10 windows is 90 Da
+# wide, so peaks from 100 to 189 share the first window and the anchor is
+# alone in the last.
+ANCHOR = (1000.0, 5.0)
+
+
 def test_parse_simple_record():
     spectra = parse_mgf(SIMPLE_MGF)
     assert len(spectra) == 1
@@ -87,6 +93,21 @@ def test_parse_refuses_non_finite_values(header, peak, line):
     with pytest.raises(MgfParseError, match="must be finite") as err:
         parse_mgf(mgf)
     assert err.value.line_number == line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "BEGIN IONS\nTITLE=p\nPEPMASS=1.00727647\nCHARGE=1+\n150.0 1.0\nEND IONS\n",
+        "BEGIN IONS\nTITLE=p\nPEPMASS=0.5 20\nCHARGE=2+\n150.0 1.0\nEND IONS\n",
+        "CHARGE=3+\nBEGIN IONS\nPEPMASS=1.0\n150.0 1.0\nEND IONS\n",
+    ],
+)
+def test_parse_refuses_non_positive_precursor_at_pepmass_line(text):
+    # A PEPMASS at or below one proton gives a neutral precursor of 0 or less.
+    with pytest.raises(MgfParseError, match="neutral precursor mass must be positive") as err:
+        parse_mgf(text)
+    assert err.value.line_number == 3
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "-0.0 20"])
@@ -184,37 +205,36 @@ def test_duplicate_mz_merged_keeping_max():
 
 
 def test_denoise_small_window_unchanged():
-    cfg = PreprocessConfig(window_count=1)
-    spec = make_spectrum("w", 300.0, 1, *peaks(*[(100 + i, i + 1) for i in range(9)]))
-    assert denoise(spec, cfg).peaks == spec.peaks
+    values = [(100 + i, i + 1) for i in range(9)] + [ANCHOR]
+    spec = make_spectrum("w", 300.0, 1, *peaks(*values))
+    assert denoise(spec).peaks == spec.peaks
 
 
 def test_denoise_modal_threshold_strictly_below():
-    # 12 peaks: intensity 1 x8 and 50 x4; mode is 1, nothing is below it.
-    cfg = PreprocessConfig(window_count=1)
+    # 12 peaks in one window: intensity 1 x8 and 50 x4; mode is 1, nothing
+    # is below it.
     values = [(100 + i, 1.0) for i in range(8)] + [(120 + i, 50.0) for i in range(4)]
-    spec = make_spectrum("m", 300.0, 1, *peaks(*values))
-    assert len(denoise(spec, cfg).peaks) == 12
+    spec = make_spectrum("m", 300.0, 1, *peaks(*values, ANCHOR))
+    assert len(denoise(spec).peaks) == 12 + 1
 
 
 def test_denoise_drops_below_mode():
-    cfg = PreprocessConfig(window_count=1)
     values = [(100 + i, 5.0) for i in range(8)] + [(120.0, 1.0), (121.0, 2.0)] + [
         (130 + i, 9.0 + i) for i in range(2)
     ]
-    spec = make_spectrum("m", 300.0, 1, *peaks(*values))
-    out = denoise(spec, cfg)
+    spec = make_spectrum("m", 300.0, 1, *peaks(*values, ANCHOR))
+    out = denoise(spec)
     kept = [p.intensity for p in out.peaks]
     assert 1.0 not in kept and 2.0 not in kept
-    assert len(out.peaks) == 10
+    assert len(out.peaks) == 10 + 1
 
 
 def test_denoise_mode_tie_takes_lowest():
-    # intensities 1 x5 and 3 x5 tie; threshold resolves to 1, keeping all.
-    cfg = PreprocessConfig(window_count=1)
+    # 10 peaks in one window: intensities 1 x5 and 3 x5 tie; threshold
+    # resolves to 1, keeping all.
     values = [(100 + i, 1.0) for i in range(5)] + [(110 + i, 3.0) for i in range(5)]
-    spec = make_spectrum("t", 300.0, 1, *peaks(*values))
-    assert len(denoise(spec, cfg).peaks) == 10
+    spec = make_spectrum("t", 300.0, 1, *peaks(*values, ANCHOR))
+    assert len(denoise(spec).peaks) == 10 + 1
 
 
 def test_denoise_never_increases_count_and_keeps_mz():
@@ -229,16 +249,15 @@ def test_denoise_never_increases_count_and_keeps_mz():
 
 
 def test_normalize_window_arithmetic():
-    cfg = PreprocessConfig(window_count=1)
-    spec = make_spectrum("n", 300.0, 1, *peaks((100.0, 4.0), (110.0, 16.0)))
-    out = normalize(spec, cfg)
-    assert [p.intensity for p in out.peaks] == pytest.approx([0.5, 1.0])
+    spec = make_spectrum("n", 300.0, 1, *peaks((100.0, 4.0), (110.0, 16.0), ANCHOR))
+    out = normalize(spec)
+    # The anchor is the maximum of its own window.
+    assert [p.intensity for p in out.peaks] == pytest.approx([0.5, 1.0, 1.0])
 
 
 def test_normalize_single_peak_window():
-    cfg = PreprocessConfig(window_count=1)
     spec = make_spectrum("n", 300.0, 1, *peaks((100.0, 7.3)))
-    assert normalize(spec, cfg).peaks[0].intensity == 1.0
+    assert normalize(spec).peaks[0].intensity == 1.0
 
 
 def test_normalize_output_range_and_mz_preserved():
@@ -324,8 +343,6 @@ def test_pipeline_preserves_metadata():
 
 
 def test_preprocess_config_validation():
-    with pytest.raises(ValueError):
-        PreprocessConfig(window_count=0)
     with pytest.raises(ValueError):
         PreprocessConfig(tolerance=0.0)
 

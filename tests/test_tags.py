@@ -8,22 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evopep import (
-    adjust_mass,
-    build_init_pool,
-    extract_tags,
-    make_spectrum,
-)
+from evopep import build_init_pool, extract_tags, make_spectrum
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
-    is_tryptic,
     parent_mass,
     residue_mass,
 )
-from evopep.tags import Tag, random_peptide, random_sequence_from_tags
+from evopep.tags import Tag, adjust_mass, random_peptide, random_sequence_from_tags
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -203,7 +197,7 @@ def test_random_sequence_from_tags_shape():
     lengths = set()
     for _ in range(200):
         seq = random_sequence_from_tags(tags, rng)
-        assert is_tryptic(seq)
+        assert seq.endswith(TRYPTIC_TERMINALS)
         lengths.add(len(seq))
     assert lengths <= {7, 10, 13}
     assert len(lengths) == 3
@@ -214,7 +208,7 @@ def test_random_sequence_fallback_without_tags():
     for _ in range(100):
         seq = random_sequence_from_tags([], rng)
         assert 7 <= len(seq) <= 12
-        assert is_tryptic(seq)
+        assert seq.endswith(TRYPTIC_TERMINALS)
 
 
 def test_random_peptide_terminal_balance():
@@ -233,7 +227,10 @@ def test_adjust_mass_noop_when_within_bound():
 def test_adjust_mass_reaches_bound_on_random_fixtures():
     rng = random.Random(12)
     for _ in range(1000):
-        seq = random_peptide(rng, 5, 14)
+        # A uniform random tryptic peptide of 5 to 14 residues.
+        length = rng.randint(5, 14)
+        body = "".join(rng.choice(CANONICAL_ALPHABET) for _ in range(length - 1))
+        seq = body + rng.choice(TRYPTIC_TERMINALS)
         precursor = parent_mass(seq) + rng.uniform(-250, 250)
         if precursor <= 60:
             continue
@@ -279,7 +276,8 @@ def test_adjust_mass_rejects_two_residue_removal():
     st.integers(0, 2**32),
 )
 # Removing E from AEK overshoots (63 Da heavy -> 66 Da light) on the last
-# allowed step, so the best sequence seen is the first one, not the last.
+# allowed step: the first sequence seen is nearer the precursor, but the
+# last one is returned.
 @example("AE", "K", -63.0, 1, 288)
 def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
     seq = body + terminal
@@ -290,16 +288,14 @@ def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
         seen.append(candidate)
         return parent_mass(candidate)
 
-    with mock.patch("evopep.tags.parent_mass", recording_parent_mass):
-        out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU, max_iterations)
+    with mock.patch("evopep.tags.parent_mass", recording_parent_mass), mock.patch(
+        "evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations
+    ):
+        out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU)
     assert out[-1] == terminal
     assert len(seen) <= max_iterations + 1
-    assert out in seen
-    delta = abs(precursor - parent_mass(out))
-    if ok:
-        assert delta < DELTA_BOUND
-    else:
-        assert delta == min(abs(precursor - parent_mass(s)) for s in seen)
+    assert out == seen[-1]
+    assert ok == (abs(precursor - parent_mass(out)) < DELTA_BOUND)
 
 
 def test_build_init_pool_extracts_tags_once(monkeypatch):
@@ -326,7 +322,7 @@ def test_build_init_pool_invariants():
     pool = build_init_pool(spec, TAU, 200, rng)
     assert len(pool) == 200
     for cand in pool:
-        assert is_tryptic(cand.peptide)
+        assert cand.peptide.endswith(TRYPTIC_TERMINALS)
         assert abs(cand.delta_mass) < DELTA_BOUND
 
 
