@@ -9,6 +9,8 @@ peptide strings are canonicalized with ``I -> L`` before any arithmetic.
 
 from __future__ import annotations
 
+import math
+
 # Fundamental constants (Da).
 PROTON_MASS = 1.00727647
 H2O_MASS = 18.0105646863
@@ -38,6 +40,9 @@ RESIDUE_MASSES: dict[str, float] = {
 }
 
 _SYMBOLS = frozenset(RESIDUE_MASSES)
+_ANY_CASE_MASSES = {
+    **RESIDUE_MASSES, **{sym.lower(): mass for sym, mass in RESIDUE_MASSES.items()}
+}
 
 # Canonical alphabet used when generating or mutating sequences: I is folded
 # into L, leaving 19 distinct symbols.
@@ -98,27 +103,39 @@ def validate_peptide(sequence: str) -> str:
 
 
 def parent_mass(sequence: str) -> float:
-    """Total peptide mass: sum of residue masses plus one water.
+    """Total peptide mass: sum of residue masses plus one water."""
+    return unchecked_parent_mass(validate_peptide(sequence))
+
+
+def unchecked_parent_mass(sequence: str) -> float:
+    """``parent_mass`` of a string that ``validate_peptide`` accepts, without
+    validating it again.
 
     The masses are added left to right, as the builtin ``sum`` adds floats
     before Python 3.12, which made it compensated; so every Python gives the
-    same bits.
+    same bits. Both cases of a symbol are looked up, so the string need not
+    be in canonical form.
     """
-    seq = validate_peptide(sequence)
     mass = 0.0
-    for symbol in seq:
-        mass += RESIDUE_MASSES[symbol]
+    for symbol in sequence:
+        mass += _ANY_CASE_MASSES[symbol]
     return mass + H2O_MASS
 
 
 def precursor_mass(pepmass: float, charge: int) -> float:
     """Neutral precursor mass from the measured m/z and charge state; a
-    pepmass at or below one proton, giving a mass of 0 or below, is refused."""
+    pepmass at or below one proton, giving a mass of 0 or below, is refused,
+    and so is one whose product with the charge overflows."""
     if pepmass <= 0:
         raise ValueError(f"pepmass must be positive, got {pepmass}")
     if charge < 1:
         raise ValueError(f"charge must be a positive integer, got {charge}")
-    mass = pepmass * charge - charge * PROTON_MASS
+    try:
+        mass = pepmass * charge - charge * PROTON_MASS
+    except OverflowError:  # a charge too large to convert to a float
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValueError(f"neutral precursor mass must be finite, got {mass}")
     if mass <= 0:
         raise ValueError(f"neutral precursor mass must be positive, got {mass}")
     return mass

@@ -27,6 +27,7 @@ from .chem import (
     CONFLICT_REPLACEMENTS,
     MAX_PEPTIDE_LENGTH,
     parent_mass,
+    unchecked_parent_mass,
 )
 from .scoring import Individual
 from .spectrum import Spectrum
@@ -49,7 +50,15 @@ RELAXED_CX_BOUND = 100.0
 # The three orders a population is ranked in, each best first: by fitness,
 # by Nterm score and by Cterm score, both with fitness breaking ties.
 _FITNESS = attrgetter("fitness")
-_RANK_KEYS = (_FITNESS, attrgetter("nterm", "fitness"), attrgetter("cterm", "fitness"))
+_NTERM = attrgetter("nterm")
+_CTERM = attrgetter("cterm")
+
+# What flip_aa_mutation may put in place of each residue: every other symbol
+# of the alphabet, in alphabet order.
+_FLIPS = {
+    sym: tuple(other for other in CANONICAL_ALPHABET if other != sym)
+    for sym in CANONICAL_ALPHABET
+}
 
 
 class EvolutionError(RuntimeError):
@@ -138,12 +147,20 @@ def choose_operator(cfg: GaConfig, rng: random.Random) -> str:
 
 
 def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:
-    """The population in each order of ``_RANK_KEYS``, best first.
+    """The population by fitness, by (nterm, fitness) and by (cterm,
+    fitness), each best first.
 
     The sorts are stable, so equal keys keep population order and each
-    ranking opens with the element ``max`` would pick.
+    ranking opens with the element ``max`` would pick. The terminus rankings
+    re-sort the fitness ranking on the score alone, which leaves fitness
+    order, then population order, among equal scores.
     """
-    return [sorted(population, key=key, reverse=True) for key in _RANK_KEYS]
+    by_fitness = sorted(population, key=_FITNESS, reverse=True)
+    return [
+        by_fitness,
+        sorted(by_fitness, key=_NTERM, reverse=True),
+        sorted(by_fitness, key=_CTERM, reverse=True),
+    ]
 
 
 def select_pools(
@@ -156,10 +173,13 @@ def select_pools(
     winners of size-``tournament_k`` fitness tournaments drawn with
     replacement. The elites are the head of each ranking.
     """
+    if not population:
+        raise IndexError("cannot select pools from an empty population")
     k = cfg.sub_pool
     by_fitness, by_nterm, by_cterm = _rankings(population)
+    draw, size, entrants = rng._randbelow, len(population), range(cfg.tournament_k)
     tournament = tuple(
-        max((rng.choice(population) for _ in range(cfg.tournament_k)), key=_FITNESS)
+        max([population[draw(size)] for _ in entrants], key=_FITNESS)
         for _ in range(k)
     )
     # Members with a score of at least one lead their terminus ranking, in
@@ -203,7 +223,7 @@ def nterm_cterm_crossover(
     seq = prefix + suffix
     if len(seq) > MAX_PEPTIDE_LENGTH:
         return fallback
-    delta = precursor - parent_mass(seq)
+    delta = precursor - parent_mass(seq)  # validates both parents' parts
     if delta < -RELAXED_CX_BOUND:
         # Overlapping prefixes/suffixes make the concatenation too heavy:
         # regrow from the prefix, taking ever longer tails of the C parent
@@ -211,15 +231,15 @@ def nterm_cterm_crossover(
         # at the latest with the whole suffix, so it stays within the cap.
         for k in range(1, len(c_seq) + 1):
             seq = prefix + c_seq[len(c_seq) - k :]
-            if precursor - parent_mass(seq) <= RELAXED_CX_BOUND:
+            if precursor - unchecked_parent_mass(seq) <= RELAXED_CX_BOUND:
                 break
     elif delta > RELAXED_CX_BOUND and len(helper.peptide) > 2:
         h_seq = helper.peptide
-        w1 = rng.randrange(1, len(h_seq) - 1)
-        w2 = rng.randrange(w1 + 1, len(h_seq))
+        w1 = 1 + rng._randbelow(len(h_seq) - 2)
+        w2 = w1 + 1 + rng._randbelow(len(h_seq) - w1 - 1)
         mid = ""
         for sym in h_seq[w1:w2]:
-            if precursor - parent_mass(prefix + mid + suffix) <= RELAXED_CX_BOUND:
+            if precursor - unchecked_parent_mass(prefix + mid + suffix) <= RELAXED_CX_BOUND:
                 break
             mid += sym
             if len(prefix) + len(mid) + len(suffix) > MAX_PEPTIDE_LENGTH:
@@ -243,10 +263,11 @@ def two_point_crossover(s1: str, s2: str, rng: random.Random) -> tuple[str, str]
     if len(s1) < 4 or len(s2) < 4:
         return s1, s2
 
+    draw = rng._randbelow
+
     def cuts(length: int) -> tuple[int, int]:
-        a = rng.randint(1, length - 2)
-        b = rng.randint(a + 1, length - 1)
-        return a, b
+        a = 1 + draw(length - 2)
+        return a, a + 1 + draw(length - a - 1)
 
     a1, b1 = cuts(len(s1))
     a2, b2 = cuts(len(s2))
@@ -260,9 +281,13 @@ def two_point_crossover(s1: str, s2: str, rng: random.Random) -> tuple[str, str]
 
 def flip_aa_mutation(seq: str, rng: random.Random) -> str:
     """Replace one random non-terminal residue with a different one."""
-    pos = rng.randrange(len(seq) - 1)
-    alternatives = [sym for sym in CANONICAL_ALPHABET if sym != seq[pos]]
-    return seq[:pos] + rng.choice(alternatives) + seq[pos + 1 :]
+    if len(seq) < 2:
+        raise ValueError(f"flip needs two residues or more, got {seq!r}")
+    draw = rng._randbelow
+    pos = draw(len(seq) - 1)
+    # A symbol outside the alphabet (I, or lower case) differs from all 19.
+    alternatives = _FLIPS.get(seq[pos], CANONICAL_ALPHABET)
+    return seq[:pos] + alternatives[draw(len(alternatives))] + seq[pos + 1 :]
 
 
 def conflict_mass_mutation(seq: str, rng: random.Random) -> str:
@@ -278,8 +303,10 @@ def conflict_mass_mutation(seq: str, rng: random.Random) -> str:
     ]
     if not positions:
         return seq
-    pos = rng.choice(positions)
-    replacement = rng.choice(CONFLICT_REPLACEMENTS[seq[pos]])
+    draw = rng._randbelow
+    pos = positions[draw(len(positions))]
+    replacements = CONFLICT_REPLACEMENTS[seq[pos]]
+    replacement = replacements[draw(len(replacements))]
     child = seq[:pos] + replacement + seq[pos + 1 :]
     return seq if len(child) > MAX_PEPTIDE_LENGTH else child
 
@@ -316,46 +343,51 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
     best = max(population, key=_FITNESS)
     trace = [_trace_row(0, population, best)]
 
+    draw, tau, precursor = rng._randbelow, cfg.tau, spec.precursor_mass
+    score = Individual.score
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
+        nterm_pool, cterm_pool, helper = pools.nterm_pool, pools.cterm_pool, pools.helper
+        tournament = [ind.peptide for ind in pools.tournament]
         target = cfg.population - ELITES
         children: list[str] = []
         while len(children) < target:
             op = choose_operator(cfg, rng)
-            if op == OPERATOR_NTERM_CTERM and (
-                not pools.nterm_pool or not pools.cterm_pool
-            ):
+            if op == OPERATOR_NTERM_CTERM and (not nterm_pool or not cterm_pool):
                 op = OPERATOR_TWO_POINT
+            # Every pool drawn from here holds at least one member: the
+            # tournament and helper pools hold population // 3 > 0, and the
+            # terminus pools were checked above.
             if op == OPERATOR_NTERM_CTERM:
                 children.append(
                     nterm_cterm_crossover(
-                        rng.choice(pools.nterm_pool),
-                        rng.choice(pools.cterm_pool),
-                        rng.choice(pools.helper),
-                        spec.precursor_mass,
-                        cfg.tau,
+                        nterm_pool[draw(len(nterm_pool))],
+                        cterm_pool[draw(len(cterm_pool))],
+                        helper[draw(len(helper))],
+                        precursor,
+                        tau,
                         rng,
                     )
                 )
             elif op == OPERATOR_TWO_POINT:
                 children.extend(
                     two_point_crossover(
-                        rng.choice(pools.tournament).peptide,
-                        rng.choice(pools.tournament).peptide,
+                        tournament[draw(len(tournament))],
+                        tournament[draw(len(tournament))],
                         rng,
                     )
                 )
             elif op == OPERATOR_FLIP:
                 children.append(
-                    flip_aa_mutation(rng.choice(pools.tournament).peptide, rng)
+                    flip_aa_mutation(tournament[draw(len(tournament))], rng)
                 )
             else:
                 children.append(
-                    conflict_mass_mutation(rng.choice(pools.tournament).peptide, rng)
+                    conflict_mass_mutation(tournament[draw(len(tournament))], rng)
                 )
         # A two-point crossover drawn last may overshoot the target by one;
         # its second child is dropped unscored.
-        offspring = [Individual.score(seq, spec, cfg.tau) for seq in children[:target]]
+        offspring = [score(seq, spec, tau) for seq in children[:target]]
         population = [*offspring, *pools.elites]
         leader = max(population, key=_FITNESS)
         if leader.fitness > best.fitness:

@@ -22,6 +22,7 @@ from .chem import (
     PROTON_MASS,
     RESIDUE_MASSES,
     InvalidPeptideError,
+    canonical,
     parent_mass,
     validate_peptide,
 )
@@ -125,14 +126,19 @@ class MatchTable(NamedTuple):
     ``bounds[j - 1] < x <= bounds[j]``, and every ion in it has the same
     outcome under ``spectrum.nearest_peaks`` and ``distance <= tau``:
     ``peak[j]`` is the index of the peak it matches, or the peak count when
-    its nearest peak is farther than tau, and ``anchored[j]`` says whether a
-    matched peak's precursor complement has a peak within ``2 * tau``.
+    its nearest peak is farther than tau, and ``code[j]`` is a byte:
+    ``UNMATCHED``, ``MATCHED``, or ``ANCHORED`` when the matched peak's
+    precursor complement has a peak within ``2 * tau``.
     """
 
     bounds: np.ndarray
     peak: np.ndarray
-    anchored: np.ndarray
+    code: np.ndarray
 
+
+# The outcome bytes of ``MatchTable.code``.
+UNMATCHED, MATCHED, ANCHORED = 0, 1, 2
+_ANCHORED_BYTE = bytes([ANCHORED])
 
 # XOR with this on a negative float's bits reverses their order, so that
 # float64 bit patterns, read as int64, sort like the floats they encode.
@@ -191,8 +197,10 @@ def _match_table(spec: Spectrum, tau: float) -> MatchTable:
     # the last none above, and past the last bound lies no peak either.
     peak = np.full(len(bounds) + 1, n)
     peak[2::3] = peak[3::3] = np.arange(n + 1)
-    anchored = np.append(spec.partner_distance <= 2 * tau, False)[peak]
-    return MatchTable(bounds, peak, anchored)
+    code = np.append(
+        np.where(spec.partner_distance <= 2 * tau, ANCHORED, MATCHED), UNMATCHED
+    ).astype(np.uint8)[peak]
+    return MatchTable(bounds, peak, code)
 
 
 def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
@@ -215,16 +223,15 @@ def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, in
     hit = np.zeros(n + 1, dtype=bool)
     hit[peak] = True
     matched_intensity = float(spec.intensity[hit[:n]].sum())
-    n_unmatched = int(np.count_nonzero(peak[:n_by] == n))
     # Noise peaks land on single b or y m/z values by chance, while a real
     # cleavage usually shows both of its complementary ions; so only ions
     # whose complement is observed extend a terminus-anchored run. A run of
     # k anchored ions from a terminus scores its k - 1 consecutive pairs.
-    flags = table.anchored[segment[:n_by]].tobytes()
-    n_gap, c_gap = flags.find(0, 0, cuts), flags.find(0, cuts, n_by)
-    nterm = max((cuts if n_gap < 0 else n_gap) - 1, 0)
-    cterm = max((n_by if c_gap < 0 else c_gap) - cuts - 1, 0)
-    return matched_intensity, n_unmatched, nterm, cterm
+    codes = table.code[segment[:n_by]].tobytes()
+    b_codes, y_codes = codes[:cuts], codes[cuts:]
+    nterm = max(cuts - len(b_codes.lstrip(_ANCHORED_BYTE)) - 1, 0)
+    cterm = max(cuts - len(y_codes.lstrip(_ANCHORED_BYTE)) - 1, 0)
+    return matched_intensity, codes.count(UNMATCHED), nterm, cterm
 
 
 def fitness_from_terms(
@@ -246,7 +253,8 @@ def fitness_from_terms(
 def fitness(peptide: str, spec: Spectrum, tau: float) -> Individual:
     """Score a peptide-spectrum match: the peptide as passed, with its
     fitness, terminus scores and precursor mass difference."""
-    seq = validate_peptide(peptide)
+    mass = parent_mass(peptide)  # validates the peptide
+    seq = canonical(peptide)
     if len(seq) < 2:
         raise InvalidPeptideError("fitness requires peptide length >= 2")
     total = spec.total_intensity
@@ -254,7 +262,7 @@ def fitness(peptide: str, spec: Spectrum, tau: float) -> Individual:
         raise InvalidSpectrumError("spectrum has no positive intensity")
     matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, tau)
     precursor = spec.precursor_mass
-    delta = precursor - parent_mass(seq)
+    delta = precursor - mass
     value = fitness_from_terms(
         intensity_fraction=matched_intensity / total,
         delta_penalty=abs(delta) / precursor,

@@ -26,7 +26,7 @@ from .chem import (
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     parent_mass,
-    residue_mass,
+    unchecked_parent_mass,
 )
 from .scoring import Individual
 from .spectrum import Spectrum
@@ -38,6 +38,16 @@ _LABELED_MASSES: tuple[tuple[str, float], ...] = tuple(
     (sym, RESIDUE_MASSES[sym]) for sym in CANONICAL_ALPHABET
 )
 _MAX_RESIDUE_MASS = max(RESIDUE_MASSES.values())
+_GLYCINE_MASS = RESIDUE_MASSES["G"]
+# What ``adjust_mass`` may insert when ``delta`` Da are missing: the labels
+# of at most ``delta + tau`` Da, in alphabet order, or G alone when none is
+# that light. ``bisect_right(_SORTED_MASSES, delta + tau)`` counts those
+# labels and indexes ``_INSERTS``.
+_SORTED_MASSES = sorted(mass for _, mass in _LABELED_MASSES)
+_INSERTS: tuple[tuple[str, ...], ...] = (("G",),) + tuple(
+    tuple(sym for sym, mass in _LABELED_MASSES if mass <= limit)
+    for limit in _SORTED_MASSES
+)
 
 # Mass-adjustment loop: accept once |delta| is below the smallest residue
 # (plus tolerance), give up after this many edits.
@@ -184,9 +194,12 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
 def random_peptide(rng: random.Random) -> str:
     """Uniform random tryptic sequence of length FALLBACK_MIN_LENGTH to
     FALLBACK_MAX_LENGTH."""
-    length = rng.randint(FALLBACK_MIN_LENGTH, FALLBACK_MAX_LENGTH)
-    body = "".join(rng.choice(CANONICAL_ALPHABET) for _ in range(length - 1))
-    return body + rng.choice(TRYPTIC_TERMINALS)
+    draw = rng._randbelow
+    length = FALLBACK_MIN_LENGTH + draw(FALLBACK_MAX_LENGTH - FALLBACK_MIN_LENGTH + 1)
+    body = "".join(
+        CANONICAL_ALPHABET[draw(len(CANONICAL_ALPHABET))] for _ in range(length - 1)
+    )
+    return body + TRYPTIC_TERMINALS[draw(len(TRYPTIC_TERMINALS))]
 
 
 def random_sequence_from_tags(tags: Sequence[str], rng: random.Random) -> str:
@@ -197,9 +210,10 @@ def random_sequence_from_tags(tags: Sequence[str], rng: random.Random) -> str:
     """
     if not tags:
         return random_peptide(rng)
-    count = rng.randint(2, 4)
-    body = "".join(rng.choice(tags) for _ in range(count))
-    return body + rng.choice(TRYPTIC_TERMINALS)
+    draw = rng._randbelow
+    size = len(tags)
+    body = "".join(tags[draw(size)] for _ in range(2 + draw(3)))
+    return body + TRYPTIC_TERMINALS[draw(len(TRYPTIC_TERMINALS))]
 
 
 def adjust_mass(
@@ -212,19 +226,20 @@ def adjust_mass(
     False when the sequence would shrink below two residues, grow past
     MAX_PEPTIDE_LENGTH, or ADJUST_MAX_ITERATIONS edits are spent, in which
     case the last sequence whose mass was computed is returned and the
-    caller should discard it.
+    caller should discard it. The sequence is validated once, on entry;
+    every edit inserts a canonical residue or deletes one, so the masses
+    after edits skip validation.
     """
-    bound = residue_mass("G") + tau
+    bound = _GLYCINE_MASS + tau
+    draw = rng._randbelow
     delta = precursor - parent_mass(seq)
     for _ in range(ADJUST_MAX_ITERATIONS):
         if abs(delta) < bound:
             return seq, True
         if delta > 0:
-            candidates = [
-                sym for sym, mass in _LABELED_MASSES if mass <= delta + tau
-            ] or ["G"]
-            sym = rng.choice(candidates)
-            pos = rng.randrange(len(seq))  # any slot that keeps the terminal last
+            candidates = _INSERTS[bisect_right(_SORTED_MASSES, delta + tau)]
+            sym = candidates[draw(len(candidates))]
+            pos = draw(len(seq))  # any slot that keeps the terminal last
             # Checked after the draws: the caller's stream goes on after a
             # failed call, so moving them would change every later draw.
             if len(seq) >= MAX_PEPTIDE_LENGTH:
@@ -233,9 +248,9 @@ def adjust_mass(
         else:
             if len(seq) <= 2:
                 return seq, False
-            pos = rng.randrange(len(seq) - 1)
+            pos = draw(len(seq) - 1)
             seq = seq[:pos] + seq[pos + 1 :]
-        delta = precursor - parent_mass(seq)
+        delta = precursor - unchecked_parent_mass(seq)
     return seq, abs(delta) < bound
 
 

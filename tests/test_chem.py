@@ -96,6 +96,18 @@ def test_precursor_mass_rejects_bad_inputs():
             chem.precursor_mass(pepmass, charge)
 
 
+@pytest.mark.parametrize(
+    "pepmass,charge",
+    [(1e308, 2), (1.7e308, 2), (9e307, 3), (500.0, 10**400)],
+    ids=["1e308", "1.7e308", "9e307", "huge-charge"],
+)
+def test_precursor_mass_refuses_an_overflowing_result(pepmass, charge):
+    # Each input is finite, but pepmass * charge overflows: to inf, or past
+    # what a float can hold when the charge is converted.
+    with pytest.raises(ValueError, match="neutral precursor mass must be finite"):
+        chem.precursor_mass(pepmass, charge)
+
+
 def test_conflict_dictionary_contents():
     replacements = chem.CONFLICT_REPLACEMENTS
     assert replacements["W"] == ("DA", "AD", "EG", "GE", "VS", "SV")
@@ -124,7 +136,10 @@ def test_validate_peptide_names_the_first_bad_symbol():
         chem.validate_peptide("AXZ")
 
 
-@given(st.text("".join(chem.RESIDUE_MASSES) + "il", min_size=1, max_size=64))
+SYMBOLS_IN_EITHER_CASE = "".join(chem.RESIDUE_MASSES) + "".join(chem.RESIDUE_MASSES).lower()
+
+
+@given(st.text(SYMBOLS_IN_EITHER_CASE, min_size=1, max_size=64))
 # Here left to right differs from a compensated sum, such as the builtin
 # ``sum`` of floats from Python 3.12 on, and from the exactly rounded one.
 @example("RGFLDNMY")
@@ -134,3 +149,5 @@ def test_parent_mass_equals_generator_sum(peptide):
     for sym in chem.canonical(peptide):
         expected += chem.RESIDUE_MASSES[sym]
     assert chem.parent_mass(peptide) == expected + chem.H2O_MASS
+    # The unvalidated sum gives the same bits on the string as passed.
+    assert chem.unchecked_parent_mass(peptide) == expected + chem.H2O_MASS

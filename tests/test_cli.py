@@ -360,6 +360,25 @@ def test_precursor_at_or_below_one_proton_errors_at_its_line(tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,output", [("preprocess", ""), ("tags", "-o"), ("sequence", "-o")])
+@pytest.mark.parametrize(
+    "pepmass,charge", [("1e308", "2+"), ("500", "1" + "0" * 400)], ids=["inf", "huge-charge"]
+)
+def test_overflowing_precursor_errors_at_its_line(
+    tmp_path, capsys, command, output, pepmass, charge
+):
+    mgf = write(
+        tmp_path / "bad.mgf",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500\nCHARGE=2+\n150.0 1.0\nEND IONS\n"
+        f"BEGIN IONS\nTITLE=b\nPEPMASS={pepmass}\nCHARGE={charge}\n150.0 1.0\nEND IONS\n",
+    )
+    out = [output, str(tmp_path / "out")] if output else [str(tmp_path / "out")]
+    assert run(command, mgf, *out) == 2
+    err = capsys.readouterr().err
+    assert "error: line 9: neutral precursor mass must be finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "header,peak",
     [("PEPMASS=500", "nan 5.0"), ("PEPMASS=500", "100.0 inf"), ("PEPMASS=nan", "100.0 5.0")],

@@ -33,7 +33,7 @@ from evopep.engine import (
     trace_to_tsv,
     two_point_crossover,
 )
-from tests.conftest import clean_spectrum
+from tests.conftest import GuardedRandom, clean_spectrum
 
 TAU = 0.5
 DELTA_BOUND = residue_mass("G") + TAU
@@ -125,6 +125,12 @@ def test_select_pools_identical_population(aaal_spectrum):
     assert len(pools.helper) == cfg.sub_pool
     assert all(member is ind for member in pools.helper)
     assert len(pools.tournament) == cfg.sub_pool
+
+
+def test_select_pools_refuses_an_empty_population():
+    # Checked before the first tournament draw, which would find nothing.
+    with pytest.raises(IndexError, match="empty population"):
+        select_pools([], GaConfig(population=30), GuardedRandom(1))
 
 
 def test_select_pools_requires_positive_scores(aaal_spectrum):
@@ -348,6 +354,19 @@ def test_flip_mutation_length_two():
         assert child[0] != "G"
 
 
+def test_flip_mutation_refuses_a_single_residue():
+    # The terminal is never flipped, so one residue leaves nothing to draw.
+    with pytest.raises(ValueError, match="two residues"):
+        flip_aa_mutation("K", GuardedRandom(1))
+
+
+def test_flip_mutation_keeps_symbols_outside_the_alphabet_flippable():
+    # I and lower case differ from all 19 symbols, so each may become any.
+    for seq in ("IK", "aK"):
+        children = {flip_aa_mutation(seq, GuardedRandom(s)) for s in range(400)}
+        assert {child[0] for child in children} == set(CANONICAL_ALPHABET)
+
+
 def test_flip_mutation_preserves_terminal_statistically():
     rng = random.Random(13)
     assert all(flip_aa_mutation("LGVTLYK", rng)[-1] == "K" for _ in range(10_000))
@@ -390,7 +409,7 @@ peptides = st.integers(1, MAX_PEPTIDE_LENGTH - 1).flatmap(
         st.sampled_from(TRYPTIC_TERMINALS),
     )
 )
-rngs = st.integers(0, 2**32).map(random.Random)
+rngs = st.integers(0, 2**32).map(GuardedRandom)
 
 
 def nominal_mass(seq):
@@ -574,6 +593,46 @@ def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal
         best = [row.best_fitness for row in result.trace]
         assert len(best) == cfg.generations + 1
         assert best == sorted(best)
+
+
+# trace_to_tsv of a tiny run, and the next 64 bits of its generator after
+# the run, at 1 and 2 generations. They pin every draw of the init pool and of
+# each generation: a change in the order or the number of draws changes them.
+PINNED_RUNS = {
+    1: (
+        "generation\tbest_fitness\tmean_fitness\tbest_peptide\n"
+        "0\t-0.073990\t-1.031863\tLDYLYQDAR\n"
+        "1\t0.167588\t-0.933789\tLRYLYQDAR\n",
+        16810499966224980048,
+    ),
+    2: (
+        "generation\tbest_fitness\tmean_fitness\tbest_peptide\n"
+        "0\t-0.073990\t-1.031863\tLDYLYQDAR\n"
+        "1\t0.167588\t-0.933789\tLRYLYQDAR\n"
+        "2\t0.245375\t-0.645728\tLGVYLYQDAR\n",
+        16041442450294405030,
+    ),
+}
+
+
+@pytest.mark.parametrize("generations", sorted(PINNED_RUNS))
+def test_tiny_run_keeps_its_trace_and_stream(monkeypatch, generations):
+    import evopep.engine
+
+    made = []
+
+    class Recording(GuardedRandom):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(evopep.engine, "random", SimpleNamespace(Random=Recording))
+    raw = synthesize_spectrum("LGVTLYKDAR", SynthConfig(), random.Random(3))
+    cfg = GaConfig(pool_size=60, population=30, generations=generations, seed=11)
+    result = evolve(preprocess(raw), cfg)
+    trace, next_bits = PINNED_RUNS[generations]
+    assert trace_to_tsv(result.trace) == trace
+    assert [rng.getrandbits(64) for rng in made] == [next_bits]
 
 
 def test_trace_tsv_shape(aaal_spectrum):

@@ -414,8 +414,11 @@ def assert_table_matches_nearest_peaks(spec, tau):
     segment = table.bounds.searchsorted(x)
     expected_peak = np.where(matched, nearest, len(mz))
     expected_anchored = matched & (spec.partner_distance[nearest] <= 2 * tau)
+    # 0 unmatched, 1 matched, 2 matched and anchored.
+    expected_code = matched.astype(np.uint8) + expected_anchored
     assert (table.peak[segment] == expected_peak).all()
-    assert (table.anchored[segment] == expected_anchored).all()
+    assert table.code.dtype == np.uint8
+    assert (table.code[segment] == expected_code).all()
 
 
 @settings(max_examples=300, deadline=None)

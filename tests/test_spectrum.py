@@ -110,6 +110,20 @@ def test_parse_refuses_non_positive_precursor_at_pepmass_line(text):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("BEGIN IONS\nTITLE=p\nPEPMASS=1e308\nCHARGE=2+\n150.0 1.0\nEND IONS\n", 3),
+        ("CHARGE=3+\nBEGIN IONS\nTITLE=p\nPEPMASS=9e307\n150.0 1.0\nEND IONS\n", 4),
+    ],
+)
+def test_parse_refuses_an_overflowing_precursor_at_pepmass_line(text, line):
+    # The PEPMASS is finite, but times the charge it overflows to inf.
+    with pytest.raises(MgfParseError, match="neutral precursor mass must be finite") as err:
+        parse_mgf(text)
+    assert err.value.line_number == line
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "-0.0 20"])
 def test_parse_refuses_non_positive_pepmass_at_its_line(value):
     mgf = f"BEGIN IONS\nTITLE=p\nPEPMASS={value}\nCHARGE=2+\n150.0 1.0\nEND IONS\n"

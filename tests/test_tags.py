@@ -16,6 +16,7 @@ from evopep.chem import (
     TRYPTIC_TERMINALS,
     parent_mass,
     residue_mass,
+    unchecked_parent_mass,
 )
 from evopep.tags import Tag, adjust_mass, random_peptide, random_sequence_from_tags
 from tests.conftest import clean_spectrum
@@ -284,13 +285,18 @@ def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
     precursor = parent_mass(seq) + offset
     seen = []
 
-    def recording_parent_mass(candidate):
-        seen.append(candidate)
-        return parent_mass(candidate)
+    def recording(mass_of):
+        def record(candidate):
+            seen.append(candidate)
+            return mass_of(candidate)
 
-    with mock.patch("evopep.tags.parent_mass", recording_parent_mass), mock.patch(
-        "evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations
-    ):
+        return record
+
+    # The entry mass validates the peptide; each edit's mass is the
+    # unvalidated sum. Both are recorded, in call order.
+    with mock.patch("evopep.tags.parent_mass", recording(parent_mass)), mock.patch(
+        "evopep.tags.unchecked_parent_mass", recording(unchecked_parent_mass)
+    ), mock.patch("evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations):
         out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU)
     assert out[-1] == terminal
     assert len(seen) <= max_iterations + 1
