@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import random
 import sys
 from collections import Counter
@@ -40,7 +39,7 @@ from .spectrum import (
     parse_mgf,
     preprocess,
 )
-from .tags import extract_tags
+from .tags import extract_tags, precursor_reachable
 
 logger = logging.getLogger(__name__)
 
@@ -217,33 +216,31 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, range, str]) -> list[str]:
-    """Result rows of one block of a spectrum's runs.
+def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | None:
+    """The result row of run ``run_index`` of spectrum ``spec_index``, or
+    None if the run failed.
 
-    The runs share the spectrum's tag, score and match-table memos, which are
-    emptied before the job returns. Run ``r`` of spectrum ``i`` is seeded with
-    ``f"{seed}|{i}|{r}"``, so rows do not depend on how runs are blocked.
+    The run is seeded with ``f"{seed}|{spec_index}|{run_index}"``, so its row
+    does not depend on the task order or on ``--jobs``. The spectrum's score
+    and match-table memos are emptied before the job returns.
     """
-    spec, cfg, seed, spec_index, run_indices, spectrum_id = task
-    rows = []
-    for run_index in run_indices:
-        try:
-            result = evolve(spec, replace(cfg, seed=f"{seed}|{spec_index}|{run_index}"))
-        except (EvolutionError, ValueError) as exc:
-            logger.warning(
-                "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
-            )
-            continue
-        best = result.best
-        rows.append(
-            f"{spectrum_id}\t{run_index}\t{best.peptide}\t{best.fitness:.6f}"
-            f"\t{best.nterm}\t{best.cterm}\t{best.delta_mass:.6f}"
-            f"\t{result.generations_used}"
+    spec, cfg, seed, spec_index, run_index, spectrum_id = task
+    try:
+        result = evolve(spec, replace(cfg, seed=f"{seed}|{spec_index}|{run_index}"))
+    except (EvolutionError, ValueError) as exc:
+        logger.warning(
+            "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
         )
-    spec.scores.clear()
-    spec.tags.clear()
-    spec.match_tables.clear()
-    return rows
+        return None
+    finally:
+        spec.scores.clear()
+        spec.match_tables.clear()
+    best = result.best
+    return (
+        f"{spectrum_id}\t{run_index}\t{best.peptide}\t{best.fitness:.6f}"
+        f"\t{best.nterm}\t{best.cterm}\t{best.delta_mass:.6f}"
+        f"\t{result.generations_used}"
+    )
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -267,20 +264,24 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
     ]
-    for spec, sid in zip(prepared, ids):
+    live = []
+    for index, (spec, sid) in enumerate(zip(prepared, ids)):
         if spec.total_intensity <= 0:
             logger.warning("skipping %s: spectrum has no positive intensity", sid)
-    live = [index for index, spec in enumerate(prepared) if spec.total_intensity > 0]
-    # A spectrum is the unit of work. Its runs are split into contiguous
-    # blocks, one task each, so that the task count is a multiple of the
-    # worker count and every worker gets the same share of the runs.
+        elif not precursor_reachable(spec.precursor_mass, ga.tau):
+            logger.warning(
+                "skipping %s: no peptide the GA can build comes near its "
+                "precursor mass of %.4f Da",
+                sid,
+                spec.precursor_mass,
+            )
+        else:
+            live.append(index)
     runs, jobs = options["runs"], options["jobs"]
-    parts = min(runs, jobs // math.gcd(len(live), jobs))
-    blocks = [range(runs * b // parts, runs * (b + 1) // parts) for b in range(parts)]
     tasks = [
-        (prepared[index], ga, options["seed"], index, block, ids[index])
+        (prepared[index], ga, options["seed"], index, run_index, ids[index])
         for index in live
-        for block in blocks
+        for run_index in range(runs)
     ]
     if jobs > 1 and len(tasks) > 1:
         # The pool forks all its workers at the first submit.
@@ -288,7 +289,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             results = list(pool.map(_sequence_job, tasks))
     else:
         results = list(map(_sequence_job, tasks))
-    rows = [row for task_rows in results for row in task_rows]
+    rows = [row for row in results if row is not None]
     _write_output("\n".join(["\t".join(SEQUENCE_COLUMNS), *rows]) + "\n", args.output)
     if runs > 0 and prepared and not rows:
         print("error: all sequencing runs failed", file=sys.stderr)

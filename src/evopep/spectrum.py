@@ -70,11 +70,10 @@ class Spectrum:
     arrays, and the metadata is immutable. Equality compares the title,
     precursor and peaks. ``partner_distance`` holds, per peak, the
     distance from its precursor complement to the nearest peak; preprocessing
-    and scoring both read it. Three mutable memos, left out of equality,
+    and scoring both read it. Two mutable memos, left out of equality,
     ``repr`` and pickling, are emptied by whoever owns the spectrum: ``scores``
-    maps (peptide, tau) to its scored ``Individual``, ``tags`` maps tau to
-    the ``TagIndex`` of ``extract_tags`` (``build_init_pool``), and
-    ``match_tables`` maps tau to the ``MatchTable`` that scoring reads.
+    maps (peptide, tau) to its scored ``Individual``, and ``match_tables``
+    maps tau to the ``MatchTable`` that scoring reads.
     """
 
     title: str
@@ -83,7 +82,6 @@ class Spectrum:
     mz: np.ndarray
     intensity: np.ndarray
     scores: dict = field(default_factory=dict, init=False, repr=False)
-    tags: dict = field(default_factory=dict, init=False, repr=False)
     match_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

@@ -49,6 +49,10 @@ _INSERTS: tuple[tuple[str, ...], ...] = (("G",),) + tuple(
     for limit in _SORTED_MASSES
 )
 
+# The lightest and heaviest peptides an initialization pool can hold.
+_LIGHTEST_MASS = unchecked_parent_mass("GK")
+_HEAVIEST_MASS = unchecked_parent_mass("W" * (MAX_PEPTIDE_LENGTH - 1) + "R")
+
 # Mass-adjustment loop: accept once |delta| is below the smallest residue
 # (plus tolerance), give up after this many edits.
 ADJUST_MAX_ITERATIONS = 100
@@ -254,6 +258,20 @@ def adjust_mass(
     return seq, abs(delta) < bound
 
 
+def precursor_reachable(precursor: float, tau: float) -> bool:
+    """Whether ``build_init_pool`` can keep any peptide for ``precursor``.
+
+    A pool member has 2 to MAX_PEPTIDE_LENGTH canonical residues, the last
+    one tryptic, and passes ``adjust_mass``'s test, ``|precursor - mass| <
+    mass(G) + tau``. Float addition is monotone, so its left-to-right mass is
+    at least that of GK and at most that of W...WR. A precursor that fails
+    the test below GK or above W...WR therefore has an empty pool, and every
+    run of its spectrum would spend the whole initialization budget.
+    """
+    bound = _GLYCINE_MASS + tau
+    return precursor - _LIGHTEST_MASS > -bound and precursor - _HEAVIEST_MASS < bound
+
+
 def build_init_pool(
     spec: Spectrum,
     tau: float,
@@ -266,16 +284,14 @@ def build_init_pool(
     distinct valid candidates are collected, giving up after 50 * pool_size
     attempts (the pool is then returned partially filled, with a warning).
     The candidates are scored once, after the draws, in the order they were
-    first drawn. Tags are indexed on first use and kept in ``spec.tags``.
+    first drawn.
     """
-    tags = spec.tags.get(tau)
-    if tags is None:
-        tags = spec.tags[tau] = extract_tags(spec, tau)
-        if not tags:
-            logger.warning(
-                "spectrum %r yielded no tags; falling back to random sequences",
-                spec.title,
-            )
+    tags = extract_tags(spec, tau)
+    if not tags:
+        logger.warning(
+            "spectrum %r yielded no tags; falling back to random sequences",
+            spec.title,
+        )
     residues = tags.residues
     peptides: dict[str, None] = {}
     attempts = 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopep import cli
-from evopep.chem import CANONICAL_ALPHABET, residue_mass
+from evopep.chem import CANONICAL_ALPHABET, PROTON_MASS, residue_mass
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, main
 from evopep.engine import GaConfig, evolve
 from evopep.evaluation import GroundTruthRecord, ground_truth_tsv, load_ground_truth
@@ -153,16 +153,18 @@ def test_sequence_output_shape(tmp_path, peptide_file):
     assert all(row.split("\t")[7] == "2" for row in lines[1:])
 
 
-def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypatch):
+def test_sequence_runs_start_and_leave_memos_empty(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
     import evopep.tags
 
-    calls = []
+    runs = []
     extracted = []
 
     def spy(spec, cfg):
-        calls.append((spec, len(spec.scores), len(spec.match_tables)))
-        return evolve(spec, cfg)
+        before = (len(spec.scores), len(spec.match_tables), len(extracted))
+        result = evolve(spec, cfg)
+        runs.append((spec, before[:2], len(extracted) - before[2]))
+        return result
 
     def extract_spy(spec, tau):
         extracted.append(spec.title)
@@ -175,15 +177,14 @@ def test_sequence_memo_shared_by_runs_and_freed(tmp_path, peptide_file, monkeypa
         "sequence", str(mgf), "--runs", "2", "--generations", "2",
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
-    # The second run of each spectrum starts from the first run's scores,
-    # tags and match table, and every memo is emptied after the spectrum's
-    # last run.
-    assert [size > 0 for _, size, _ in calls] == [False, True, False, True]
-    assert [tables for _, _, tables in calls] == [0, 1, 0, 1]
-    assert extracted == ["synth-00000", "synth-00001"]
-    assert all(spec.scores == {} for spec, _, _ in calls)
-    assert all(spec.tags == {} for spec, _, _ in calls)
-    assert all(spec.match_tables == {} for spec, _, _ in calls)
+    # At --jobs 1 the runs of a spectrum share its object: each run starts
+    # from empty memos, extracts its tags once, and leaves the memos empty.
+    assert [(memos, extractions) for _, memos, extractions in runs] == [
+        ((0, 0), 1)
+    ] * 4
+    assert extracted == ["synth-00000"] * 2 + ["synth-00001"] * 2
+    assert all(spec.scores == {} for spec, _, _ in runs)
+    assert all(spec.match_tables == {} for spec, _, _ in runs)
 
 
 class _RecordingPool:
@@ -232,34 +233,59 @@ def test_sequence_splits_runs_of_one_spectrum_across_jobs(
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
     (pool,) = _RecordingPool.started
-    assert [task[4] for task in pool.tasks] == [range(0, 2), range(2, 4)]
+    assert [(task[3], task[4]) for task in pool.tasks] == [(0, r) for r in range(4)]
 
 
 @pytest.mark.parametrize(
-    "peptides, blocks",
-    [("LGVTLYK\nAAALAAADAR\n", 1), ("LGVTLYK\nAAALAAADAR\nGGK\n", 2)],
+    "peptides", ["LGVTLYK\nAAALAAADAR\n", "LGVTLYK\nAAALAAADAR\nGGK\n"]
 )
-def test_sequence_task_count_is_multiple_of_jobs(
-    tmp_path, monkeypatch, peptides, blocks
-):
+def test_sequence_makes_one_task_per_spectrum_run(tmp_path, monkeypatch, peptides):
     import evopep.cli
 
     mgf, _ = synth(tmp_path, write(tmp_path / "peps.txt", peptides))
     monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.started.clear()
     assert run(
-        "sequence", str(mgf), "--runs", "4", "--generations", "1", "--jobs", "2",
+        "sequence", str(mgf), "--runs", "3", "--generations", "1", "--jobs", "2",
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
     (pool,) = _RecordingPool.started
-    # Two spectra fill two workers whole; three are split into two blocks
-    # each, so each worker gets six runs rather than one getting eight.
-    assert len(pool.tasks) % 2 == 0
-    assert [(task[3], len(task[4])) for task in pool.tasks] == [
-        (spec, 4 // blocks)
-        for spec in range(peptides.count("\n"))
-        for _ in range(blocks)
+    # 6 or 9 tasks for 2 workers: the count is not rounded to a multiple of
+    # the worker count, whose workers take the next task as they free up.
+    assert [(task[3], task[4]) for task in pool.tasks] == [
+        (spec, r) for spec in range(peptides.count("\n")) for r in range(3)
     ]
+
+
+def test_sequence_output_ignores_how_tasks_fall_on_workers(tmp_path, monkeypatch):
+    import evopep.cli
+
+    # Three spectra, a count that is not a multiple of 2 workers.
+    peps = write(tmp_path / "peps.txt", "LGVTLYK\nAAALAAADAR\nGGK\n")
+    mgf, _ = synth(tmp_path, peps, "--noise", "5")
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"j{jobs}.tsv"
+        assert run(
+            "sequence", str(mgf), "--seed", "4", "--runs", "4", "--generations", "2",
+            "--population", "30", "--pool-size", "60", "--jobs", jobs, "-o", str(out),
+        ) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].splitlines()) == 1 + 12
+
+    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started.clear()
+    assert run(
+        "sequence", str(mgf), "--seed", "4", "--runs", "4", "--generations", "2",
+        "--population", "30", "--pool-size", "60", "--jobs", "2",
+        "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    (pool,) = _RecordingPool.started
+    assert [(task[3], task[4]) for task in pool.tasks] == [
+        (spec, r) for spec in range(3) for r in range(4)
+    ]
+    assert (tmp_path / "r.tsv").read_bytes() == outputs[0]
 
 
 def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monkeypatch):
@@ -332,6 +358,41 @@ def test_sequence_zero_intensity_spectrum_skipped(
     assert "Traceback" not in capsys.readouterr().err
     skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
     assert skipped == ["skipping zero: spectrum has no positive intensity"]
+
+
+def test_sequence_skips_spectrum_no_peptide_can_reach(
+    tmp_path, peptide_file, monkeypatch, caplog
+):
+    import evopep.cli
+
+    evolved = []
+
+    def spy(spec, cfg):
+        evolved.append(spec.title)
+        return evolve(spec, cfg)
+
+    monkeypatch.setattr(evopep.cli, "evolve", spy)
+    one = write(tmp_path / "one.txt", "LGVTLYK\n")
+    mgf, _ = synth(tmp_path, one)
+    spec = parse_mgf(mgf.read_text())[0]
+    # 20,000 Da is above any peptide of at most 64 residues.
+    far = make_spectrum(
+        "far", (20000.0 + 2 * PROTON_MASS) / 2, 2, spec.mz, spec.intensity
+    )
+    both = write(tmp_path / "both.mgf", mgf.read_text() + emit_mgf([far]))
+    out = tmp_path / "r.tsv"
+    with caplog.at_level(logging.WARNING):
+        assert run(
+            "sequence", both, "--runs", "2", "--generations", "1",
+            "--population", "20", "--pool-size", "20", "-o", str(out),
+        ) == 0
+    assert evolved == ["synth-00000"] * 2
+    ids = [line.split("\t")[0] for line in out.read_text().splitlines()[1:]]
+    assert ids == ["synth-00000"] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping far: no peptide the GA can build comes near its precursor "
+        "mass of 20000.0000 Da"
+    ]
 
 
 @pytest.mark.parametrize("command", ["sequence", "tags"])

@@ -318,12 +318,10 @@ def test_add_complements_bounded_growth():
 def test_pickle_round_trip_starts_empty_memo():
     spec = make_spectrum("pk", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
     spec.scores[("GK", 0.5)] = None
-    spec.tags[0.5] = ["GAG"]
     spec.match_tables[0.5] = "table"
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
     assert again.scores == {}
-    assert again.tags == {}
     assert again.match_tables == {}
     assert again.mz.tolist() == spec.mz.tolist()
     assert again.intensity.tolist() == spec.intensity.tolist()

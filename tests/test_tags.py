@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -18,7 +19,13 @@ from evopep.chem import (
     residue_mass,
     unchecked_parent_mass,
 )
-from evopep.tags import Tag, adjust_mass, random_peptide, random_sequence_from_tags
+from evopep.tags import (
+    Tag,
+    adjust_mass,
+    precursor_reachable,
+    random_peptide,
+    random_sequence_from_tags,
+)
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
@@ -317,9 +324,37 @@ def test_build_init_pool_extracts_tags_once(monkeypatch):
     monkeypatch.setattr(evopep.tags, "extract_tags", extract_spy)
     for seed in range(3):
         build_init_pool(spec, TAU, 20, random.Random(seed))
-    assert calls == [TAU]
-    assert list(spec.tags) == [TAU]
-    assert list(spec.tags[TAU]) == list(extract_tags(spec, TAU))
+    # Once per call, through the module-level name; the spectrum keeps no
+    # tags between calls.
+    assert calls == [TAU] * 3
+    assert not hasattr(spec, "tags")
+
+
+@pytest.mark.parametrize("edge, side", [("GK", -1), ("W" * 63 + "R", 1)])
+def test_precursor_reachable_at_its_edges(edge, side):
+    # GK and W...WR are the lightest and heaviest peptides of 2 to 64
+    # residues with a tryptic end. Near these limits no other peptide comes
+    # within the bound, so adjust_mass's verdict on the edge peptide, which
+    # it accepts or refuses without an edit, is the answer.
+    assert len(edge) <= MAX_PEPTIDE_LENGTH
+    limit = unchecked_parent_mass(edge) + side * DELTA_BOUND
+    verdicts = []
+    for precursor in (
+        math.nextafter(limit, -math.inf), limit, math.nextafter(limit, math.inf)
+    ):
+        _, ok = adjust_mass(edge, precursor, random.Random(0), TAU)
+        assert precursor_reachable(precursor, TAU) == ok
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "precursor, reachable",
+    [(99.0, False), (145.0, False), (146.0, True), (1200.0, True),
+     (11954.0, True), (11956.0, False), (20000.0, False)],
+)
+def test_precursor_reachable(precursor, reachable):
+    assert precursor_reachable(precursor, TAU) is reachable
 
 
 def test_build_init_pool_invariants():
