@@ -8,6 +8,7 @@ import random
 from evopep import (
     Individual,
     PreprocessConfig,
+    Scorer,
     SynthConfig,
     build_init_pool,
     extract_tags,
@@ -32,8 +33,11 @@ for tag in tags[:5]:
 
 # Initialization concatenates 2-4 random tags, appends K or R, then inserts
 # or removes residues until the mass sits within one glycine of the
-# precursor. The distinct candidates are scored once all draws are done.
-pool = build_init_pool(spec, tau=0.5, pool_size=1000, rng=random.Random(1))
+# precursor. The distinct candidates are scored once all draws are done,
+# through a Scorer: the spectrum's match table at tau, built once, and a memo
+# of every peptide scored with it.
+scorer = Scorer(spec, tau=0.5)
+pool = build_init_pool(scorer, pool_size=1000, rng=random.Random(1))
 best = max(pool, key=lambda c: c.fitness)
 print(f"\npool of {len(pool)} candidates")
 print(f"best tag-based candidate: {best.peptide}  fitness {best.fitness:.3f}")
@@ -43,7 +47,7 @@ print(f"mean |mass error|: "
 # Compare with naive random initialization (no mass adjustment): fitness is
 # dominated by the mass-difference penalty.
 random_candidates = [
-    Individual.score(random_peptide(random.Random(i)), spec, 0.5)
+    Individual.score(random_peptide(random.Random(i)), scorer)
     for i in range(1000)
 ]
 best_random = max(random_candidates, key=lambda c: c.fitness)

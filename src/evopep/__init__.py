@@ -39,6 +39,7 @@ from .evaluation import (
 from .scoring import (
     Individual,
     InvalidSpectrumError,
+    Scorer,
     TheoreticalSpectrum,
     fitness,
     theoretical_spectrum,
@@ -78,6 +79,7 @@ __all__ = [
     "MgfParseError",
     "Peak",
     "PreprocessConfig",
+    "Scorer",
     "Spectrum",
     "SynthConfig",
     "Tag",

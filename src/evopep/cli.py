@@ -221,8 +221,7 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
     None if the run failed.
 
     The run is seeded with ``f"{seed}|{spec_index}|{run_index}"``, so its row
-    does not depend on the task order or on ``--jobs``. The spectrum's score
-    and match-table memos are emptied before the job returns.
+    does not depend on the task order or on ``--jobs``.
     """
     spec, cfg, seed, spec_index, run_index, spectrum_id = task
     try:
@@ -232,9 +231,6 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
             "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
         )
         return None
-    finally:
-        spec.scores.clear()
-        spec.match_tables.clear()
     best = result.best
     return (
         f"{spectrum_id}\t{run_index}\t{best.peptide}\t{best.fitness:.6f}"

@@ -29,7 +29,7 @@ from .chem import (
     parent_mass,
     unchecked_parent_mass,
 )
-from .scoring import Individual
+from .scoring import Individual, Scorer
 from .spectrum import Spectrum
 from .tags import adjust_mass, build_init_pool
 
@@ -333,7 +333,8 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
     trace. Identical seeds produce identical results.
     """
     rng = random.Random(cfg.seed)
-    pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
+    scorer = Scorer(spec, cfg.tau)
+    pool = build_init_pool(scorer, cfg.pool_size, rng)
     if not pool:
         raise EvolutionError(
             f"initialization pool for spectrum {spec.title!r} is empty; "
@@ -387,7 +388,7 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
                 )
         # A two-point crossover drawn last may overshoot the target by one;
         # its second child is dropped unscored.
-        offspring = [score(seq, spec, tau) for seq in children[:target]]
+        offspring = [score(seq, scorer) for seq in children[:target]]
         population = [*offspring, *pools.elites]
         leader = max(population, key=_FITNESS)
         if leader.fitness > best.fitness:

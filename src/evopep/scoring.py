@@ -60,13 +60,14 @@ class Individual:
     delta_mass: float
 
     @classmethod
-    def score(cls, peptide: str, spec: Spectrum, tau: float) -> "Individual":
+    def score(cls, peptide: str, scorer: "Scorer") -> "Individual":
         # Converged GA populations re-create the same strings constantly, so
-        # scores are memoized in ``spec.scores`` (pure in the peptide).
-        key = (peptide, tau)
-        cached = spec.scores.get(key)
+        # each run memoizes its scores in ``scorer.scores``.
+        cached = scorer.scores.get(peptide)
         if cached is None:
-            cached = spec.scores[key] = fitness(peptide, spec, tau)
+            cached = scorer.scores[peptide] = fitness(
+                peptide, scorer.spec, scorer.tau, table=scorer.table
+            )
         return cached
 
 
@@ -203,20 +204,25 @@ def _match_table(spec: Spectrum, tau: float) -> MatchTable:
     return MatchTable(bounds, peak, code)
 
 
-def _evaluate(seq: str, spec: Spectrum, tau: float) -> tuple[float, int, int, int]:
+class Scorer:
+    """One GA run's scoring state: a spectrum, a tolerance, their
+    ``MatchTable`` and the memo of the peptides that the run has scored."""
+
+    def __init__(self, spec: Spectrum, tau: float):
+        self.spec, self.tau = spec, tau
+        self.table = _match_table(spec, tau)
+        self.scores: dict[str, Individual] = {}
+
+
+def _evaluate(seq: str, spec: Spectrum, table: MatchTable) -> tuple[float, int, int, int]:
     """Matched intensity, unmatched b/y count, nterm and cterm of a sequence.
 
     A peak hit by several ions counts its intensity once. ``spec`` must hold a
     peak: ``fitness``, the one caller, refuses a spectrum without intensity.
-    The spectrum's ``MatchTable`` at ``tau`` is built on first use and kept in
-    ``spec.match_tables``.
     """
     cuts = len(seq) - 1
     n_by = 2 * cuts
     n = len(spec.mz)
-    table = spec.match_tables.get(tau)
-    if table is None:
-        table = spec.match_tables[tau] = _match_table(spec, tau)
     segment = table.bounds.searchsorted(_ions(seq))
     peak = table.peak[segment]
     # The mask sums each hit peak once, in m/z order; slot n takes the misses.
@@ -250,9 +256,12 @@ def fitness_from_terms(
     )
 
 
-def fitness(peptide: str, spec: Spectrum, tau: float) -> Individual:
+def fitness(
+    peptide: str, spec: Spectrum, tau: float, *, table: MatchTable | None = None
+) -> Individual:
     """Score a peptide-spectrum match: the peptide as passed, with its
-    fitness, terminus scores and precursor mass difference."""
+    fitness, terminus scores and precursor mass difference. A call without
+    ``table``, the spectrum's ``MatchTable`` at ``tau``, builds it."""
     mass = parent_mass(peptide)  # validates the peptide
     seq = canonical(peptide)
     if len(seq) < 2:
@@ -260,7 +269,9 @@ def fitness(peptide: str, spec: Spectrum, tau: float) -> Individual:
     total = spec.total_intensity
     if total <= 0:
         raise InvalidSpectrumError("spectrum has no positive intensity")
-    matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, tau)
+    if table is None:
+        table = _match_table(spec, tau)
+    matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, table)
     precursor = spec.precursor_mass
     delta = precursor - mass
     value = fitness_from_terms(

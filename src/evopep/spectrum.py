@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple
 
@@ -70,10 +70,7 @@ class Spectrum:
     arrays, and the metadata is immutable. Equality compares the title,
     precursor and peaks. ``partner_distance`` holds, per peak, the
     distance from its precursor complement to the nearest peak; preprocessing
-    and scoring both read it. Two mutable memos, left out of equality,
-    ``repr`` and pickling, are emptied by whoever owns the spectrum: ``scores``
-    maps (peptide, tau) to its scored ``Individual``, and ``match_tables``
-    maps tau to the ``MatchTable`` that scoring reads.
+    and scoring both read it.
     """
 
     title: str
@@ -81,8 +78,6 @@ class Spectrum:
     charge: int
     mz: np.ndarray
     intensity: np.ndarray
-    scores: dict = field(default_factory=dict, init=False, repr=False)
-    match_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.mz.flags.writeable = False
@@ -123,8 +118,7 @@ class Spectrum:
         return float(self.intensity.sum())
 
     def __getstate__(self):
-        # The cached properties are rebuilt on demand and the memos start
-        # empty; keep pickles lean.
+        # The cached properties are rebuilt on demand; keep pickles lean.
         return (self.title, self.pepmass, self.charge, self.mz, self.intensity)
 
     def __setstate__(self, state):
@@ -200,9 +194,12 @@ def _parse_charge(value: str, line_number: int) -> int:
     elif token.startswith("-"):
         sign = -1
         token = token[1:]
-    if not token.isdigit():
-        raise MgfParseError(f"malformed CHARGE value {value!r}", line_number)
-    charge = sign * int(token)
+    try:
+        if not token.isdecimal():
+            raise ValueError
+        charge = sign * int(token)
+    except ValueError:  # not digits, or more digits than int() reads
+        raise MgfParseError(f"malformed CHARGE value {value!r}", line_number) from None
     if charge < 1:
         raise MgfParseError(f"unsupported charge state {charge}", line_number)
     return charge
@@ -273,11 +270,7 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
                     record_start,
                 )
             else:
-                try:
-                    spec = make_spectrum(title, pepmass, charge, mzs, intensities)
-                    spectra.append(spec)
-                except ValueError as exc:
-                    raise MgfParseError(str(exc), line_number) from exc
+                spectra.append(make_spectrum(title, pepmass, charge, mzs, intensities))
             in_record = False
             continue
         if "=" in line and not line[0].isdigit():
@@ -316,6 +309,15 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
             raise MgfParseError(
                 f"non-numeric peak line {line!r}", line_number
             ) from None
+        # make_spectrum's own checks, made here to name the line.
+        if not 0 < mz < math.inf:
+            raise MgfParseError(
+                f"peak m/z must be finite and positive, got {mz}", line_number
+            )
+        if not 0 <= intensity < math.inf:
+            raise MgfParseError(
+                f"peak intensity must be finite and >= 0, got {intensity}", line_number
+            )
         mzs.append(mz)
         intensities.append(intensity)
 

@@ -28,7 +28,7 @@ from .chem import (
     parent_mass,
     unchecked_parent_mass,
 )
-from .scoring import Individual
+from .scoring import Individual, Scorer
 from .spectrum import Spectrum
 
 logger = logging.getLogger(__name__)
@@ -273,19 +273,17 @@ def precursor_reachable(precursor: float, tau: float) -> bool:
 
 
 def build_init_pool(
-    spec: Spectrum,
-    tau: float,
-    pool_size: int,
-    rng: random.Random,
+    scorer: Scorer, pool_size: int, rng: random.Random
 ) -> tuple[Individual, ...]:
     """Fill a pool of scored, mass-adjusted tag-based candidates.
 
     Repeats concatenate -> append-terminal -> adjust until ``pool_size``
     distinct valid candidates are collected, giving up after 50 * pool_size
     attempts (the pool is then returned partially filled, with a warning).
-    The candidates are scored once, after the draws, in the order they were
-    first drawn.
+    The candidates are scored through ``scorer`` once, after the draws, in
+    the order they were first drawn.
     """
+    spec, tau = scorer.spec, scorer.tau
     tags = extract_tags(spec, tau)
     if not tags:
         logger.warning(
@@ -310,4 +308,4 @@ def build_init_pool(
             pool_size,
             attempts,
         )
-    return tuple(Individual.score(seq, spec, tau) for seq in peptides)
+    return tuple(Individual.score(seq, scorer) for seq in peptides)

@@ -13,6 +13,7 @@ from evopep import (
     GaConfig,
     Individual,
     PreprocessConfig,
+    Scorer,
     SynthConfig,
     compute_metrics,
     evolve,
@@ -151,15 +152,15 @@ def test_criterion_06_initialization_superiority():
         PreprocessConfig(),
         complements=True,
     )
+    scorer = Scorer(spec, TAU)
     tag_wins = 0
     tag_delta = []
     random_delta = []
     for seed in range(30):
-        pool = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
+        pool = build_init_pool(scorer, 1000, random.Random(f"init|{seed}"))
         rng = random.Random(f"rand|{seed}")
         baseline = [
-            Individual.score(random_peptide(rng), spec, TAU)
-            for _ in range(1000)
+            Individual.score(random_peptide(rng), scorer) for _ in range(1000)
         ]
         if max(c.fitness for c in pool) > max(c.fitness for c in baseline):
             tag_wins += 1
@@ -186,9 +187,10 @@ def test_criterion_07_crossover_effectiveness():
         PreprocessConfig(),
         complements=True,
     )
+    scorer = Scorer(spec, TAU)
     gains_n, gains_c, gains_h = [], [], []
     for seed in range(30):
-        pool = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
+        pool = build_init_pool(scorer, 1000, random.Random(f"init|{seed}"))
         anchored_n = [c for c in pool if c.nterm >= 1]
         anchored_c = [c for c in pool if c.cterm >= 1]
         assert anchored_n and anchored_c, "pool lacks anchored parents"
@@ -200,8 +202,7 @@ def test_criterion_07_crossover_effectiveness():
                 n_parent, c_parent, helper, spec.precursor_mass, TAU,
                 random.Random(f"cx|{seed}"),
             ),
-            spec,
-            TAU,
+            scorer,
         )
         gains_n.append(child.fitness - n_parent.fitness)
         gains_c.append(child.fitness - c_parent.fitness)

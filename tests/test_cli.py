@@ -1,7 +1,10 @@
+import dataclasses
 import io
 import logging
 import os
+import pickle
 import sys
+from functools import cached_property
 from itertools import groupby
 
 import pytest
@@ -13,7 +16,7 @@ from evopep.chem import CANONICAL_ALPHABET, PROTON_MASS, residue_mass
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, main
 from evopep.engine import GaConfig, evolve
 from evopep.evaluation import GroundTruthRecord, ground_truth_tsv, load_ground_truth
-from evopep.spectrum import emit_mgf, make_spectrum, parse_mgf, preprocess
+from evopep.spectrum import Spectrum, emit_mgf, make_spectrum, parse_mgf, preprocess
 from evopep.tags import extract_tags
 
 
@@ -153,7 +156,7 @@ def test_sequence_output_shape(tmp_path, peptide_file):
     assert all(row.split("\t")[7] == "2" for row in lines[1:])
 
 
-def test_sequence_runs_start_and_leave_memos_empty(tmp_path, peptide_file, monkeypatch):
+def test_sequence_runs_leave_spectra_plain_values(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
     import evopep.tags
 
@@ -161,9 +164,9 @@ def test_sequence_runs_start_and_leave_memos_empty(tmp_path, peptide_file, monke
     extracted = []
 
     def spy(spec, cfg):
-        before = (len(spec.scores), len(spec.match_tables), len(extracted))
+        before = len(extracted)
         result = evolve(spec, cfg)
-        runs.append((spec, before[:2], len(extracted) - before[2]))
+        runs.append((spec, len(extracted) - before))
         return result
 
     def extract_spy(spec, tau):
@@ -177,14 +180,23 @@ def test_sequence_runs_start_and_leave_memos_empty(tmp_path, peptide_file, monke
         "sequence", str(mgf), "--runs", "2", "--generations", "2",
         "-o", str(tmp_path / "r.tsv"),
     ) == 0
-    # At --jobs 1 the runs of a spectrum share its object: each run starts
-    # from empty memos, extracts its tags once, and leaves the memos empty.
-    assert [(memos, extractions) for _, memos, extractions in runs] == [
-        ((0, 0), 1)
-    ] * 4
+    # At --jobs 1 the runs of a spectrum share its object, and each run
+    # extracts its tags once.
+    assert [extractions for _, extractions in runs] == [1] * 4
     assert extracted == ["synth-00000"] * 2 + ["synth-00001"] * 2
-    assert all(spec.scores == {} for spec, _, _ in runs)
-    assert all(spec.match_tables == {} for spec, _, _ in runs)
+    # A run leaves nothing on its spectrum but the cached properties.
+    fields = {field.name for field in dataclasses.fields(Spectrum)}
+    cached = {
+        name for name, value in vars(Spectrum).items()
+        if isinstance(value, cached_property)
+    }
+    assert all(set(vars(spec)) <= fields | cached for spec, _ in runs)
+    # So runs on one spectrum object give what runs on fresh copies give.
+    spec = runs[0][0]
+    configs = [GaConfig(pool_size=60, population=30, generations=3, seed=s) for s in "ab"]
+    again = [evolve(spec, cfg) for cfg in configs]
+    fresh = [evolve(pickle.loads(pickle.dumps(spec)), cfg) for cfg in configs]
+    assert again == fresh
 
 
 class _RecordingPool:

@@ -1,7 +1,9 @@
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from evopep import (
     Individual,
     SynthConfig,
     evolve,
+    fitness,
     preprocess,
     synthesize_spectrum,
 )
@@ -45,7 +48,21 @@ def aaal_spectrum():
 
 
 def scored(peptide, spec):
-    return Individual.score(peptide, spec, TAU)
+    return fitness(peptide, spec, TAU)
+
+
+@contextmanager
+def fitness_calls():
+    """The peptides that reach ``evopep.scoring.fitness``, the function that
+    every unique evaluation of a run enters, in call order."""
+    seen = []
+
+    def spy(peptide, *args, **kwargs):
+        seen.append(peptide)
+        return fitness(peptide, *args, **kwargs)
+
+    with mock.patch("evopep.scoring.fitness", spy):
+        yield seen
 
 
 def test_config_validates_rates():
@@ -547,10 +564,12 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
     spec = preprocess(
         synthesize_spectrum(truth, SynthConfig(noise_peaks=20, dropout=0.1), rng)
     )
-    evolve(spec, GaConfig(population=30, pool_size=60, generations=5, seed=1))
+    with fitness_calls() as peptides:
+        evolve(spec, GaConfig(population=30, pool_size=60, generations=5, seed=1))
+    assert peptides
     assert all(
         2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and peptide.endswith(TRYPTIC_TERMINALS)
-        for peptide, _ in spec.scores
+        for peptide in peptides
     )
 
 
@@ -581,13 +600,14 @@ def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal
     spec = preprocess(
         synthesize_spectrum(body + terminal, SynthConfig(noise_peaks=10, dropout=0.1), rng)
     )
-    try:
-        result = evolve(spec, cfg)
-    except EvolutionError:  # no candidate reached the precursor mass
-        result = None
+    with fitness_calls() as peptides:
+        try:
+            result = evolve(spec, cfg)
+        except EvolutionError:  # no candidate reached the precursor mass
+            result = None
     assert all(
         2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and peptide.endswith(TRYPTIC_TERMINALS)
-        for peptide, _ in spec.scores
+        for peptide in peptides
     )
     if result is not None:
         best = [row.best_fitness for row in result.trace]

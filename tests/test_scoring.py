@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import accumulate
 
@@ -9,12 +10,18 @@ from hypothesis import strategies as st
 from evopep import (
     Individual,
     InvalidSpectrumError,
+    PreprocessConfig,
+    Scorer,
+    SynthConfig,
     TheoreticalSpectrum,
     fitness,
     make_spectrum,
+    preprocess,
+    synthesize_spectrum,
     theoretical_spectrum,
 )
 from evopep.chem import (
+    CANONICAL_ALPHABET,
     H2O_MASS,
     PROTON_MASS,
     RESIDUE_MASSES,
@@ -33,7 +40,7 @@ TAU = 0.5
 def match_terms(peptide, spec, tau=TAU):
     """Matched intensity, unmatched b/y count, nterm and cterm, as ``fitness``
     computes them."""
-    return _evaluate(canonical(peptide), spec, tau)
+    return _evaluate(canonical(peptide), spec, _match_table(spec, tau))
 
 
 def test_ladder_lgvtlyk_matches_published_values():
@@ -145,6 +152,7 @@ def test_shared_peak_counted_once():
 def test_nterm_cterm_ground_truth(ladder_aaal):
     result = fitness("AAALAAADAR", ladder_aaal, TAU)
     assert (result.nterm, result.cterm) == (8, 8)
+    assert result.fitness == pytest.approx(2.6, abs=1e-9)
 
 
 def test_nterm_partial_prefix_parent(ladder_aaal):
@@ -237,12 +245,44 @@ def test_fitness_rejects_short_peptide(ladder_aaal):
         fitness("K", ladder_aaal, TAU)
 
 
-def test_individual_caches_scores(ladder_aaal):
-    ind = Individual.score("AAALAAADAR", ladder_aaal, TAU)
-    again = Individual.score("AAALAAADAR", ladder_aaal, TAU)
-    assert ind is again
-    assert ind == fitness("AAALAAADAR", ladder_aaal, TAU)
-    assert ind.fitness == pytest.approx(2.6, abs=1e-9)
+def bits(individual):
+    """The fields of an ``Individual``, each float as its exact hex form."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(individual)
+    )
+
+
+@st.composite
+def scorer_cases(draw):
+    """A preprocessed synthetic spectrum, its tolerance, and peptides to score
+    against it: the one it was made from, others of 2-64 residues (I included),
+    and repeats."""
+    tau = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 2.0))
+    truth = draw(st.text(CANONICAL_ALPHABET, min_size=2, max_size=40))
+    synth = SynthConfig(
+        noise_peaks=draw(st.integers(0, 40)),
+        dropout=draw(st.sampled_from([0.0, 0.2, 0.5])),
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    spec = preprocess(
+        synthesize_spectrum(truth, synth, rng), PreprocessConfig(tolerance=tau)
+    )
+    others = st.text("".join(RESIDUE_MASSES), min_size=2, max_size=64)
+    peptides = draw(st.lists(st.just(truth) | others, min_size=1, max_size=12))
+    return spec, tau, peptides
+
+
+@settings(max_examples=100, deadline=None)
+@given(scorer_cases())
+def test_individual_score_is_fitness_memoized(case):
+    spec, tau, peptides = case
+    scorer = Scorer(spec, tau)
+    for peptide in peptides:
+        first = Individual.score(peptide, scorer)
+        assert bits(first) == bits(fitness(peptide, spec, tau))
+        assert Individual.score(peptide, scorer) is first
+    assert list(scorer.scores) == list(dict.fromkeys(peptides))
 
 
 # A reference scorer kept apart from the program: the ion ladders built in a
@@ -359,7 +399,7 @@ def test_kernel_equals_reference_bit_for_bit(case):
     peptide, spec, tau = case
     individual, terms, total = reference_fitness(peptide, spec, tau)
     assert fitness(peptide, spec, tau) == individual
-    assert _evaluate(canonical(peptide), spec, tau) == terms
+    assert _evaluate(canonical(peptide), spec, _match_table(spec, tau)) == terms
     assert spec.total_intensity == total
     b, y, internal = reference_ions(canonical(peptide))
     assert theoretical_spectrum(peptide) == TheoreticalSpectrum(

@@ -84,12 +84,16 @@ def test_parse_error_carries_line_number():
         ("PEPMASS=500", "-inf 5.0", 6),
         ("PEPMASS=500", "100.0 inf", 6),
         ("PEPMASS=500", "100.0 nan", 6),
+        ("PEPMASS=500", "1e400 5.0", 6),
+        ("PEPMASS=500", "-5.0 5.0", 6),
+        ("PEPMASS=500", "100.0 -1.0", 6),
         ("PEPMASS=nan", "100.0 5.0", 2),
         ("PEPMASS=inf 20", "100.0 5.0", 2),
     ],
 )
 def test_parse_refuses_non_finite_values(header, peak, line):
-    mgf = f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n{peak}\nEND IONS\n"
+    # A bad peak is refused at its own line, not at END IONS (line 7).
+    mgf = f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n160.0 1.0\n{peak}\nEND IONS\n"
     with pytest.raises(MgfParseError, match="must be finite") as err:
         parse_mgf(mgf)
     assert err.value.line_number == line
@@ -167,6 +171,19 @@ def test_global_charge_applies_only_after_it():
     with pytest.raises(MgfParseError, match="record missing CHARGE") as err:
         parse_mgf(mgf)
     assert err.value.line_number == 4
+
+
+@pytest.mark.parametrize("value", ["2²", "1_0"])
+@pytest.mark.parametrize("where", ["record", "global"])
+def test_bad_charge_refused_at_its_line(value, where):
+    # A superscript digit passes str.isdigit, but int() refuses it.
+    if where == "record":
+        mgf, line = f"BEGIN IONS\nPEPMASS=500\nCHARGE={value}\n100 1\nEND IONS\n", 3
+    else:
+        mgf, line = f"COM=x\nCHARGE={value}\nBEGIN IONS\nPEPMASS=500\n100 1\nEND IONS\n", 2
+    with pytest.raises(MgfParseError, match="malformed CHARGE") as err:
+        parse_mgf(mgf)
+    assert err.value.line_number == line
 
 
 def test_bad_global_charge_refused_at_its_line_when_used():
@@ -315,14 +332,10 @@ def test_add_complements_bounded_growth():
     assert len(out.peaks) <= 2 * len(spec.peaks)
 
 
-def test_pickle_round_trip_starts_empty_memo():
+def test_pickle_round_trip():
     spec = make_spectrum("pk", 500.0, 2, *peaks((171.11, 4.0), (310.18, 16.0)))
-    spec.scores[("GK", 0.5)] = None
-    spec.match_tables[0.5] = "table"
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec
-    assert again.scores == {}
-    assert again.match_tables == {}
     assert again.mz.tolist() == spec.mz.tolist()
     assert again.intensity.tolist() == spec.intensity.tolist()
 
@@ -399,14 +412,17 @@ def test_partner_distance_matches_brute_force(mz, pepmass, charge):
     st.integers(1, 5),
     st.lists(st.tuples(st.integers(1, 5 * 10**9), st.floats(0.0, 1e6)), min_size=1),
 )
+# 1.1640625 is written as 1.164062, whose float lies a hair more than 5e-7
+# below it; each value must read back as its 6-decimal text, exactly.
+@example("", 100.0, 1, [(1, 1.1640625)])
 def test_mgf_round_trip_at_six_decimals(title, pepmass, charge, raw):
     spec = make_spectrum(title, pepmass, charge, *peaks(*[(k / 1e6, i) for k, i in raw]))
     (again,) = parse_mgf(emit_mgf([spec]))
     assert (again.title, again.charge) == (title, charge)
-    assert abs(again.pepmass - pepmass) <= 5e-7
+    assert again.pepmass == float(f"{pepmass:.6f}")
     assert [p.mz for p in again.peaks] == [p.mz for p in spec.peaks]
     for a, b in zip(again.peaks, spec.peaks):
-        assert abs(a.intensity - b.intensity) <= 5e-7
+        assert a.intensity == float(f"{b.intensity:.6f}")
 
 
 def merged_reference(raw):

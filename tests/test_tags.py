@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evopep import build_init_pool, extract_tags, make_spectrum
+from evopep import Scorer, build_init_pool, extract_tags, make_spectrum
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
@@ -323,7 +323,7 @@ def test_build_init_pool_extracts_tags_once(monkeypatch):
 
     monkeypatch.setattr(evopep.tags, "extract_tags", extract_spy)
     for seed in range(3):
-        build_init_pool(spec, TAU, 20, random.Random(seed))
+        build_init_pool(Scorer(spec, TAU), 20, random.Random(seed))
     # Once per call, through the module-level name; the spectrum keeps no
     # tags between calls.
     assert calls == [TAU] * 3
@@ -360,7 +360,7 @@ def test_precursor_reachable(precursor, reachable):
 def test_build_init_pool_invariants():
     spec = clean_spectrum("AAALAAADAR")
     rng = random.Random(77)
-    pool = build_init_pool(spec, TAU, 200, rng)
+    pool = build_init_pool(Scorer(spec, TAU), 200, rng)
     assert len(pool) == 200
     for cand in pool:
         assert cand.peptide.endswith(TRYPTIC_TERMINALS)
@@ -369,20 +369,20 @@ def test_build_init_pool_invariants():
 
 def test_build_init_pool_zero_size():
     spec = clean_spectrum("AAALAAADAR")
-    pool = build_init_pool(spec, TAU, 0, random.Random(1))
+    pool = build_init_pool(Scorer(spec, TAU), 0, random.Random(1))
     assert pool == ()
 
 
 def test_build_init_pool_reproducible():
     spec = clean_spectrum("LGVTLYK")
-    a = build_init_pool(spec, TAU, 150, random.Random("seed"))
-    b = build_init_pool(spec, TAU, 150, random.Random("seed"))
+    a = build_init_pool(Scorer(spec, TAU), 150, random.Random("seed"))
+    b = build_init_pool(Scorer(spec, TAU), 150, random.Random("seed"))
     assert [c.peptide for c in a] == [c.peptide for c in b]
     assert [c.fitness for c in a] == [c.fitness for c in b]
 
 
 def test_build_init_pool_candidates_distinct():
     spec = clean_spectrum("LGVTLYK")
-    pool = build_init_pool(spec, TAU, 150, random.Random(5))
+    pool = build_init_pool(Scorer(spec, TAU), 150, random.Random(5))
     peptides = [c.peptide for c in pool]
     assert len(set(peptides)) == len(peptides)
