@@ -8,6 +8,13 @@ crossover/mutation operators searches for the sequence that best explains the
 spectrum under a five-term peptide-spectrum-match fitness.
 """
 
+import os
+
+# evopep makes no BLAS call, yet importing numpy starts a second OpenBLAS
+# thread that burns CPU in every process, pool workers included. This must
+# run before numpy is first imported; a value the caller has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .chem import (
     CONFLICT_REPLACEMENTS,
     H2O_MASS,

@@ -13,8 +13,7 @@ import logging
 import random
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, Executor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from itertools import groupby
@@ -239,6 +238,15 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
     )
 
 
+def _process_pool(max_workers: int) -> Executor:
+    """A pool of ``max_workers`` processes. Its module, which loads
+    ``multiprocessing``, is imported here, so a run without a pool never
+    loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def cmd_sequence(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     ga = _ga_config(options)
@@ -281,7 +289,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     ]
     if jobs > 1 and len(tasks) > 1:
         # The pool forks all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with _process_pool(min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sequence_job, tasks))
     else:
         results = list(map(_sequence_job, tasks))
@@ -540,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EvolutionError, ValueError, OSError, BrokenProcessPool) as exc:
+    except (EvolutionError, ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import random
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -37,6 +38,10 @@ logger = logging.getLogger(__name__)
 _LABELED_MASSES: tuple[tuple[str, float], ...] = tuple(
     (sym, RESIDUE_MASSES[sym]) for sym in CANONICAL_ALPHABET
 )
+_MASSES = tuple(mass for _, mass in _LABELED_MASSES)
+_LABELS = len(_MASSES)
+# The labels' ASCII codes, indexed by their rank in CANONICAL_ALPHABET.
+_ALPHABET = np.frombuffer("".join(CANONICAL_ALPHABET).encode("ascii"), np.uint8)
 _MAX_RESIDUE_MASS = max(RESIDUE_MASSES.values())
 _GLYCINE_MASS = RESIDUE_MASSES["G"]
 # What ``adjust_mass`` may insert when ``delta`` Da are missing: the labels
@@ -83,6 +88,8 @@ class TagIndex(Sequence[Tag]):
     2- and 3-edge paths that start with an edge before ``e``. Tag ``t`` is the
     ``t``-th 3-edge path in order of its first, second, then third edge, which
     is the order of nested loops over the edges. A slice returns a list.
+    The edge, offset and path columns are ``array('q')`` and the labels one
+    ``str``, 8 bytes or less per entry.
     """
 
     def __init__(self, mz, source, target, symbol, offsets, paths2, paths3):
@@ -149,6 +156,58 @@ class _TagResidues(Sequence[str]):
         return symbol[first] + symbol[second] + symbol[third]
 
 
+def _label_windows(tau: float) -> list[tuple[float, float, np.ndarray]]:
+    """The labels in runs whose gap windows ``mass ± tau`` overlap.
+
+    Each run is ``(lo, hi, ranks)``: the lowest and highest gap of the merged
+    window and its labels' ranks in ``CANONICAL_ALPHABET``, ascending. Runs
+    do not overlap, so a gap reads labels of two runs only by rounding at
+    their shared edge; the sort in ``extract_tags`` orders such edges too.
+    """
+    runs: list[tuple[float, float, list[int]]] = []
+    for rank in sorted(range(_LABELS), key=_MASSES.__getitem__):
+        mass = _MASSES[rank]
+        if runs and mass - tau <= runs[-1][1]:
+            lo, _, labels = runs[-1]
+            runs[-1] = (lo, mass + tau, labels + [rank])
+        else:
+            runs.append((mass - tau, mass + tau, [rank]))
+    return [(lo, hi, np.array(sorted(labels))) for lo, hi, labels in runs]
+
+
+def _packed(values: np.ndarray) -> array:
+    """Integer ``values`` copied from numpy's buffer into an ``array('q')``."""
+    out = array("q")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+    return out
+
+
+def _window_keys(mz, lo, hi, ranks, tau, limit):
+    """The edges from peak i to a peak j > i with ``lo <= mz[j] - mz[i] <=
+    hi`` that read a label of ``ranks``, as sorted keys
+    ``(i * len(mz) + j) * _LABELS + rank``.
+
+    The window only picks candidate pairs: each edge passes the float tests
+    ``gap <= limit`` and ``abs(gap - mass) <= tau``.
+    """
+    n = len(mz)
+    # The candidate pairs in row-major order.
+    start = np.maximum(np.searchsorted(mz, mz + lo), np.arange(1, n + 1))
+    counts = np.searchsorted(mz, mz + hi, side="right") - start
+    np.maximum(counts, 0, out=counts)
+    source = np.repeat(np.arange(n), counts)
+    first = start - np.cumsum(counts) + counts
+    target = np.arange(len(source)) + np.repeat(first, counts)
+    gap = mz[target] - mz[source]
+    # One column per label; flatnonzero lists hits by pair, then label.
+    hits = np.empty((len(gap), len(ranks)), dtype=bool)
+    for column, rank in enumerate(ranks):
+        np.less_equal(np.abs(gap - _MASSES[rank]), tau, out=hits[:, column])
+    hits &= (gap <= limit)[:, None]
+    pair, column = np.divmod(np.flatnonzero(hits), len(ranks))
+    return (source[pair] * n + target[pair]) * _LABELS + ranks[column]
+
+
 def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     """Index every 3-letter tag of a preprocessed spectrum.
 
@@ -162,22 +221,18 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     mz = spec.mz
     n = len(mz)
     limit = _MAX_RESIDUE_MASS + tau
-    # Pairs (i, j > i) in row-major order, over-covering gaps up to limit by
-    # 1 Da; the exact cut is the comparison of each gap with limit.
-    after = np.arange(1, n + 1)
-    counts = np.searchsorted(mz, mz + (limit + 1.0), side="right") - after
-    starts = np.cumsum(counts) - counts
-    source = np.repeat(np.arange(n), counts)
-    target = np.arange(counts.sum()) - np.repeat(starts - after, counts)
-    gap = mz[target] - mz[source]
-    near = gap <= limit
-    source, target, gap = source[near], target[near], gap[near]
-    # One column per label; nonzero then lists edges by pair, then label.
-    hits = np.empty((len(gap), len(_LABELED_MASSES)), dtype=bool)
-    for column, (_, mass) in enumerate(_LABELED_MASSES):
-        np.less_equal(np.abs(gap - mass), tau, out=hits[:, column])
-    pair, label = np.nonzero(hits)
-    source, target = source[pair], target[pair]
+    # Windows are widened by far more than the float tests can round. Each
+    # window's keys are sorted; the stable sort merges those runs into the
+    # order of (source, target, label).
+    slack = 1e-9 * (mz[-1] + limit) if n else 0.0
+    key = np.concatenate([
+        _window_keys(mz, lo - slack, hi + slack, ranks, tau, limit)
+        for lo, hi, ranks in _label_windows(tau)
+    ])
+    key.sort(kind="stable")
+    source, rest = np.divmod(key, n * _LABELS)
+    target, label = np.divmod(rest, _LABELS)
+    del key, rest  # edge-sized, and the peak of memory is still ahead
     offsets = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
     # Paths that start with each edge: 2-edge ones end on an edge leaving
     # its target, 3-edge ones on a 2-edge path leaving it.
@@ -186,12 +241,12 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     count3 = (prefix2[offsets[1:]] - prefix2[offsets[:-1]])[target]
     return TagIndex(
         mz=mz.tolist(),
-        source=source.tolist(),
-        target=target.tolist(),
-        symbol=[CANONICAL_ALPHABET[c] for c in label.tolist()],
-        offsets=offsets.tolist(),
-        paths2=prefix2.tolist(),
-        paths3=np.concatenate(([0], np.cumsum(count3))).tolist(),
+        source=_packed(source),
+        target=_packed(target),
+        symbol=_ALPHABET[label].tobytes().decode("ascii"),
+        offsets=_packed(offsets),
+        paths2=_packed(prefix2),
+        paths3=_packed(np.concatenate(([0], np.cumsum(count3)))),
     )
 
 

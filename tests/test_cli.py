@@ -3,9 +3,11 @@ import io
 import logging
 import os
 import pickle
+import subprocess
 import sys
 from functools import cached_property
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from evopep.engine import GaConfig, evolve
 from evopep.evaluation import GroundTruthRecord, ground_truth_tsv, load_ground_truth
 from evopep.spectrum import Spectrum, emit_mgf, make_spectrum, parse_mgf, preprocess
 from evopep.tags import extract_tags
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -200,7 +204,7 @@ def test_sequence_runs_leave_spectra_plain_values(tmp_path, peptide_file, monkey
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its tasks, runs them here."""
+    """Stands in for the process pool: records its tasks, runs them here."""
 
     started = []
 
@@ -238,7 +242,7 @@ def test_sequence_splits_runs_of_one_spectrum_across_jobs(
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 5
 
-    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     assert run(
         "sequence", str(mgf), "--runs", "4", "--generations", "2", "--jobs", "2",
@@ -255,7 +259,7 @@ def test_sequence_makes_one_task_per_spectrum_run(tmp_path, monkeypatch, peptide
     import evopep.cli
 
     mgf, _ = synth(tmp_path, write(tmp_path / "peps.txt", peptides))
-    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     assert run(
         "sequence", str(mgf), "--runs", "3", "--generations", "1", "--jobs", "2",
@@ -286,7 +290,7 @@ def test_sequence_output_ignores_how_tasks_fall_on_workers(tmp_path, monkeypatch
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0].splitlines()) == 1 + 12
 
-    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     assert run(
         "sequence", str(mgf), "--seed", "4", "--runs", "4", "--generations", "2",
@@ -303,7 +307,7 @@ def test_sequence_output_ignores_how_tasks_fall_on_workers(tmp_path, monkeypatch
 def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
 
-    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     mgf, _ = synth(tmp_path, peptide_file)
     assert run(
@@ -318,13 +322,25 @@ def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monke
 def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
 
-    monkeypatch.setattr(evopep.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     mgf, _ = synth(tmp_path, peptide_file)
     out = tmp_path / "r.tsv"
     assert run("sequence", str(mgf), "--runs", "0", "--jobs", "2", "-o", str(out)) == 0
     assert _RecordingPool.started == []
     assert out.read_text().splitlines() == ["\t".join(SEQUENCE_COLUMNS)]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a `sequence` with a pool to start imports the pool's module.
+    code = "import sys, evopep.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def _zero_intensity_mgf(mgf):

@@ -2,7 +2,12 @@
 demo or the benchmark imports from the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import evopep
 
@@ -34,3 +39,20 @@ def test_demos_and_benchmark_import_only_exported_names():
     }
     assert {path for path, _ in imports} >= {"demos/01_masses_and_ladders.py", "perfbench/run.py"}
     assert sorted((path, name) for path, name in imports if name not in evopep.__all__) == []
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_import_caps_blas_threads_unless_the_caller_set_them(preset, threads):
+    # evopep makes no BLAS call; numpy's OpenBLAS would start a second
+    # thread per process unless the variable is set before numpy loads.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, evopep; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [threads]

@@ -85,8 +85,9 @@ def reference_tags(spec, tau):
 def tag_spectra(draw):
     """Peaks chained by residue-mass gaps, each off by up to tau (often by
     exactly 0, tau/2 or tau), with a few free peaks in between, so that
-    ambiguous labels, skipped peaks and tolerance edges all occur."""
-    tau = draw(st.sampled_from([0.5, 0.25, 0.05]))
+    ambiguous labels, skipped peaks and tolerance edges all occur. At tau
+    1.0 the L/N/D and Q/K/E windows overlap, at tau 20.0 all of them do."""
+    tau = draw(st.sampled_from([0.5, 0.25, 0.05, 1.0, 20.0]))
     mz = [draw(st.floats(100.0, 300.0))]
     for _ in range(draw(st.integers(0, 24))):
         if draw(st.booleans()):
@@ -100,8 +101,66 @@ def tag_spectra(draw):
     return spectrum_at(mz), tau
 
 
+def ladder(tau, mz, *rest):
+    """Peaks ``mz``, then one more per residue of ``rest``, each that
+    residue's mass above the last."""
+    mz = list(mz)
+    for sym in rest:
+        mz.append(mz[-1] + RESIDUE_MASSES[sym])
+    return spectrum_at(mz), tau
+
+
+def on_edge(tau, sym, sign, *rest):
+    """A ladder whose first gap is exactly mass(sym) + sign * tau."""
+    return ladder(tau, [0.5, 0.5 + (RESIDUE_MASSES[sym] + sign * tau)], *rest)
+
+
+# Each first gap sits exactly on a window edge; a W gap at +tau is also
+# exactly the largest gap an edge may span.
+EDGE_CASES = [
+    on_edge(0.5, "W", 1, "K", "E"),
+    on_edge(0.5, "N", -1, "G", "A"),
+    on_edge(1.0, "N", -1, "K", "T"),
+    on_edge(1.0, "W", 1, "E", "D"),
+    on_edge(20.0, "W", 1, "G", "W"),
+    on_edge(20.0, "G", -1, "V", "R"),
+]
+# Each first gap passes the tolerance test, yet the second peak lies just
+# outside mz[0] + (mass ± tau) as floats compute it: M at the top of the
+# Q/K/E/M window at tau 1.0, and R, alone in its window at tau 0.5.
+ROUNDED_CASES = [
+    ladder(1.0, [121.396597, 253.43708160000003], "K", "E"),
+    ladder(0.5, [72.291554, 227.892665], "G", "A"),
+]
+
+
+def edge_examples(*extra):
+    def add(test):
+        for case in EDGE_CASES + ROUNDED_CASES:
+            test = example(case, *extra)(test)
+        return test
+
+    return add
+
+
+def test_edge_cases_sit_on_the_edges():
+    limit = max(RESIDUE_MASSES.values())
+    at_limit = 0
+    for spec, tau in EDGE_CASES:
+        gap = spec.mz[1] - spec.mz[0]
+        assert any(abs(gap - mass) == tau for mass in RESIDUE_MASSES.values())
+        at_limit += gap == limit + tau
+    assert at_limit == 3
+    for (spec, tau), sym in zip(ROUNDED_CASES, "MR"):
+        first, second = spec.mz[:2]
+        mass = RESIDUE_MASSES[sym]
+        assert abs((second - first) - mass) <= tau
+        assert not first + (mass - tau) <= second <= first + (mass + tau)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tag_spectra())
+@edge_examples()
 def test_tag_index_equals_nested_loops(case):
     spec, tau = case
     ref = reference_tags(spec, tau)
@@ -123,6 +182,7 @@ def test_tag_index_equals_nested_loops(case):
 
 @settings(max_examples=50, deadline=None)
 @given(tag_spectra(), st.integers(0, 2**32))
+@edge_examples(7)
 def test_draws_from_index_equal_draws_from_list(case, seed):
     spec, tau = case
     index = extract_tags(spec, tau)
@@ -156,6 +216,23 @@ def test_extract_tags_bounded_on_1200_random_peaks():
     )
     paths = adjacency @ (adjacency @ adjacency.sum(axis=1))
     assert count == int(paths.sum()) > 1_000_000
+
+
+def test_extract_tags_memory_bounded_on_1200_random_peaks():
+    # Candidate pairs are taken per label window, and the index stores 8
+    # bytes per entry: the traced peak is about 1.3 MB. All pairs within the
+    # heaviest residue, with a bool column per label and the index in Python
+    # lists, peaked at 8.1 MB.
+    rng = random.Random(1200)
+    spec = spectrum_at([rng.uniform(100.0, 2000.0) for _ in range(1200)])
+    tracemalloc.start()
+    try:
+        index = extract_tags(spec, TAU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) > 1_000_000
+    assert peak < 4e6
 
 
 def test_hand_built_all_tag():
