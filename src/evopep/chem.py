@@ -10,6 +10,7 @@ peptide strings are canonicalized with ``I -> L`` before any arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 # Fundamental constants (Da).
 PROTON_MASS = 1.00727647
@@ -120,6 +121,20 @@ def unchecked_parent_mass(sequence: str) -> float:
     for symbol in sequence:
         mass += _ANY_CASE_MASSES[symbol]
     return mass + H2O_MASS
+
+
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """The floats of ``values`` added left to right from 0.0.
+
+    This is what the builtin ``sum`` computes before Python 3.12; from 3.12
+    it compensates, so its last bits, and a 6-decimal text, can differ. Every
+    float sum that reaches an output is taken here, so outputs do not depend
+    on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def precursor_mass(pepmass: float, charge: int) -> float:

@@ -178,8 +178,17 @@ def _ga_config(options: dict) -> GaConfig:
 
 def _read_text(path: str) -> str:
     """The text of an input file. A UTF-8 byte-order mark, which some editors
-    write, is dropped rather than read as part of the first line."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    write, is dropped rather than read as part of the first line; a byte that
+    is not UTF-8 is reported at its line."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object holds the bytes after any mark, which has no newline.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise ValueError(
+            f"{path}:{line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def _open_output(path: str | None) -> AbstractContextManager[TextIO]:
@@ -361,8 +370,9 @@ def _format_metrics_row(label: str, metrics) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
+    text = _read_text(args.truth)
     try:
-        truth = load_ground_truth(_read_text(args.truth))
+        truth = load_ground_truth(text)
     except ValueError as exc:
         raise ValueError(f"{args.truth}: {exc}") from None
     if not truth:

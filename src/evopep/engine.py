@@ -26,6 +26,7 @@ from .chem import (
     CANONICAL_ALPHABET,
     CONFLICT_REPLACEMENTS,
     MAX_PEPTIDE_LENGTH,
+    left_to_right_sum,
     parent_mass,
     unchecked_parent_mass,
 )
@@ -403,7 +404,7 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
 def _trace_row(
     generation: int, population: list[Individual], leader: Individual
 ) -> TraceRow:
-    mean = sum(ind.fitness for ind in population) / len(population)
+    mean = left_to_right_sum(ind.fitness for ind in population) / len(population)
     return TraceRow(
         generation=generation,
         best_fitness=leader.fitness,

@@ -15,7 +15,13 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import IO, Iterable
 
-from .chem import PROTON_MASS, RESIDUE_MASSES, parent_mass, validate_peptide
+from .chem import (
+    PROTON_MASS,
+    RESIDUE_MASSES,
+    left_to_right_sum,
+    parent_mass,
+    validate_peptide,
+)
 from .scoring import theoretical_spectrum
 from .spectrum import Spectrum, make_spectrum
 
@@ -199,9 +205,9 @@ def aggregate_runs(per_run: Iterable[Metrics]) -> MetricsSummary:
     n = len(runs)
     for name in names:
         values = [float(getattr(m, name)) for m in runs]
-        mean = sum(values) / n
+        mean = left_to_right_sum(values) / n
         if n > 1:
-            var = sum((v - mean) ** 2 for v in values) / (n - 1)
+            var = left_to_right_sum((v - mean) ** 2 for v in values) / (n - 1)
             std = math.sqrt(var)
         else:
             std = 0.0

@@ -151,3 +151,13 @@ def test_parent_mass_equals_generator_sum(peptide):
     assert chem.parent_mass(peptide) == expected + chem.H2O_MASS
     # The unvalidated sum gives the same bits on the string as passed.
     assert chem.unchecked_parent_mass(peptide) == expected + chem.H2O_MASS
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64)))
+@example([1e16, 1.0, -1e16])
+def test_left_to_right_sum_is_a_plain_loop(values):
+    expected = 0.0
+    for value in values:
+        expected += value
+    assert chem.left_to_right_sum(values) == expected
+    assert chem.left_to_right_sum(iter(values)) == expected

@@ -926,6 +926,54 @@ def test_config_file_that_starts_with_a_bom(tmp_path, peptide_file):
     assert all(row.split("\t")[7] == "1" for row in rows)
 
 
+# Each input kind with a byte that is not UTF-8 on its second line, as the
+# argv position "{bad}"; one case puts a byte-order mark ahead of the file.
+@pytest.mark.parametrize(
+    "argv, mark",
+    [
+        (("sequence", "{bad}", "--runs", "1"), b""),
+        (("sequence", "{bad}", "--runs", "1"), BOM.encode("utf-8")),
+        (("tags", "{bad}"), b""),
+        (("preprocess", "{bad}", "{out}"), b""),
+        (("evaluate", "{bad}", "{truth}"), b""),
+        (("evaluate", "{results}", "{bad}"), b""),
+        (("synth", "{bad}", "-o", "{out}"), b""),
+        (("sequence", "{mgf}", "--runs", "1", "--config", "{bad}"), b""),
+    ],
+    ids=[
+        "sequence",
+        "sequence-bom",
+        "tags",
+        "preprocess",
+        "evaluate-results",
+        "evaluate-truth",
+        "synth",
+        "config",
+    ],
+)
+def test_input_that_is_not_utf8_is_named_at_its_line(
+    tmp_path, peptide_file, capsys, argv, mark
+):
+    mgf, truth = synth(tmp_path, peptide_file)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(mark + b"BEGIN IONS\nTITLE=caf\xe9 \xff\nEND IONS\n")
+    results = write(
+        tmp_path / "r.tsv", "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tGK\n"
+    )
+    paths = {
+        "bad": str(bad),
+        "mgf": str(mgf),
+        "truth": str(truth),
+        "results": results,
+        "out": str(tmp_path / "out"),
+    }
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {bad}:2: byte 0xe9 is not UTF-8")
+
+
 def test_synth_config_refuses_options_synth_does_not_take(tmp_path, peptide_file, capsys):
     config = write(tmp_path / "synth.cfg", "seed=3\ntau=nan\njobs=4\n")
     out = tmp_path / "out.mgf"

@@ -28,6 +28,7 @@ from evopep.chem import (
 )
 from evopep.engine import (
     _initial_population,
+    _trace_row,
     choose_operator,
     conflict_mass_mutation,
     flip_aa_mutation,
@@ -613,6 +614,20 @@ def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal
         best = [row.best_fitness for row in result.trace]
         assert len(best) == cfg.generations + 1
         assert best == sorted(best)
+
+
+def test_trace_mean_adds_left_to_right():
+    # From Python 3.12 the builtin sum is compensated and gives 1.0 here.
+    population = [
+        Individual(peptide="GK", fitness=value, nterm=0, cterm=0, delta_mass=0.0)
+        for value in (1e16, 1.0, -1e16)
+    ]
+    total = 0.0
+    for ind in population:
+        total += ind.fitness
+    row = _trace_row(3, population, population[0])
+    assert row.mean_fitness == total / 3 == 0.0
+    assert row.best_fitness == 1e16
 
 
 # trace_to_tsv of a tiny run, and the next 64 bits of its generator after

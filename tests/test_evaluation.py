@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -147,6 +148,34 @@ def test_aggregate_hand_fixture():
     summary = aggregate_runs([with_recall(0.8), with_recall(0.9), with_recall(1.0)])
     assert summary.mean.recall == pytest.approx(0.9, abs=1e-12)
     assert summary.std.recall == pytest.approx(0.1, abs=1e-9)
+
+
+def test_aggregate_adds_left_to_right():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 as the
+    # builtin sum computes it from Python 3.12.
+    values = (0.1, 0.2, 0.3)
+    runs = [
+        Metrics(
+            precision=value,
+            recall=1.0,
+            peptide_recall=1.0,
+            avg_len_partial_matches=0.0,
+            avg_len_predicted=0.0,
+            n_spectra=1,
+        )
+        for value in values
+    ]
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / 3
+    squares = 0.0
+    for value in values:
+        squares += (value - mean) ** 2
+    summary = aggregate_runs(runs)
+    assert total == 0.6000000000000001
+    assert summary.mean.precision == mean
+    assert summary.std.precision == math.sqrt(squares / 2)
 
 
 def test_ground_truth_round_trip():

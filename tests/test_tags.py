@@ -86,8 +86,10 @@ def tag_spectra(draw):
     """Peaks chained by residue-mass gaps, each off by up to tau (often by
     exactly 0, tau/2 or tau), with a few free peaks in between, so that
     ambiguous labels, skipped peaks and tolerance edges all occur. At tau
-    1.0 the L/N/D and Q/K/E windows overlap, at tau 20.0 all of them do."""
-    tau = draw(st.sampled_from([0.5, 0.25, 0.05, 1.0, 20.0]))
+    1.0 the L/N/D and Q/K/E windows overlap, at tau 20.0 all of them do;
+    a tau drawn from 0.01-3.0 falls near where two windows start to
+    overlap, such as K/Q at about 0.018."""
+    tau = draw(st.sampled_from([0.5, 0.25, 0.05, 1.0, 20.0]) | st.floats(0.01, 3.0))
     mz = [draw(st.floats(100.0, 300.0))]
     for _ in range(draw(st.integers(0, 24))):
         if draw(st.booleans()):
@@ -126,8 +128,8 @@ EDGE_CASES = [
     on_edge(20.0, "G", -1, "V", "R"),
 ]
 # Each first gap passes the tolerance test, yet the second peak lies just
-# outside mz[0] + (mass ± tau) as floats compute it: M at the top of the
-# Q/K/E/M window at tau 1.0, and R, alone in its window at tau 0.5.
+# outside mz[0] + (mass ± tau) as floats compute it: M at the top of its
+# window at tau 1.0, and R at the bottom of its window at tau 0.5.
 ROUNDED_CASES = [
     ladder(1.0, [121.396597, 253.43708160000003], "K", "E"),
     ladder(0.5, [72.291554, 227.892665], "G", "A"),
@@ -219,7 +221,7 @@ def test_extract_tags_bounded_on_1200_random_peaks():
 
 
 def test_extract_tags_memory_bounded_on_1200_random_peaks():
-    # Candidate pairs are taken per label window, and the index stores 8
+    # Candidate pairs are taken one label at a time, and the index stores 8
     # bytes per entry: the traced peak is about 1.3 MB. All pairs within the
     # heaviest residue, with a bool column per label and the index in Python
     # lists, peaked at 8.1 MB.
