@@ -32,17 +32,6 @@ from .engine import (
     GaConfig,
     evolve,
 )
-from .evaluation import (
-    GroundTruthRecord,
-    Metrics,
-    MetricsSummary,
-    SynthConfig,
-    aggregate_runs,
-    compute_metrics,
-    matched_amino_acids,
-    random_tryptic_peptide,
-    synthesize_spectrum,
-)
 from .scoring import (
     Individual,
     InvalidSpectrumError,
@@ -67,6 +56,36 @@ from .spectrum import (
 from .tags import Tag, TagIndex, build_init_pool, extract_tags
 
 __version__ = "0.1.0"
+
+# Only `evaluate`, `synth` and callers that synthesize spectra or score
+# predictions read these, so `import evopep`, and every `sequence` process,
+# loads their module only when one of them is first read (PEP 562).
+_EVALUATION_NAMES = frozenset(
+    {
+        "GroundTruthRecord",
+        "Metrics",
+        "MetricsSummary",
+        "SynthConfig",
+        "aggregate_runs",
+        "compute_metrics",
+        "matched_amino_acids",
+        "random_tryptic_peptide",
+        "synthesize_spectrum",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EVALUATION_NAMES)
+
 
 __all__ = [
     "CONFLICT_REPLACEMENTS",

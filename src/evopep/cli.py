@@ -9,28 +9,19 @@ deterministic for a fixed seed and input, independent of --jobs.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import random
 import sys
 from collections import Counter
-from concurrent.futures import BrokenExecutor, Executor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
 from .engine import OPERATORS, EvolutionError, GaConfig, evolve
-from .evaluation import (
-    GroundTruthRecord,
-    SynthConfig,
-    aggregate_runs,
-    compute_metrics,
-    ground_truth_tsv,
-    load_ground_truth,
-    synthesize_spectrum,
-)
 from .spectrum import (
     PreprocessConfig,
     Spectrum,
@@ -39,6 +30,9 @@ from .spectrum import (
     preprocess,
 )
 from .tags import extract_tags, precursor_reachable
+
+if TYPE_CHECKING:  # the module loads only where a pool is made
+    from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
 
@@ -297,9 +291,15 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         for run_index in range(runs)
     ]
     if jobs > 1 and len(tasks) > 1:
-        # The pool forks all its workers at the first submit.
-        with _process_pool(min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_sequence_job, tasks))
+        from concurrent.futures import BrokenExecutor
+
+        try:
+            # The pool forks all its workers at the first submit.
+            with _process_pool(min(jobs, len(tasks))) as pool:
+                results = list(pool.map(_sequence_job, tasks))
+        except BrokenExecutor as exc:
+            # A worker died (killed, or out of memory): main exits 2.
+            raise EvolutionError(f"worker pool broke: {exc}") from exc
     else:
         results = list(map(_sequence_job, tasks))
     rows = [row for row in results if row is not None]
@@ -368,6 +368,8 @@ def _format_metrics_row(label: str, metrics) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import aggregate_runs, compute_metrics, load_ground_truth
+
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
     text = _read_text(args.truth)
@@ -414,6 +416,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        GroundTruthRecord,
+        SynthConfig,
+        ground_truth_tsv,
+        synthesize_spectrum,
+    )
+
     options = _effective_options(args)
     synth_cfg = SynthConfig(
         noise_peaks=options["noise"],
@@ -558,13 +567,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EvolutionError, ValueError, OSError, BrokenExecutor) as exc:
+    except (EvolutionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # At exit the interpreter's last collections would sweep every object
+    # that numpy and evopep made, about 20 ms per process for nothing: the
+    # process is ending. Frozen objects are not swept; atexit still runs.
+    # main() does not freeze, since tests call it in the same process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -100,6 +100,14 @@ class GaConfig:
             raise ValueError("generations must be >= 0")
         if self.tournament_k < 1:
             raise ValueError("tournament_k must be >= 1")
+        if self.tournament_k > self.population:
+            # Each generation draws tournament_k entrants for each of
+            # population // 3 winners, so a huge value would never finish.
+            raise ValueError(
+                f"tournament_k must be <= population ({self.population}), got "
+                f"{self.tournament_k}: entrants are drawn with replacement, so "
+                "a larger tournament only adds draws"
+            )
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
 

@@ -48,10 +48,10 @@ class TheoreticalSpectrum:
     internal_ions: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Individual:
     """A candidate peptide with its scores; the GA chromosome and the one
-    result type of ``fitness``."""
+    result type of ``fitness``. Slotted: a run's memo holds thousands."""
 
     peptide: str
     fitness: float
@@ -260,8 +260,12 @@ def fitness(
     peptide: str, spec: Spectrum, tau: float, *, table: MatchTable | None = None
 ) -> Individual:
     """Score a peptide-spectrum match: the peptide as passed, with its
-    fitness, terminus scores and precursor mass difference. A call without
-    ``table``, the spectrum's ``MatchTable`` at ``tau``, builds it."""
+    fitness, terminus scores and precursor mass difference.
+
+    A call without ``table``, the spectrum's ``MatchTable`` at ``tau``,
+    builds it, which takes far longer than the scoring itself. Many
+    peptides scored against one spectrum should go through one ``Scorer``
+    and ``Individual.score``, which build the table once and memoize."""
     mass = parent_mass(peptide)  # validates the peptide
     seq = canonical(peptide)
     if len(seq) < 2:

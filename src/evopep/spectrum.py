@@ -15,12 +15,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .chem import PROTON_MASS, precursor_mass
+
+if TYPE_CHECKING:  # numpy.typing would cost every process an import
+    from numpy.typing import ArrayLike
 
 logger = logging.getLogger(__name__)
 

@@ -332,15 +332,72 @@ def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # Only a `sequence` with a pool to start imports the pool's module.
-    code = "import sys, evopep.cli; print('multiprocessing' in sys.modules)"
+    # Only a `sequence` with a pool to start imports the pool's modules, only
+    # `evaluate` and `synth` import evopep.evaluation, and numpy.typing is
+    # read by type checkers alone: no process pays for them on startup.
+    lazy = ["evopep.evaluation", "concurrent.futures", "multiprocessing", "numpy.typing"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for module in ("evopep.cli", "evopep"):
+        code = f"import sys, {module}; print(*[m in sys.modules for m in {lazy!r}])"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"] * len(lazy), module
+
+
+class _BrokenPool(_RecordingPool):
+    """A pool whose worker died before it returned a result."""
+
+    def map(self, fn, tasks):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("a worker process was killed")
+
+
+def test_sequence_broken_pool_errors(tmp_path, peptide_file, monkeypatch, capsys):
+    import evopep.cli
+
+    mgf, _ = synth(tmp_path, peptide_file)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _BrokenPool)
+    out = tmp_path / "r.tsv"
+    assert run(
+        "sequence", str(mgf), "--runs", "2", "--generations", "1", "--jobs", "2",
+        "-o", str(out),
+    ) == 2
+    err = capsys.readouterr().err
+    assert "error: worker pool broke: a worker process was killed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_module_entry_point_prints_what_main_writes(tmp_path, peptide_file, capsys):
+    # `python -m evopep.cli` goes through console_main, which freezes the
+    # GC before it exits; the rows must be those main() writes in-process.
+    mgf, _ = synth(tmp_path, peptide_file)
+    argv = ["sequence", str(mgf), "--runs", "2", "--generations", "2",
+            "--population", "30", "--pool-size", "60", "--seed", "4"]
+    capsys.readouterr()
+    assert run(*argv) == 0
+    in_process = capsys.readouterr().out
+    assert len(in_process.splitlines()) == 1 + 4
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60,
+        [sys.executable, "-m", "evopep.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout == in_process
+
+    bad = write(tmp_path / "bad.mgf", "BEGIN IONS\nPEPMASS=nan\n100.0 5.0\nEND IONS\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "evopep.cli", "sequence", bad], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def _zero_intensity_mgf(mgf):
@@ -478,7 +535,7 @@ def test_sequence_non_finite_mgf_value_errors(tmp_path, capsys, header, peak):
         f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n{peak}\nEND IONS\n",
     )
     code = run("sequence", mgf, "--runs", "1", "--generations", "0",
-               "--pool-size", "5", "--population", "4")
+               "--pool-size", "5", "--population", "4", "--tournament", "4")
     assert code == 2
     err = capsys.readouterr().err
     assert "error: line " in err and "must be finite" in err
@@ -808,6 +865,26 @@ def test_sequence_refuses_bad_ga_setting(
     out = tmp_path / "out.tsv"
     assert run("sequence", str(mgf), "--runs", "1", "-o", str(out), *flags) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tournament", [31, 10**9])
+def test_sequence_refuses_tournament_above_population(
+    tmp_path, peptide_file, capsys, source, tournament
+):
+    # select_pools draws tournament_k entrants per winner, so 10**9 would
+    # never finish a generation; it is refused before any run starts.
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = tmp_path / "out.tsv"
+    if source == "flag":
+        options = ["--tournament", str(tournament)]
+    else:
+        options = ["--config", write(tmp_path / "run.cfg", f"tournament={tournament}\n")]
+    argv = ["sequence", str(mgf), "--runs", "1", "--population", "30", "-o", str(out)]
+    assert run(*argv, *options) == 2
+    message = f"error: tournament_k must be <= population (30), got {tournament}"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

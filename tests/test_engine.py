@@ -75,6 +75,13 @@ def test_config_validates_rates():
         GaConfig(rates=(0.50, 0.35, 0.15))  # sums to 1, one operator short
 
 
+@pytest.mark.parametrize("tournament_k", [31, 10**9])
+def test_config_refuses_tournament_above_population(tournament_k):
+    assert GaConfig(population=30, tournament_k=30).tournament_k == 30
+    with pytest.raises(ValueError, match=f"<= population \\(30\\), got {tournament_k}:"):
+        GaConfig(population=30, tournament_k=tournament_k)
+
+
 def test_config_sub_pool_derived():
     assert GaConfig().sub_pool == 100
     assert GaConfig(population=250).sub_pool == 83
@@ -240,7 +247,7 @@ def tied_populations(draw):
         for index, (fit, nterm, cterm) in enumerate(rows)
     ]
     size = draw(st.integers(4, 60))
-    cfg = GaConfig(population=size, tournament_k=draw(st.integers(1, 7)))
+    cfg = GaConfig(population=size, tournament_k=draw(st.integers(1, min(7, size))))
     return population, cfg
 
 
@@ -583,7 +590,7 @@ def ga_settings(draw):
         pool_size=draw(st.integers(population, 60)),
         population=population,
         generations=draw(st.integers(0, 5)),
-        tournament_k=draw(st.integers(1, 7)),
+        tournament_k=draw(st.integers(1, min(7, population))),
         rates=rates,
         seed=draw(st.integers(0, 2**32)),
     )

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from evopep import (
+    Individual,
     Metrics,
+    Scorer,
     SynthConfig,
     aggregate_runs,
     compute_metrics,
-    fitness,
     matched_amino_acids,
     synthesize_spectrum,
 )
@@ -113,12 +114,14 @@ def test_self_fitness_beats_single_flips():
     rng = random.Random(9)
     pep = "LGVTLYK"
     spec = synthesize_spectrum(pep, SynthConfig(), rng)
-    base = fitness(pep, spec, TAU).fitness
+    # One Scorer builds the spectrum's match table once for all 101 scores.
+    scorer = Scorer(spec, TAU)
+    base = Individual.score(pep, scorer).fitness
     for _ in range(100):
         pos = rng.randrange(len(pep) - 1)
         sym = rng.choice([s for s in CANONICAL_ALPHABET if s != pep[pos]])
         variant = pep[:pos] + sym + pep[pos + 1 :]
-        assert fitness(variant, spec, TAU).fitness < base
+        assert Individual.score(variant, scorer).fitness < base
 
 
 def test_aggregate_single_run_zero_std():

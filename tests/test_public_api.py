@@ -56,3 +56,25 @@ def test_import_caps_blas_threads_unless_the_caller_set_them(preset, threads):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [threads]
+
+
+def test_reading_an_evaluation_name_loads_its_module():
+    # `import evopep` leaves evopep.evaluation unloaded until one of its
+    # names is first read (a module __getattr__).
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, evopep; loaded = 'evopep.evaluation' in sys.modules; "
+        "cls = evopep.SynthConfig; "
+        "print(loaded, 'evopep.evaluation' in sys.modules, cls.__module__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "evopep.evaluation"]
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        evopep.no_such_name

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from itertools import accumulate
 
@@ -286,6 +288,19 @@ def test_individual_score_is_fitness_memoized(case):
         assert bits(first) == bits(fitness(peptide, spec, tau))
         assert Individual.score(peptide, scorer) is first
     assert list(scorer.scores) == list(dict.fromkeys(peptides))
+
+
+def test_individual_is_slotted_and_round_trips(ladder_aaal):
+    # A run's memo holds thousands of Individuals, so they carry no __dict__.
+    ind = fitness("AAALAAADAR", ladder_aaal, TAU)
+    assert not hasattr(ind, "__dict__")
+    assert pickle.loads(pickle.dumps(ind)) == ind
+    assert copy.deepcopy(ind) == ind
+    moved = dataclasses.replace(ind, fitness=0.5)
+    assert (moved.peptide, moved.fitness) == (ind.peptide, 0.5)
+    assert dataclasses.astuple(moved)[2:] == dataclasses.astuple(ind)[2:]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ind.fitness = 0.0
 
 
 # A reference scorer kept apart from the program: the ion ladders built in a
