@@ -25,10 +25,11 @@ spec = preprocess(
 )
 
 # A tag is three residues read off four peaks whose consecutive gaps each
-# match a residue mass within the tolerance.
+# match a residue mass within the tolerance. The index reads as the tags'
+# residues (tags[t]); tags.tag(t) decodes tag t with its peaks.
 tags = extract_tags(spec, tau=0.5)
 print(f"extracted {len(tags)} tags from {len(spec.mz)} peaks; first few:")
-for tag in tags[:5]:
+for tag in map(tags.tag, range(min(5, len(tags)))):
     print(f"  {tag.residues}  start m/z {tag.start_mz:8.3f}  peaks {tag.peak_indices}")
 
 # Initialization concatenates 2-4 random tags, appends K or R, then inserts

@@ -186,7 +186,7 @@ def _read_text(path: str) -> str:
 
 
 def _open_output(path: str | None) -> AbstractContextManager[TextIO]:
-    if path:
+    if path and path != "-":
         return open(path, "w", encoding="utf-8")
     return nullcontext(sys.stdout)
 
@@ -469,7 +469,8 @@ def cmd_tags(args: argparse.Namespace) -> int:
             # (start_mz, ...). Rows are written as they come, so memory holds
             # at most one start peak's tags.
             tags = extract_tags(prepared, options["tau"])
-            for _, group in groupby(tags, key=lambda t: t.peak_indices[0]):
+            rows = map(tags.tag, range(len(tags)))
+            for _, group in groupby(rows, key=lambda t: t.peak_indices[0]):
                 for tag in sorted(group, key=lambda t: (t.residues, t.peak_indices)):
                     indices = ",".join(str(i) for i in tag.peak_indices)
                     out.write(
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="De novo peptide sequencing with a genetic algorithm.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    output_help = "output path (default stdout)"
+    output_help = "output path, or - for stdout (the default)"
     complements_help = "skip complementary-peak augmentation"
 
     p = sub.add_parser("preprocess", help="denoise, normalize and augment an MGF")

@@ -232,7 +232,8 @@ def nterm_cterm_crossover(
     seq = prefix + suffix
     if len(seq) > MAX_PEPTIDE_LENGTH:
         return fallback
-    delta = precursor - parent_mass(seq)  # validates both parents' parts
+    mass = parent_mass(seq)  # validates both parents' parts
+    delta = precursor - mass
     if delta < -RELAXED_CX_BOUND:
         # Overlapping prefixes/suffixes make the concatenation too heavy:
         # regrow from the prefix, taking ever longer tails of the C parent
@@ -240,7 +241,8 @@ def nterm_cterm_crossover(
         # at the latest with the whole suffix, so it stays within the cap.
         for k in range(1, len(c_seq) + 1):
             seq = prefix + c_seq[len(c_seq) - k :]
-            if precursor - unchecked_parent_mass(seq) <= RELAXED_CX_BOUND:
+            mass = unchecked_parent_mass(seq)
+            if precursor - mass <= RELAXED_CX_BOUND:
                 break
     elif delta > RELAXED_CX_BOUND and len(helper.peptide) > 2:
         h_seq = helper.peptide
@@ -248,13 +250,17 @@ def nterm_cterm_crossover(
         w2 = w1 + 1 + rng._randbelow(len(h_seq) - w1 - 1)
         mid = ""
         for sym in h_seq[w1:w2]:
-            if precursor - unchecked_parent_mass(prefix + mid + suffix) <= RELAXED_CX_BOUND:
+            mass = unchecked_parent_mass(prefix + mid + suffix)
+            if precursor - mass <= RELAXED_CX_BOUND:
                 break
             mid += sym
             if len(prefix) + len(mid) + len(suffix) > MAX_PEPTIDE_LENGTH:
                 return fallback
+        else:
+            # The last residue taken was never weighed with the rest.
+            mass = unchecked_parent_mass(prefix + mid + suffix)
         seq = prefix + mid + suffix
-    adjusted, ok = adjust_mass(seq, precursor, rng, tau)
+    adjusted, ok = adjust_mass(seq, precursor, rng, tau, mass)
     if not ok or len(adjusted) < 2:
         return fallback
     return adjusted

@@ -78,23 +78,23 @@ class Tag:
     start_mz: float
 
 
-class TagIndex(Sequence[Tag]):
+class TagIndex(Sequence[str]):
     """Every tag of a spectrum, decoded on demand from its residue edges.
 
-    Edge ``e`` runs from peak ``source[e]`` to peak ``target[e]`` and reads
-    ``symbol[e]``; edges are ordered by source peak, then target peak, then
-    ``CANONICAL_ALPHABET``, and those leaving peak ``p`` are
-    ``offsets[p]:offsets[p + 1]``. ``paths2[e]`` and ``paths3[e]`` count the
-    2- and 3-edge paths that start with an edge before ``e``. Tag ``t`` is the
-    ``t``-th 3-edge path in order of its first, second, then third edge, which
-    is the order of nested loops over the edges. A slice returns a list.
-    The edge, offset and path columns are ``array('q')`` and the labels one
-    ``str``, 8 bytes or less per entry.
+    Edge ``e`` reads ``symbol[e]`` and runs to peak ``target[e]``; edges are
+    ordered by source peak, then target peak, then ``CANONICAL_ALPHABET``,
+    and those leaving peak ``p`` are ``offsets[p]:offsets[p + 1]``, so no
+    source column is stored. ``paths2[e]`` and ``paths3[e]`` count the 2- and
+    3-edge paths that start with an edge before ``e``. Tag ``t`` is the
+    ``t``-th 3-edge path in order of its first, second, then third edge,
+    which is the order of nested loops over the edges. ``index[t]`` is its
+    three residues and ``index.tag(t)`` the whole ``Tag``. The target, offset
+    and path columns are ``array('q')`` and the labels one ``str``, 8 bytes
+    or less per entry.
     """
 
-    def __init__(self, mz, source, target, symbol, offsets, paths2, paths3):
+    def __init__(self, mz, target, symbol, offsets, paths2, paths3):
         self._mz = mz
-        self._source = source
         self._target = target
         self._symbol = symbol
         self._offsets = offsets
@@ -123,37 +123,22 @@ class TagIndex(Sequence[Tag]):
         second = bisect_right(paths2, rank, lo, offsets[peak + 1]) - 1
         return first, second, offsets[target[second]] + rank - paths2[second]
 
-    def __getitem__(self, t: int | slice) -> Tag | list[Tag]:
-        if isinstance(t, slice):
-            return [self[i] for i in range(*t.indices(len(self)))]
+    def __getitem__(self, t: int) -> str:
         first, second, third = self._edges(t)
-        start = self._source[first]
+        symbol = self._symbol
+        return symbol[first] + symbol[second] + symbol[third]
+
+    def tag(self, t: int) -> Tag:
+        """Tag ``t`` with its peaks and start m/z."""
+        first, second, third = self._edges(t)
+        # The peak whose edges include the first one is the tag's start.
+        start = bisect_right(self._offsets, first) - 1
         target, symbol = self._target, self._symbol
         return Tag(
             peak_indices=(start, target[first], target[second], target[third]),
             residues=symbol[first] + symbol[second] + symbol[third],
             start_mz=self._mz[start],
         )
-
-    @property
-    def residues(self) -> Sequence[str]:
-        """The residues of each tag, decoded without building a ``Tag``."""
-        return _TagResidues(self)
-
-
-class _TagResidues(Sequence[str]):
-    def __init__(self, index: TagIndex):
-        self._edges = index._edges
-        self._symbol = index._symbol
-        self._size = len(index)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, t: int) -> str:
-        first, second, third = self._edges(t)
-        symbol = self._symbol
-        return symbol[first] + symbol[second] + symbol[third]
 
 
 def _packed(values: np.ndarray) -> array:
@@ -209,7 +194,6 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     count3 = (prefix2[offsets[1:]] - prefix2[offsets[:-1]])[target]
     return TagIndex(
         mz=mz.tolist(),
-        source=_packed(source),
         target=_packed(target),
         symbol=_ALPHABET[label].tobytes().decode("ascii"),
         offsets=_packed(offsets),
@@ -244,22 +228,22 @@ def random_sequence_from_tags(tags: Sequence[str], rng: random.Random) -> str:
 
 
 def adjust_mass(
-    seq: str, precursor: float, rng: random.Random, tau: float
+    seq: str, precursor: float, rng: random.Random, tau: float, mass: float
 ) -> tuple[str, bool]:
     """Insert or remove residues until |precursor - parent mass| is below
     mass(G) + tau.
 
-    The terminal residue is never touched. Returns (sequence, ok); ``ok`` is
-    False when the sequence would shrink below two residues, grow past
-    MAX_PEPTIDE_LENGTH, or ADJUST_MAX_ITERATIONS edits are spent, in which
-    case the last sequence whose mass was computed is returned and the
-    caller should discard it. The sequence is validated once, on entry;
-    every edit inserts a canonical residue or deletes one, so the masses
-    after edits skip validation.
+    ``mass`` is the parent mass of ``seq``, which the caller has validated
+    and summed; every edit inserts a canonical residue or deletes one, so
+    the masses after edits skip validation too. The terminal residue is
+    never touched. Returns (sequence, ok); ``ok`` is False when the sequence
+    would shrink below two residues, grow past MAX_PEPTIDE_LENGTH, or
+    ADJUST_MAX_ITERATIONS edits are spent, in which case the last sequence
+    whose mass was computed is returned and the caller should discard it.
     """
     bound = _GLYCINE_MASS + tau
     draw = rng._randbelow
-    delta = precursor - parent_mass(seq)
+    delta = precursor - mass
     for _ in range(ADJUST_MAX_ITERATIONS):
         if abs(delta) < bound:
             return seq, True
@@ -313,14 +297,15 @@ def build_init_pool(
             "spectrum %r yielded no tags; falling back to random sequences",
             spec.title,
         )
-    residues = tags.residues
     peptides: dict[str, None] = {}
     attempts = 0
     limit = INIT_ATTEMPT_FACTOR * pool_size
     while len(peptides) < pool_size and attempts < limit:
         attempts += 1
-        seq = random_sequence_from_tags(residues, rng)
-        adjusted, ok = adjust_mass(seq, spec.precursor_mass, rng, tau)
+        seq = random_sequence_from_tags(tags, rng)
+        adjusted, ok = adjust_mass(
+            seq, spec.precursor_mass, rng, tau, parent_mass(seq)
+        )
         if ok and len(adjusted) >= 2:
             peptides[adjusted] = None
     if len(peptides) < pool_size:

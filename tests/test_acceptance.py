@@ -290,7 +290,8 @@ def test_criterion_09_tag_extraction_oracle():
         count = rng.randint(4, 30)
         mzs = sorted(rng.uniform(100.0, 900.0) for _ in range(count))
         spec = make_spectrum("bf", 600.0, 2, mzs, [1.0] * count)
-        fast = {(t.peak_indices, t.residues) for t in extract_tags(spec, TAU)}
+        tags = extract_tags(spec, TAU)
+        fast = {(tags.tag(t).peak_indices, tags[t]) for t in range(len(tags))}
         if fast != brute_force_tags([p.mz for p in spec.peaks], TAU):
             mismatches += 1
     report(9, mismatches == 0, f"extract_tags == brute force on 50 spectra ({mismatches} mismatches)")

@@ -400,6 +400,26 @@ def test_module_entry_point_prints_what_main_writes(tmp_path, peptide_file, caps
     assert "Traceback" not in done.stderr
 
 
+def test_dash_output_writes_to_stdout(tmp_path, peptide_file, capsys, monkeypatch):
+    mgf, truth = synth(tmp_path, peptide_file)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    commands = {
+        "sequence": ["sequence", str(mgf), "--runs", "2", "--generations", "2",
+                     "--population", "30", "--pool-size", "60"],
+        "tags": ["tags", str(mgf)],
+        "evaluate": ["evaluate", str(tmp_path / "sequence.tsv"), str(truth)],
+    }
+    for name, argv in commands.items():
+        to_file = tmp_path / f"{name}.tsv"
+        assert run(*argv, "-o", str(to_file)) == 0
+        capsys.readouterr()
+        assert run(*argv, "-o", "-") == 0
+        assert capsys.readouterr().out.encode("utf-8") == to_file.read_bytes(), name
+    assert list(work.iterdir()) == []
+
+
 def _zero_intensity_mgf(mgf):
     """The first spectrum of ``mgf`` again, titled "zero", every intensity 0."""
     spec = parse_mgf(mgf.read_text())[0]
@@ -787,7 +807,8 @@ def test_tags_rows_equal_a_full_sort(tmp_path):
     assert run("tags", mgf, "--no-complements", "-o", str(out)) == 0
 
     (parsed,) = parse_mgf((tmp_path / "mixed.mgf").read_text(encoding="utf-8"))
-    tags = list(extract_tags(preprocess(parsed, complements=False), 0.5))
+    index = extract_tags(preprocess(parsed, complements=False), 0.5)
+    tags = [index.tag(t) for t in range(len(index))]
     key = lambda t: (t.start_mz, t.residues, t.peak_indices)
     assert tags != sorted(tags, key=key)
     expected = [
@@ -811,13 +832,20 @@ def test_tags_writes_each_start_peak_as_it_goes(tmp_path, peptide_file, monkeypa
     pulled = []  # (spectrum, start peak) of each tag pulled from the index
     pending = []  # tags pulled but not yet written, at each pull
 
-    def counting_extract_tags(spec, tau):
-        for tag in extract_tags(spec, tau):
-            pulled.append((id(spec), tag.peak_indices[0]))
-            pending.append(len(pulled) - out.rows)
-            yield tag
+    class CountingIndex:
+        def __init__(self, spec, tau):
+            self.spec, self.index = spec, extract_tags(spec, tau)
 
-    monkeypatch.setattr(cli, "extract_tags", counting_extract_tags)
+        def __len__(self):
+            return len(self.index)
+
+        def tag(self, t):
+            tag = self.index.tag(t)
+            pulled.append((id(self.spec), tag.peak_indices[0]))
+            pending.append(len(pulled) - out.rows)
+            return tag
+
+    monkeypatch.setattr(cli, "extract_tags", CountingIndex)
     monkeypatch.setattr(sys, "stdout", out)
     assert run("tags", str(mgf)) == 0
     assert out.rows == len(pulled)

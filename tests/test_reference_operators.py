@@ -104,7 +104,7 @@ def assert_adjust_mass_matches(seq, precursor, seed, max_iterations):
     reference, rng = GuardedRandom(seed), GuardedRandom(seed)
     with mock.patch("evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations):
         expected = reference_adjust_mass(seq, precursor, reference, TAU)
-        assert adjust_mass(seq, precursor, rng, TAU) == expected
+        assert adjust_mass(seq, precursor, rng, TAU, parent_mass(seq)) == expected
     assert rng.getstate() == reference.getstate()
     return adjust_outcome(*expected)
 

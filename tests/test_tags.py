@@ -168,18 +168,18 @@ def test_tag_index_equals_nested_loops(case):
     ref = reference_tags(spec, tau)
     index = extract_tags(spec, tau)
     assert len(index) == len(ref)
-    assert list(index) == ref
-    assert list(index.residues) == [tag.residues for tag in ref]
-    assert index[2:9:3] == ref[2:9:3]
-    assert index[::-4] == ref[::-4]
+    assert [index.tag(t) for t in range(len(index))] == ref
+    assert list(index) == [tag.residues for tag in ref]
     if ref:
-        assert index[-1] == ref[-1]
-        assert index[-len(ref)] == ref[0]
+        assert index[-1] == ref[-1].residues
+        assert index.tag(-1) == ref[-1]
+        assert index[-len(ref)] == ref[0].residues
+        assert index.tag(-len(ref)) == ref[0]
     for bad in (len(ref), -len(ref) - 1):
         with pytest.raises(IndexError):
             index[bad]
         with pytest.raises(IndexError):
-            index.residues[bad]
+            index.tag(bad)
 
 
 @settings(max_examples=50, deadline=None)
@@ -192,7 +192,7 @@ def test_draws_from_index_equal_draws_from_list(case, seed):
     from_index, from_list = random.Random(seed), random.Random(seed)
     for _ in range(20):
         assert random_sequence_from_tags(
-            index.residues, from_index
+            index, from_index
         ) == random_sequence_from_tags(listed, from_list)
 
 
@@ -240,8 +240,8 @@ def test_extract_tags_memory_bounded_on_1200_random_peaks():
 def test_hand_built_all_tag():
     spec = spectrum_at([200.0, 271.037, 384.121, 497.205])
     tags = extract_tags(spec, TAU)
-    assert {(t.peak_indices, t.residues) for t in tags} == {((0, 1, 2, 3), "ALL")}
-    assert tags[0].start_mz == 200.0
+    assert list(tags) == ["ALL"]
+    assert tags.tag(0) == Tag((0, 1, 2, 3), "ALL", 200.0)
 
 
 def test_too_few_peaks_gives_no_tags():
@@ -251,7 +251,9 @@ def test_too_few_peaks_gives_no_tags():
 def test_tags_revalidate_against_spectrum():
     spec = clean_spectrum("LGVTLYK")
     mz = [p.mz for p in spec.peaks]
-    for tag in extract_tags(spec, TAU):
+    tags = extract_tags(spec, TAU)
+    assert len(tags) > 0
+    for tag in map(tags.tag, range(len(tags))):
         i, j, k, m = tag.peak_indices
         assert i < j < k < m
         for (a, b), sym in zip(((i, j), (j, k), (k, m)), tag.residues):
@@ -261,7 +263,7 @@ def test_tags_revalidate_against_spectrum():
 def test_clean_ladder_contains_interior_three_mers():
     pep = "LGVTLYK"
     spec = clean_spectrum(pep)
-    residues = {t.residues for t in extract_tags(spec, TAU)}
+    residues = set(extract_tags(spec, TAU))
     interior = pep[1:-1]
     for start in range(len(interior) - 2):
         assert interior[start : start + 3] in residues
@@ -273,13 +275,15 @@ def test_extract_equals_brute_force_random_spectra():
         count = rng.randint(4, 20)
         mzs = sorted(rng.uniform(100, 700) for _ in range(count))
         spec = spectrum_at(mzs)
-        fast = {(t.peak_indices, t.residues) for t in extract_tags(spec, TAU)}
+        tags = extract_tags(spec, TAU)
+        fast = {(tags.tag(t).peak_indices, tags[t]) for t in range(len(tags))}
         assert fast == brute_force_tags(spec, TAU)
 
 
 def test_random_sequence_from_tags_shape():
     spec = spectrum_at([200.0, 271.037, 384.121, 497.205, 554.226])
-    tags = [tag.residues for tag in extract_tags(spec, TAU)]
+    tags = extract_tags(spec, TAU)
+    assert list(tags) == ["ALL", "LLG"]
     rng = random.Random(4)
     lengths = set()
     for _ in range(200):
@@ -307,7 +311,7 @@ def test_random_peptide_terminal_balance():
 def test_adjust_mass_noop_when_within_bound():
     seq = "LGVTLYK"
     precursor = parent_mass(seq) + 0.01
-    out, ok = adjust_mass(seq, precursor, random.Random(1), TAU)
+    out, ok = adjust_mass(seq, precursor, random.Random(1), TAU, parent_mass(seq))
     assert ok and out == seq
 
 
@@ -321,7 +325,7 @@ def test_adjust_mass_reaches_bound_on_random_fixtures():
         precursor = parent_mass(seq) + rng.uniform(-250, 250)
         if precursor <= 60:
             continue
-        out, ok = adjust_mass(seq, precursor, rng, TAU)
+        out, ok = adjust_mass(seq, precursor, rng, TAU, parent_mass(seq))
         if ok:
             assert abs(precursor - parent_mass(out)) < DELTA_BOUND
             assert out[-1] == seq[-1]
@@ -334,7 +338,7 @@ def test_adjust_mass_heavy_by_one_residue():
     precursor = parent_mass("LGVTLYK")  # one Q too heavy
     hits = 0
     for _ in range(50):
-        out, ok = adjust_mass(seq, precursor, rng, TAU)
+        out, ok = adjust_mass(seq, precursor, rng, TAU, parent_mass(seq))
         if ok:
             hits += 1
             assert abs(precursor - parent_mass(out)) < DELTA_BOUND
@@ -343,14 +347,14 @@ def test_adjust_mass_heavy_by_one_residue():
 
 def test_adjust_mass_gives_up_at_length_cap():
     precursor = parent_mass("W" * 62 + "K")
-    seq, ok = adjust_mass("GK", precursor, random.Random(1), TAU)
+    seq, ok = adjust_mass("GK", precursor, random.Random(1), TAU, parent_mass("GK"))
     assert not ok and len(seq) <= MAX_PEPTIDE_LENGTH
 
 
 def test_adjust_mass_rejects_two_residue_removal():
     seq = "WK"
     precursor = 80.0  # far lighter than any 2-residue peptide
-    out, ok = adjust_mass(seq, precursor, random.Random(2), TAU)
+    out, ok = adjust_mass(seq, precursor, random.Random(2), TAU, parent_mass(seq))
     assert not ok
 
 
@@ -368,22 +372,20 @@ def test_adjust_mass_rejects_two_residue_removal():
 @example("AE", "K", -63.0, 1, 288)
 def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
     seq = body + terminal
-    precursor = parent_mass(seq) + offset
-    seen = []
+    mass = parent_mass(seq)
+    precursor = mass + offset
+    # The entry mass is the caller's; each edit's mass is the unvalidated
+    # sum, recorded in call order after the entry sequence.
+    seen = [seq]
 
-    def recording(mass_of):
-        def record(candidate):
-            seen.append(candidate)
-            return mass_of(candidate)
+    def record(candidate):
+        seen.append(candidate)
+        return unchecked_parent_mass(candidate)
 
-        return record
-
-    # The entry mass validates the peptide; each edit's mass is the
-    # unvalidated sum. Both are recorded, in call order.
-    with mock.patch("evopep.tags.parent_mass", recording(parent_mass)), mock.patch(
-        "evopep.tags.unchecked_parent_mass", recording(unchecked_parent_mass)
-    ), mock.patch("evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations):
-        out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU)
+    with mock.patch("evopep.tags.unchecked_parent_mass", record), mock.patch(
+        "evopep.tags.ADJUST_MAX_ITERATIONS", max_iterations
+    ):
+        out, ok = adjust_mass(seq, precursor, random.Random(seed), TAU, mass)
     assert out[-1] == terminal
     assert len(seen) <= max_iterations + 1
     assert out == seen[-1]
@@ -421,7 +423,9 @@ def test_precursor_reachable_at_its_edges(edge, side):
     for precursor in (
         math.nextafter(limit, -math.inf), limit, math.nextafter(limit, math.inf)
     ):
-        _, ok = adjust_mass(edge, precursor, random.Random(0), TAU)
+        _, ok = adjust_mass(
+            edge, precursor, random.Random(0), TAU, parent_mass(edge)
+        )
         assert precursor_reachable(precursor, TAU) == ok
         verdicts.append(ok)
     assert True in verdicts and False in verdicts
