@@ -15,7 +15,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
@@ -45,16 +45,6 @@ SEQUENCE_COLUMNS = (
     "cterm",
     "delta_mass_da",
     "generations_used",
-)
-
-METRIC_COLUMNS = (
-    "run_index",
-    "precision",
-    "recall",
-    "peptide_recall",
-    "avg_len_partial_matches",
-    "avg_len_predicted",
-    "n_spectra",
 )
 
 
@@ -200,6 +190,26 @@ def _spectrum_id(spec: Spectrum, index: int) -> str:
     return spec.title or f"spectrum_{index}"
 
 
+def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
+    """The id of each spectrum in ``path``, for the rows of an output TSV.
+
+    An id that is repeated, starts with '#' or holds a tab is refused: a
+    reader could not tell its rows apart, or would read them as a comment
+    or as shifted columns.
+    """
+    ids = [_spectrum_id(spec, index) for index, spec in enumerate(spectra)]
+    repeated = [sid for sid, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{path}: spectrum id {repeated[0]!r} is repeated")
+    for sid in ids:
+        if sid.startswith("#") or "\t" in sid:
+            raise ValueError(
+                f"{path}: spectrum id {sid!r} cannot be a TSV id "
+                "(it starts with '#' or contains a tab)"
+            )
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -255,18 +265,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     ga = _ga_config(options)
     pre_cfg = PreprocessConfig(tolerance=ga.tau)
     spectra = parse_mgf(_read_text(args.input))
-    ids = [_spectrum_id(spec, index) for index, spec in enumerate(spectra)]
-    repeated = [sid for sid, count in Counter(ids).items() if count > 1]
-    if repeated:
-        # Their result rows could not be told apart by `evaluate`.
-        raise ValueError(f"{args.input}: spectrum id {repeated[0]!r} is repeated")
-    for sid in ids:
-        if sid.startswith("#") or "\t" in sid:
-            # `evaluate` reads such a row as a comment, or as shifted columns.
-            raise ValueError(
-                f"{args.input}: spectrum id {sid!r} cannot be a results TSV id "
-                "(it starts with '#' or contains a tab)"
-            )
+    ids = _tsv_ids(spectra, args.input)
     prepared = [
         preprocess(spec, pre_cfg, complements=not args.no_complements)
         for spec in spectra
@@ -359,16 +358,8 @@ def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
     return predictions, sorted(runs)
 
 
-def _format_metrics_row(label: str, metrics) -> str:
-    return (
-        f"{label}\t{metrics.precision:.6f}\t{metrics.recall:.6f}"
-        f"\t{metrics.peptide_recall:.6f}\t{metrics.avg_len_partial_matches:.6f}"
-        f"\t{metrics.avg_len_predicted:.6f}\t{metrics.n_spectra}"
-    )
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import aggregate_runs, compute_metrics, load_ground_truth
+    from .evaluation import Metrics, aggregate_runs, compute_metrics, load_ground_truth
 
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
@@ -387,10 +378,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             len(stray),
             ", ".join(stray[:5]),
         )
+    # Metrics names and orders the columns: its rates, then the count.
+    *rates, count = (f.name for f in fields(Metrics))
     per_run = []
     lines = [
         "# missing predictions count as empty sequences (recall is penalized)",
-        "\t".join(METRIC_COLUMNS),
+        "\t".join(["run_index", *rates, count]),
     ]
     for run_index in runs:
         pairs = [
@@ -399,18 +392,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         metrics = compute_metrics(pairs, tau=options["tau"])
         per_run.append(metrics)
-        lines.append(_format_metrics_row(str(run_index), metrics))
+        cells = (f"{getattr(metrics, name):.6f}" for name in rates)
+        lines.append("\t".join([str(run_index), *cells, str(getattr(metrics, count))]))
     summary = aggregate_runs(per_run)
     mean, std = summary.mean, summary.std
-    lines.append(
-        "aggregate"
-        f"\t{mean.precision:.6f}±{std.precision:.6f}"
-        f"\t{mean.recall:.6f}±{std.recall:.6f}"
-        f"\t{mean.peptide_recall:.6f}±{std.peptide_recall:.6f}"
-        f"\t{mean.avg_len_partial_matches:.6f}±{std.avg_len_partial_matches:.6f}"
-        f"\t{mean.avg_len_predicted:.6f}±{std.avg_len_predicted:.6f}"
-        f"\t{mean.n_spectra}"
-    )
+    cells = (f"{getattr(mean, name):.6f}±{getattr(std, name):.6f}" for name in rates)
+    lines.append("\t".join(["aggregate", *cells, str(getattr(mean, count))]))
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -459,11 +446,11 @@ def cmd_tags(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     pre_cfg = PreprocessConfig(tolerance=options["tau"])
     spectra = parse_mgf(_read_text(args.input))
+    ids = _tsv_ids(spectra, args.input)
     with _open_output(args.output) as out:
         out.write("spectrum_id\tstart_mz\tresidues\tpeak_indices\n")
-        for index, spec in enumerate(spectra):
+        for spec, spectrum_id in zip(spectra, ids):
             prepared = preprocess(spec, pre_cfg, complements=not args.no_complements)
-            spectrum_id = _spectrum_id(spec, index)
             # The index lists tags by start peak, in ascending m/z, so sorting
             # one start peak at a time gives the rows of a sort by
             # (start_mz, ...). Rows are written as they come, so memory holds

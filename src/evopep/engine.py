@@ -32,7 +32,7 @@ from .chem import (
 )
 from .scoring import Individual, Scorer
 from .spectrum import Spectrum
-from .tags import adjust_mass, build_init_pool
+from .tags import adjust_mass, build_init_pool, precursor_reachable
 
 OPERATOR_NTERM_CTERM = "nterm_cterm"
 OPERATOR_TWO_POINT = "two_point"
@@ -261,7 +261,7 @@ def nterm_cterm_crossover(
             mass = unchecked_parent_mass(prefix + mid + suffix)
         seq = prefix + mid + suffix
     adjusted, ok = adjust_mass(seq, precursor, rng, tau, mass)
-    if not ok or len(adjusted) < 2:
+    if not ok:
         return fallback
     return adjusted
 
@@ -345,8 +345,14 @@ def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
     """Run the full GA on one (preprocessed) spectrum.
 
     Returns the all-time best individual by fitness and a per-generation
-    trace. Identical seeds produce identical results.
+    trace. Identical seeds produce identical results. A precursor that no
+    pool member can reach is refused before any draw.
     """
+    if not precursor_reachable(spec.precursor_mass, cfg.tau):
+        raise EvolutionError(
+            "no peptide the GA can build comes near the precursor mass of "
+            f"spectrum {spec.title!r}, {spec.precursor_mass:.4f} Da"
+        )
     rng = random.Random(cfg.seed)
     scorer = Scorer(spec, cfg.tau)
     pool = build_init_pool(scorer, cfg.pool_size, rng)

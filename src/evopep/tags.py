@@ -306,7 +306,7 @@ def build_init_pool(
         adjusted, ok = adjust_mass(
             seq, spec.precursor_mass, rng, tau, parent_mass(seq)
         )
-        if ok and len(adjusted) >= 2:
+        if ok:
             peptides[adjusted] = None
     if len(peptides) < pool_size:
         logger.warning(

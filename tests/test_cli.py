@@ -584,6 +584,21 @@ def test_sequence_refuses_id_its_results_cannot_carry(
     assert f"spectrum id {title!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "title", ["#first", "first\tsecond", "synth-00001"], ids=["comment", "tab", "repeated"]
+)
+def test_tags_refuses_the_ids_sequence_refuses(tmp_path, peptide_file, capsys, title):
+    mgf, _ = synth(tmp_path, peptide_file)
+    renamed = write(
+        tmp_path / "renamed.mgf",
+        mgf.read_text().replace("TITLE=synth-00000", f"TITLE={title}"),
+    )
+    out = tmp_path / "tags.tsv"
+    assert run("tags", renamed, "-o", str(out)) == 2
+    assert f"error: {renamed}: spectrum id {title!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _die(task):
     os._exit(3)
 

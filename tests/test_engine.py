@@ -16,12 +16,14 @@ from evopep import (
     SynthConfig,
     evolve,
     fitness,
+    make_spectrum,
     preprocess,
     synthesize_spectrum,
 )
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
+    PROTON_MASS,
     TRYPTIC_TERMINALS,
     parent_mass,
     residue_mass,
@@ -533,6 +535,22 @@ def test_evolve_recovers_ground_truth(aaal_spectrum):
         for s in range(30)
     )
     assert hits >= 24
+
+
+def test_evolve_refuses_an_unreachable_precursor_before_drawing(monkeypatch):
+    import evopep.engine
+
+    def no_pool(*args):
+        raise AssertionError("the init pool was built")
+
+    monkeypatch.setattr(evopep.engine, "build_init_pool", no_pool)
+    # 20,000 Da is above any peptide of at most 64 residues.
+    spec = clean_spectrum("LGVTLYK")
+    far = make_spectrum(
+        "far", (20000.0 + 2 * PROTON_MASS) / 2, 2, spec.mz, spec.intensity
+    )
+    with pytest.raises(EvolutionError, match=r"'far', 20000\.0000 Da"):
+        evolve(far, GaConfig(seed=1))
 
 
 def test_operators_fall_back_at_length_cap():

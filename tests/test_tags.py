@@ -390,6 +390,8 @@ def test_adjust_mass_properties(body, terminal, offset, max_iterations, seed):
     assert len(seen) <= max_iterations + 1
     assert out == seen[-1]
     assert ok == (abs(precursor - parent_mass(out)) < DELTA_BOUND)
+    # So the callers need no length test of their own.
+    assert not ok or 2 <= len(out) <= MAX_PEPTIDE_LENGTH
 
 
 def test_build_init_pool_extracts_tags_once(monkeypatch):
