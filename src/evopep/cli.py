@@ -18,7 +18,7 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import fields, replace
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
 
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
 from .engine import OPERATORS, EvolutionError, GaConfig, evolve
@@ -186,10 +186,6 @@ def _write_output(text: str, path: str | None) -> None:
         out.write(text)
 
 
-def _spectrum_id(spec: Spectrum, index: int) -> str:
-    return spec.title or f"spectrum_{index}"
-
-
 def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
     """The id of each spectrum in ``path``, for the rows of an output TSV.
 
@@ -197,7 +193,7 @@ def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
     reader could not tell its rows apart, or would read them as a comment
     or as shifted columns.
     """
-    ids = [_spectrum_id(spec, index) for index, spec in enumerate(spectra)]
+    ids = [spec.title or f"spectrum_{index}" for index, spec in enumerate(spectra)]
     repeated = [sid for sid, count in Counter(ids).items() if count > 1]
     if repeated:
         raise ValueError(f"{path}: spectrum id {repeated[0]!r} is repeated")
@@ -210,6 +206,19 @@ def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
     return ids
 
 
+def _spectra(path: str, tau: float) -> Iterator[tuple[str, Spectrum, Spectrum]]:
+    """(id, raw, preprocessed) for each spectrum of the MGF at ``path``.
+
+    The file is parsed and every id checked before this returns, so a
+    command refuses a bad file before it writes anything. Each spectrum is
+    preprocessed only when it is reached.
+    """
+    spectra = parse_mgf(_read_text(path))
+    ids = _tsv_ids(spectra, path)
+    cfg = PreprocessConfig(tolerance=tau)
+    return ((sid, spec, preprocess(spec, cfg)) for sid, spec in zip(ids, spectra))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -217,13 +226,10 @@ def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     options = _effective_options(args)
-    cfg = PreprocessConfig(tolerance=options["tau"])
-    spectra = parse_mgf(_read_text(args.input))
     processed = []
-    for index, spec in enumerate(spectra):
-        out = preprocess(spec, cfg, complements=not args.no_complements)
+    for sid, raw, out in _spectra(args.input, options["tau"]):
         processed.append(out)
-        print(f"{_spectrum_id(spec, index)}\t{len(spec.mz)}\t{len(out.mz)}")
+        print(f"{sid}\t{len(raw.mz)}\t{len(out.mz)}")
     Path(args.output).write_text(emit_mgf(processed), encoding="utf-8")
     return 0
 
@@ -263,15 +269,9 @@ def _process_pool(max_workers: int) -> Executor:
 def cmd_sequence(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     ga = _ga_config(options)
-    pre_cfg = PreprocessConfig(tolerance=ga.tau)
-    spectra = parse_mgf(_read_text(args.input))
-    ids = _tsv_ids(spectra, args.input)
-    prepared = [
-        preprocess(spec, pre_cfg, complements=not args.no_complements)
-        for spec in spectra
-    ]
+    spectra = list(_spectra(args.input, ga.tau))
     live = []
-    for index, (spec, sid) in enumerate(zip(prepared, ids)):
+    for index, (sid, _, spec) in enumerate(spectra):
         if spec.total_intensity <= 0:
             logger.warning("skipping %s: spectrum has no positive intensity", sid)
         elif not precursor_reachable(spec.precursor_mass, ga.tau):
@@ -282,11 +282,11 @@ def cmd_sequence(args: argparse.Namespace) -> int:
                 spec.precursor_mass,
             )
         else:
-            live.append(index)
+            live.append((spec, index, sid))
     runs, jobs = options["runs"], options["jobs"]
     tasks = [
-        (prepared[index], ga, options["seed"], index, run_index, ids[index])
-        for index in live
+        (spec, ga, options["seed"], index, run_index, sid)
+        for spec, index, sid in live
         for run_index in range(runs)
     ]
     if jobs > 1 and len(tasks) > 1:
@@ -303,7 +303,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         results = list(map(_sequence_job, tasks))
     rows = [row for row in results if row is not None]
     _write_output("\n".join(["\t".join(SEQUENCE_COLUMNS), *rows]) + "\n", args.output)
-    if runs > 0 and prepared and not rows:
+    if runs > 0 and spectra and not rows:
         print("error: all sequencing runs failed", file=sys.stderr)
         return 2
     return 0
@@ -444,13 +444,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_tags(args: argparse.Namespace) -> int:
     options = _effective_options(args)
-    pre_cfg = PreprocessConfig(tolerance=options["tau"])
-    spectra = parse_mgf(_read_text(args.input))
-    ids = _tsv_ids(spectra, args.input)
+    spectra = _spectra(args.input, options["tau"])
     with _open_output(args.output) as out:
         out.write("spectrum_id\tstart_mz\tresidues\tpeak_indices\n")
-        for spec, spectrum_id in zip(spectra, ids):
-            prepared = preprocess(spec, pre_cfg, complements=not args.no_complements)
+        for spectrum_id, _, prepared in spectra:
             # The index lists tags by start peak, in ascending m/z, so sorting
             # one start peak at a time gives the rows of a sort by
             # (start_mz, ...). Rows are written as they come, so memory holds
@@ -491,13 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     output_help = "output path, or - for stdout (the default)"
-    complements_help = "skip complementary-peak augmentation"
 
     p = sub.add_parser("preprocess", help="denoise, normalize and augment an MGF")
     p.add_argument("input", help="input MGF path")
     p.add_argument("output", help="output MGF path")
     _add_options(p, "tau")
-    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("sequence", help="sequence spectra from an MGF")
@@ -515,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "jobs",
     )
     p.add_argument("-o", "--output", help=output_help)
-    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -540,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input MGF path")
     _add_options(p, "tau")
     p.add_argument("-o", "--output", help=output_help)
-    p.add_argument("--no-complements", action="store_true", help=complements_help)
     p.set_defaults(func=cmd_tags)
 
     return parser

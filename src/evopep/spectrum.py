@@ -431,13 +431,6 @@ def add_complements(
     return make_spectrum(spec.title, spec.pepmass, spec.charge, mz, intensity)
 
 
-def preprocess(
-    spec: Spectrum,
-    cfg: PreprocessConfig = PreprocessConfig(),
-    complements: bool = True,
-) -> Spectrum:
-    """Full pipeline: denoise, normalize, then (optionally) add complements."""
-    out = normalize(denoise(spec))
-    if complements:
-        out = add_complements(out, cfg)
-    return out
+def preprocess(spec: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
+    """Full pipeline: denoise, normalize, then add complements."""
+    return add_complements(normalize(denoise(spec)), cfg)

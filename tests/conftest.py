@@ -22,10 +22,10 @@ class GuardedRandom(random.Random):
         return super()._randbelow(n)
 
 
-def clean_spectrum(peptide: str, complements: bool = True):
+def clean_spectrum(peptide: str):
     """Noise-free complete-ladder spectrum, preprocessed like the pipeline."""
     raw = synthesize_spectrum(peptide, SynthConfig(), random.Random(0))
-    return preprocess(raw, PreprocessConfig(), complements=complements)
+    return preprocess(raw, PreprocessConfig())
 
 
 @pytest.fixture

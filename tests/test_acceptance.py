@@ -55,7 +55,7 @@ def run_corpus(corpus, synth_cfg, spectrum_seed_base, ga_seed_prefix):
         raw = synthesize_spectrum(
             peptide, synth_cfg, random.Random(spectrum_seed_base + index)
         )
-        spec = preprocess(raw, PreprocessConfig(tolerance=TAU), complements=True)
+        spec = preprocess(raw, PreprocessConfig(tolerance=TAU))
         for seed in range(SEEDS_PER_SPECTRUM):
             result = evolve(spec, GaConfig(seed=f"{ga_seed_prefix}{index}|{seed}"))
             pairs.append((result.best.peptide, peptide))
@@ -150,7 +150,6 @@ def test_criterion_06_initialization_superiority():
     spec = preprocess(
         synthesize_spectrum("AAALAAADAR", SynthConfig(), random.Random(0)),
         PreprocessConfig(),
-        complements=True,
     )
     scorer = Scorer(spec, TAU)
     tag_wins = 0
@@ -185,7 +184,6 @@ def test_criterion_07_crossover_effectiveness():
             "AAALAAADAR", SynthConfig(noise_peaks=30), random.Random(7)
         ),
         PreprocessConfig(),
-        complements=True,
     )
     scorer = Scorer(spec, TAU)
     gains_n, gains_c, gains_h = [], [], []

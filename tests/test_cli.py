@@ -585,17 +585,32 @@ def test_sequence_refuses_id_its_results_cannot_carry(
 
 
 @pytest.mark.parametrize(
-    "title", ["#first", "first\tsecond", "synth-00001"], ids=["comment", "tab", "repeated"]
+    "command, title",
+    [
+        pytest.param(
+            command, title, id=name if command == "tags" else f"{command}-{name}"
+        )
+        for command in ("tags", "preprocess")
+        for name, title in (
+            ("comment", "#first"), ("tab", "first\tsecond"), ("repeated", "synth-00001")
+        )
+    ],
 )
-def test_tags_refuses_the_ids_sequence_refuses(tmp_path, peptide_file, capsys, title):
+def test_tags_refuses_the_ids_sequence_refuses(
+    tmp_path, peptide_file, capsys, command, title
+):
+    # `tags` writes the id into its rows and `preprocess` into its summary.
     mgf, _ = synth(tmp_path, peptide_file)
     renamed = write(
         tmp_path / "renamed.mgf",
         mgf.read_text().replace("TITLE=synth-00000", f"TITLE={title}"),
     )
-    out = tmp_path / "tags.tsv"
-    assert run("tags", renamed, "-o", str(out)) == 2
-    assert f"error: {renamed}: spectrum id {title!r}" in capsys.readouterr().err
+    out = tmp_path / "out"
+    output = ["-o", str(out)] if command == "tags" else [str(out)]
+    assert run(command, renamed, *output) == 2
+    captured = capsys.readouterr()
+    assert f"error: {renamed}: spectrum id {title!r}" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -785,16 +800,6 @@ def test_preprocess_round_trip(tmp_path, peptide_file, capsys):
     assert run("tags", str(out), "-o", str(tmp_path / "tags.tsv")) == 0
 
 
-def test_preprocess_no_complements_smaller(tmp_path, peptide_file):
-    mgf, _ = synth(tmp_path, peptide_file, "--dropout", "0.3")
-    with_c = tmp_path / "with.mgf"
-    without_c = tmp_path / "without.mgf"
-    assert run("preprocess", str(mgf), str(with_c)) == 0
-    assert run("preprocess", str(mgf), str(without_c), "--no-complements") == 0
-    count = lambda p: p.read_text().count("\n")
-    assert count(without_c) < count(with_c)
-
-
 def test_preprocess_missing_file(tmp_path):
     assert run("preprocess", str(tmp_path / "nope.mgf"), str(tmp_path / "o.mgf")) == 2
 
@@ -819,10 +824,10 @@ def test_tags_rows_equal_a_full_sort(tmp_path):
     spec = make_spectrum("mixed", 800.0, 1, [100.0 + m for m in steps], [1.0] * 6)
     mgf = write(tmp_path / "mixed.mgf", emit_mgf([spec]))
     out = tmp_path / "tags.tsv"
-    assert run("tags", mgf, "--no-complements", "-o", str(out)) == 0
+    assert run("tags", mgf, "-o", str(out)) == 0
 
     (parsed,) = parse_mgf((tmp_path / "mixed.mgf").read_text(encoding="utf-8"))
-    index = extract_tags(preprocess(parsed, complements=False), 0.5)
+    index = extract_tags(preprocess(parsed), 0.5)
     tags = [index.tag(t) for t in range(len(index))]
     key = lambda t: (t.start_mz, t.residues, t.peak_indices)
     assert tags != sorted(tags, key=key)
