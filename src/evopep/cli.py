@@ -23,9 +23,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
 from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
 from .engine import OPERATORS, EvolutionError, GaConfig, evolve
 from .spectrum import (
+    MgfParseError,
     PreprocessConfig,
     Spectrum,
+    content_lines,
     emit_mgf,
+    is_comment,
     parse_mgf,
     preprocess,
 )
@@ -115,14 +118,10 @@ _DEFAULTS = {key: option.default for key, option in _OPTIONS.items()}
 def _load_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict:
     """Options set by a config file for ``command``, which takes ``keys``."""
     values: dict = {}
-    text = _read_text(path)
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for number, line in content_lines(_lines(path)):
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ValueError(f"{path}:{number}: expected key=value")
-        key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise ValueError(f"{path}:{number}: unknown option {key!r}")
@@ -160,19 +159,52 @@ def _ga_config(options: dict) -> GaConfig:
     )
 
 
-def _read_text(path: str) -> str:
-    """The text of an input file. A UTF-8 byte-order mark, which some editors
-    write, is dropped rather than read as part of the first line; a byte that
-    is not UTF-8 is reported at its line."""
-    try:
-        return Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object holds the bytes after any mark, which has no newline.
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        byte = exc.object[exc.start]
-        raise ValueError(
-            f"{path}:{line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
-        ) from None
+def _lines(path: str) -> list[str]:
+    """The lines of the input file at ``path``, the one place input is read.
+
+    A line ends at "\n", "\r\n" or "\r", and a UTF-8 byte-order mark, which
+    some editors write, is dropped rather than read as part of the first line.
+    Every line is decoded before any is returned, so a byte that is not UTF-8
+    is reported, at the line it is on, ahead of any other error in the file.
+    """
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    lines = []
+    for number, line in enumerate(data.splitlines(), start=1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}:{number}: byte 0x{line[exc.start]:02x} is not UTF-8 "
+                f"({exc.reason})"
+            ) from None
+    return lines
+
+
+def _tsv_rows(path: str, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line, cells) for each row of the TSV at ``path``, where ``cells`` are
+    the row's values of ``columns``, which its header row names in any order.
+    A row with fewer fields than the header, a header without one of
+    ``columns`` and a file without a header or a row are refused."""
+    rows = content_lines(_lines(path))
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"{path}: no header row (the file is empty or all comments)")
+    number, line = first
+    header = line.split("\t")
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ValueError(f"{path}:{number}: header {line!r} lacks columns {missing}")
+    where = [header.index(name) for name in columns]
+    header_number = number
+    for number, line in rows:
+        cells = line.split("\t")
+        if len(cells) < len(header):
+            raise ValueError(
+                f"{path}:{number}: {len(cells)} fields, header has {len(header)}"
+            )
+        yield number, [cells[i] for i in where]
+    if number == header_number:
+        raise ValueError(f"{path}: no rows under the header")
 
 
 def _open_output(path: str | None) -> AbstractContextManager[TextIO]:
@@ -189,16 +221,16 @@ def _write_output(text: str, path: str | None) -> None:
 def _tsv_ids(spectra: list[Spectrum], path: str) -> list[str]:
     """The id of each spectrum in ``path``, for the rows of an output TSV.
 
-    An id that is repeated, starts with '#' or holds a tab is refused: a
-    reader could not tell its rows apart, or would read them as a comment
-    or as shifted columns.
+    An id that is repeated, is a comment by ``is_comment`` or holds a tab is
+    refused: a reader could not tell its rows apart, or would skip them as
+    comments or read them as shifted columns.
     """
     ids = [spec.title or f"spectrum_{index}" for index, spec in enumerate(spectra)]
     repeated = [sid for sid, count in Counter(ids).items() if count > 1]
     if repeated:
         raise ValueError(f"{path}: spectrum id {repeated[0]!r} is repeated")
     for sid in ids:
-        if sid.startswith("#") or "\t" in sid:
+        if is_comment(sid) or "\t" in sid:
             raise ValueError(
                 f"{path}: spectrum id {sid!r} cannot be a TSV id "
                 "(it starts with '#' or contains a tab)"
@@ -213,7 +245,10 @@ def _spectra(path: str, tau: float) -> Iterator[tuple[str, Spectrum, Spectrum]]:
     command refuses a bad file before it writes anything. Each spectrum is
     preprocessed only when it is reached.
     """
-    spectra = parse_mgf(_read_text(path))
+    try:
+        spectra = parse_mgf(_lines(path))
+    except MgfParseError as exc:
+        raise ValueError(f"{path}:{exc.line_number}: {exc.reason}") from None
     ids = _tsv_ids(spectra, path)
     cfg = PreprocessConfig(tolerance=tau)
     return ((sid, spec, preprocess(spec, cfg)) for sid, spec in zip(ids, spectra))
@@ -311,67 +346,57 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 def _read_results(path: str) -> tuple[dict[tuple[str, int], str], list[int]]:
     """Predictions keyed by (spectrum_id, run_index), plus the run list."""
-    lines = _read_text(path).splitlines()
-    body = [
-        (number, line.split("\t"))
-        for number, line in enumerate(lines, start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not body:
-        raise ValueError(f"results file {path} is empty")
-    header = body[0][1]
-    required = {"spectrum_id", "run_index", "predicted_peptide"}
-    if not required.issubset(header):
-        raise ValueError(
-            f"results file {path} missing columns {sorted(required - set(header))}"
-        )
-    id_col = header.index("spectrum_id")
-    run_col = header.index("run_index")
-    pep_col = header.index("predicted_peptide")
     predictions: dict[tuple[str, int], str] = {}
     runs: set[int] = set()
-    for number, parts in body[1:]:
-        if len(parts) < len(header):
-            raise ValueError(
-                f"{path}:{number}: {len(parts)} fields, header has {len(header)}"
-            )
+    columns = ("spectrum_id", "run_index", "predicted_peptide")
+    for number, (sid, run, peptide) in _tsv_rows(path, columns):
         try:
-            run_index = int(parts[run_col])
+            run_index = int(run)
         except ValueError:
             raise ValueError(
-                f"{path}:{number}: run_index {parts[run_col]!r} is not an integer"
+                f"{path}:{number}: run_index {run!r} is not an integer"
             ) from None
-        key = (parts[id_col], run_index)
+        key = (sid, run_index)
         if key in predictions:
             raise ValueError(
-                f"{path}:{number}: repeated row for spectrum {key[0]!r} run {run_index}"
+                f"{path}:{number}: repeated row for spectrum {sid!r} run {run_index}"
             )
-        if parts[pep_col]:  # an empty prediction is a failed run
+        if peptide:  # an empty prediction is a failed run
             try:
-                validate_peptide(parts[pep_col])
+                validate_peptide(peptide)
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
-        predictions[key] = parts[pep_col]
+        predictions[key] = peptide
         runs.add(run_index)
-    if not predictions:
-        raise ValueError(f"results file {path} has a header but no rows")
     return predictions, sorted(runs)
 
 
+def _read_truth(path: str) -> dict[str, str]:
+    """The truth peptide of each spectrum id, in file order, from a TSV whose
+    header names the columns spectrum_id and peptide; each id may appear
+    once. Peptides are validated and canonicalized."""
+    truth: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for number, (sid, peptide) in _tsv_rows(path, ("spectrum_id", "peptide")):
+        if sid in truth:
+            raise ValueError(
+                f"{path}:{number}: spectrum id {sid!r} repeats line {first_line[sid]}"
+            )
+        first_line[sid] = number
+        try:
+            truth[sid] = validate_peptide(peptide)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return truth
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import Metrics, aggregate_runs, compute_metrics, load_ground_truth
+    from .evaluation import Metrics, aggregate_runs, compute_metrics
 
     options = _effective_options(args)
     predictions, runs = _read_results(args.results)
-    text = _read_text(args.truth)
-    try:
-        truth = load_ground_truth(text)
-    except ValueError as exc:
-        raise ValueError(f"{args.truth}: {exc}") from None
-    if not truth:
-        raise ValueError(f"truth file {args.truth} has no records")
-    truth_ids = {record.spectrum_id for record in truth}
-    stray = sorted({sid for sid, _ in predictions} - truth_ids)
+    truth = _read_truth(args.truth)
+    stray = sorted({sid for sid, _ in predictions} - truth.keys())
     if stray:
         logger.warning(
             "%d predicted spectrum id(s) missing from the truth file: %s",
@@ -387,8 +412,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ]
     for run_index in runs:
         pairs = [
-            (predictions.get((record.spectrum_id, run_index), ""), record.peptide)
-            for record in truth
+            (predictions.get((sid, run_index), ""), peptide)
+            for sid, peptide in truth.items()
         ]
         metrics = compute_metrics(pairs, tau=options["tau"])
         per_run.append(metrics)
@@ -416,10 +441,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         dropout=options["dropout"],
     )
     peptides: list[str] = []
-    for number, raw in enumerate(_read_text(args.input).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(_lines(args.input)):
+        line = line.strip()
         try:
             seq = validate_peptide(line)
         except (InvalidResidueError, InvalidPeptideError) as exc:

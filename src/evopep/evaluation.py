@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import IO, Iterable
+from typing import Iterable
 
 from .chem import (
     PROTON_MASS,
@@ -216,49 +216,6 @@ def aggregate_runs(per_run: Iterable[Metrics]) -> MetricsSummary:
     means["n_spectra"] = int(means["n_spectra"])
     stds["n_spectra"] = int(stds["n_spectra"])
     return MetricsSummary(mean=Metrics(**means), std=Metrics(**stds), n_runs=n)
-
-
-def load_ground_truth(source: str | IO[str] | Iterable[str]) -> list[GroundTruthRecord]:
-    """Read a 2-column TSV (spectrum_id, peptide) under the header row
-    ``spectrum_id<TAB>peptide``; each spectrum id may appear once.
-
-    Peptides are validated and canonicalized.
-    """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
-    records: list[GroundTruthRecord] = []
-    first_line: dict[str, int] = {}
-    header_seen = False
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if not header_seen:
-            # A headerless file would otherwise lose its first record.
-            if parts[:2] != ["spectrum_id", "peptide"]:
-                raise ValueError(
-                    f"truth line {number}: expected the header "
-                    f"'spectrum_id<TAB>peptide', got {line!r}"
-                )
-            header_seen = True
-            continue
-        if len(parts) < 2:
-            raise ValueError(f"truth line {number}: expected 2 tab-separated columns")
-        if parts[0] in first_line:
-            raise ValueError(
-                f"truth line {number}: spectrum id {parts[0]!r} repeats "
-                f"line {first_line[parts[0]]}"
-            )
-        first_line[parts[0]] = number
-        try:
-            peptide = validate_peptide(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"truth line {number}: {exc}") from None
-        records.append(GroundTruthRecord(spectrum_id=parts[0], peptide=peptide))
-    return records
 
 
 def ground_truth_tsv(records: Iterable[GroundTruthRecord]) -> str:

@@ -10,12 +10,13 @@ keeping the higher intensity, so m/z arrays are strictly increasing.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,13 @@ _WINDOW_PEAK_LIMIT = 9
 
 
 class MgfParseError(ValueError):
-    """MGF syntax or header error, carrying the offending line number."""
+    """MGF syntax or header error, carrying the offending line number and,
+    as ``reason``, the message without it."""
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.reason = message
 
 
 class Peak(NamedTuple):
@@ -180,6 +183,21 @@ def make_spectrum(
 # ---------------------------------------------------------------------------
 
 
+def is_comment(line: str) -> bool:
+    """Whether an input line is a comment: its first non-space character is
+    '#'."""
+    return line.lstrip().startswith("#")
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(number, line) for each line of ``lines`` that is neither blank nor a
+    comment, numbered from 1 over all lines. Every input file, MGF, TSV, list
+    or config, skips lines by this rule."""
+    for number, line in enumerate(lines, start=1):
+        if line.strip() and not is_comment(line):
+            yield number, line
+
+
 def _parse_charge(value: str, line_number: int) -> int:
     # Accept "2+", "+2", "2"; multi-charge lists ("2+ and 3+", "2+,3+") take
     # the first value.
@@ -214,12 +232,11 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     CHARGE headers; TITLE is optional. A CHARGE line outside the records is
     the charge of the records after it that give none. Records with zero
     peaks are skipped with a warning. Malformed input raises MgfParseError
-    with a line number.
+    with a line number. Text given as a ``str`` is split into lines at
+    "\n", "\r\n" or "\r" only, as the command line splits a file, so a
+    form feed or U+2028 stays inside its line.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    lines = io.StringIO(source, newline="") if isinstance(source, str) else source
 
     spectra: list[Spectrum] = []
     in_record = False
@@ -236,10 +253,8 @@ def parse_mgf(source: str | IO[str] | Iterable[str]) -> list[Spectrum]:
     intensities: list[float] = []
     line_number = 0
 
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in content_lines(lines):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if not in_record:
             if line == "BEGIN IONS":
                 in_record = True

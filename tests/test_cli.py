@@ -15,10 +15,17 @@ from hypothesis import strategies as st
 
 from evopep import cli
 from evopep.chem import CANONICAL_ALPHABET, PROTON_MASS, residue_mass
-from evopep.cli import SEQUENCE_COLUMNS, _read_results, main
+from evopep.cli import SEQUENCE_COLUMNS, _read_results, _read_truth, main
 from evopep.engine import GaConfig, evolve
-from evopep.evaluation import GroundTruthRecord, ground_truth_tsv, load_ground_truth
-from evopep.spectrum import Spectrum, emit_mgf, make_spectrum, parse_mgf, preprocess
+from evopep.evaluation import GroundTruthRecord, ground_truth_tsv
+from evopep.spectrum import (
+    Spectrum,
+    content_lines,
+    emit_mgf,
+    make_spectrum,
+    parse_mgf,
+    preprocess,
+)
 from evopep.tags import extract_tags
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -509,7 +516,7 @@ def test_non_positive_pepmass_errors_at_its_line(tmp_path, capsys, command):
     )
     assert run(command, mgf, "-o", str(tmp_path / "out.tsv")) == 2
     err = capsys.readouterr().err
-    assert "error: line 9: PEPMASS must be positive, got '-5'" in err
+    assert f"error: {mgf}:9: PEPMASS must be positive, got '-5'" in err
     assert "Traceback" not in err
 
 
@@ -522,7 +529,7 @@ def test_precursor_at_or_below_one_proton_errors_at_its_line(tmp_path, capsys, c
     )
     assert run(command, mgf, "-o", str(tmp_path / "out.tsv")) == 2
     err = capsys.readouterr().err
-    assert "error: line 9: neutral precursor mass must be positive" in err
+    assert f"error: {mgf}:9: neutral precursor mass must be positive" in err
     assert "Traceback" not in err
 
 
@@ -541,7 +548,7 @@ def test_overflowing_precursor_errors_at_its_line(
     out = [output, str(tmp_path / "out")] if output else [str(tmp_path / "out")]
     assert run(command, mgf, *out) == 2
     err = capsys.readouterr().err
-    assert "error: line 9: neutral precursor mass must be finite" in err
+    assert f"error: {mgf}:9: neutral precursor mass must be finite" in err
     assert "Traceback" not in err
 
 
@@ -558,7 +565,7 @@ def test_sequence_non_finite_mgf_value_errors(tmp_path, capsys, header, peak):
                "--pool-size", "5", "--population", "4", "--tournament", "4")
     assert code == 2
     err = capsys.readouterr().err
-    assert "error: line " in err and "must be finite" in err
+    assert f"error: {mgf}:" in err and "must be finite" in err
     assert "Traceback" not in err
 
 
@@ -730,14 +737,17 @@ def test_evaluate_malformed_results_row_errors(tmp_path, capsys, rows, where):
 @pytest.mark.parametrize(
     "text, where",
     [
-        ("s1\tLGVTLYK\ns2\tAAAK\n", "truth line 1: expected the header"),
+        (
+            "s1\tLGVTLYK\ns2\tAAAK\n",
+            "1: header 's1\\tLGVTLYK' lacks columns ['spectrum_id', 'peptide']",
+        ),
         (
             "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAAAK\ns1\tLGVTLYK\n",
-            "truth line 4: spectrum id 's1' repeats line 2",
+            "4: spectrum id 's1' repeats line 2",
         ),
         (
             "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAXZK\n",
-            "truth line 3: unknown amino-acid symbol 'X'",
+            "3: unknown amino-acid symbol 'X'",
         ),
     ],
     ids=["no-header", "repeated-id", "bad-peptide"],
@@ -749,13 +759,15 @@ def test_evaluate_faulty_truth_file_errors(tmp_path, capsys, text, where):
         "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\ns2\t0\tAAAK\n",
     )
     assert run("evaluate", results, truth) == 2
-    assert f"error: {truth}: {where}" in capsys.readouterr().err
+    assert f"error: {truth}:{where}" in capsys.readouterr().err
 
 
 # Ids that a TITLE line can carry (one stripped line) and `sequence` accepts.
+# Only "\n" and "\r" end a line, so a form feed or U+2028 may be inside one.
 accepted_ids = st.text(min_size=1).filter(
     lambda sid: sid == sid.strip()
-    and sid.splitlines() == [sid]
+    and "\n" not in sid
+    and "\r" not in sid
     and not sid.startswith("#")
     and "\t" not in sid
 )
@@ -766,9 +778,15 @@ peptides = st.text(CANONICAL_ALPHABET, min_size=1, max_size=64)
 @given(
     st.lists(st.tuples(accepted_ids, peptides), max_size=6, unique_by=lambda r: r[0])
 )
-def test_ground_truth_round_trip(rows):
+def test_ground_truth_round_trip(tmp_path_factory, rows):
     records = [GroundTruthRecord(spectrum_id=sid, peptide=pep) for sid, pep in rows]
-    assert load_ground_truth(ground_truth_tsv(records)) == records
+    path = tmp_path_factory.mktemp("truth") / "t.tsv"
+    path.write_text(ground_truth_tsv(records), "utf-8")
+    if not records:  # a header with no rows under it is refused
+        with pytest.raises(ValueError, match="no rows under the header"):
+            _read_truth(str(path))
+    else:
+        assert _read_truth(str(path)) == dict(rows)
 
 
 @settings(deadline=None)
@@ -1097,6 +1115,135 @@ def test_input_that_is_not_utf8_is_named_at_its_line(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"error: {bad}:2: byte 0xe9 is not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tags", "{bad}"),
+        ("evaluate", "{bad}", "{truth}"),
+        ("evaluate", "{results}", "{bad}"),
+        ("synth", "{bad}", "-o", "{out}"),
+        ("sequence", "{mgf}", "--runs", "1", "--config", "{bad}"),
+    ],
+    ids=["mgf", "results", "truth", "peptides", "config"],
+)
+@pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_bad_byte_is_named_at_its_line_under_either_line_ending(
+    tmp_path, peptide_file, capsys, argv, ending
+):
+    # Lines end at "\n", "\r\n" or "\r"; the byte 0xff is on line 5.
+    mgf, truth = synth(tmp_path, peptide_file)
+    lines = ["BEGIN IONS", "TITLE=a", "PEPMASS=500", "CHARGE=2+", "150.0 1.0", "END IONS"]
+    bad = tmp_path / "bad.txt"
+    text = ending.join(lines) + ending
+    bad.write_bytes(text.encode("utf-8").replace(b"150.0", b"150.\xff0"))
+    results = write(
+        tmp_path / "r.tsv", "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tGK\n"
+    )
+    paths = {
+        "bad": str(bad),
+        "mgf": str(mgf),
+        "truth": str(truth),
+        "results": results,
+        "out": str(tmp_path / "out"),
+    }
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:5: byte 0xff is not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "inside", ["\x0c", "\u2028", "\x0b", "\x1c", "\x85"],
+    ids=["form-feed", "line-separator", "vertical-tab", "file-separator", "next-line"],
+)
+def test_title_may_hold_a_character_that_ends_no_line(tmp_path, peptide_file, inside):
+    # str.splitlines would end a line at each of these characters, and read
+    # the rest of the title as a malformed peak line.
+    mgf, _ = synth(tmp_path, peptide_file)
+    text = mgf.read_text(encoding="utf-8")
+    title = f"first{inside}half"
+    renamed = text.replace("TITLE=synth-00000", f"TITLE={title}")
+    spectra, plain = parse_mgf(renamed), parse_mgf(text)
+    assert [spec.title for spec in spectra] == [title, "synth-00001"]
+    assert spectra[1:] == plain[1:]
+    assert spectra[0].peaks == plain[0].peaks
+    outputs = []
+    for name, body in (("plain.mgf", text), ("renamed.mgf", renamed)):
+        out = tmp_path / f"{name}.tags"
+        assert run("tags", write(tmp_path / name, body), "-o", str(out)) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert outputs[1] == outputs[0].replace("synth-00000\t", f"{title}\t")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "tags", "sequence"])
+def test_mgf_error_names_its_path_and_line(tmp_path, capsys, command):
+    mgf = write(
+        tmp_path / "bad.mgf", "BEGIN IONS\nPEPMASS=500\nCHARGE=2+\n150.0\nEND IONS\n"
+    )
+    out = str(tmp_path / "out")
+    assert run(command, mgf, *([out] if command == "preprocess" else ["-o", out])) == 2
+    assert capsys.readouterr().err == f"error: {mgf}:4: malformed peak line '150.0'\n"
+
+
+EVALUATE_INPUTS = {
+    "results": "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\n",
+    "truth": "spectrum_id\tpeptide\ns1\tLGVTLYK\n",
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "no header row (the file is empty or all comments)"),
+        ("# nothing\n\n  \n", "no header row (the file is empty or all comments)"),
+        ("header\n  # no rows\n", "no rows under the header"),
+    ],
+    ids=["empty", "comments", "header-only"],
+)
+@pytest.mark.parametrize("which", EVALUATE_INPUTS)
+def test_tsv_without_rows_is_named_by_its_path(tmp_path, capsys, which, text, message):
+    files = dict(EVALUATE_INPUTS)
+    files[which] = text.replace("header", files[which].partition("\n")[0])
+    paths = {name: write(tmp_path / f"{name}.tsv", body) for name, body in files.items()}
+    assert run("evaluate", paths["results"], paths["truth"]) == 2
+    assert capsys.readouterr().err == f"error: {paths[which]}: {message}\n"
+
+
+def evaluate_report(tmp_path, name, results, truth):
+    results, truth = (
+        write(tmp_path / f"{name}.{kind}.tsv", text)
+        for kind, text in (("results", results), ("truth", truth))
+    )
+    report = tmp_path / f"{name}.report"
+    assert run("evaluate", results, truth, "-o", str(report)) == 0
+    return report.read_text(encoding="utf-8")
+
+
+def test_indented_comment_lines_are_skipped_in_results_and_truth(tmp_path):
+    results = "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\ns2\t0\tAAAK\n"
+    truth = "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAAAK\n"
+    plain = evaluate_report(tmp_path, "plain", results, truth)
+    noted = evaluate_report(
+        tmp_path,
+        "noted",
+        results.replace("\ns2", "\n  # s1 ran once\ns2"),
+        "\t# from synth\n" + truth.replace("\ns2", "\n \t#x\ns2"),
+    )
+    assert noted == plain
+    assert "\n0\t1.000000\t1.000000\t1.000000\t" in plain
+
+
+@given(st.text(min_size=1).filter(lambda sid: not set(sid) & set("\t\r\n")))
+def test_tsv_ids_refuses_exactly_the_ids_whose_rows_are_comments(sid):
+    row = f"{sid}\t0\tGK"
+    skipped = not list(content_lines([row]))
+    try:
+        cli._tsv_ids([make_spectrum(sid, 500.0, 2, [150.0], [1.0])], "in.mgf")
+    except ValueError:
+        assert skipped
+    else:
+        assert not skipped
 
 
 def test_synth_config_refuses_options_synth_does_not_take(tmp_path, peptide_file, capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -15,9 +14,9 @@ from evopep import (
     synthesize_spectrum,
 )
 from evopep.chem import CANONICAL_ALPHABET, parent_mass
+from evopep.cli import _read_truth
 from evopep.evaluation import (
     ground_truth_tsv,
-    load_ground_truth,
     random_tryptic_peptide,
 )
 from evopep import GroundTruthRecord
@@ -181,19 +180,21 @@ def test_aggregate_adds_left_to_right():
     assert summary.std.precision == math.sqrt(squares / 2)
 
 
-def test_ground_truth_round_trip():
+def test_ground_truth_round_trip(tmp_path):
     records = [
         GroundTruthRecord("s1", "LGVTLYK"),
         GroundTruthRecord("s2", "AAALAAADAR"),
     ]
-    text = ground_truth_tsv(records)
-    again = load_ground_truth(io.StringIO(text))
-    assert again == records
+    path = tmp_path / "truth.tsv"
+    path.write_text(ground_truth_tsv(records), encoding="utf-8")
+    assert _read_truth(str(path)) == {"s1": "LGVTLYK", "s2": "AAALAAADAR"}
 
 
-def test_ground_truth_validates_peptides():
-    with pytest.raises(Exception):
-        load_ground_truth("spectrum_id\tpeptide\ns1\tNOTAPEPTIDE1\n")
+def test_ground_truth_validates_peptides(tmp_path):
+    path = tmp_path / "truth.tsv"
+    path.write_text("spectrum_id\tpeptide\ns1\tNOTAPEPTIDE1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="truth.tsv:2:"):
+        _read_truth(str(path))
 
 
 def test_random_tryptic_peptide_shape():

@@ -1,15 +1,19 @@
 """Mutated MGF files through every command that reads one.
 
 Each mutation starts from a valid 2-record MGF and deletes, duplicates,
-swaps or cuts lines, inserts stray ``BEGIN IONS``/``END IONS`` lines, or puts
-an odd value into a header or a peak. Every command must end with exit code
-0 or 2; an exception that leaves ``main`` fails the test, and so does a
-numpy warning, which ``filterwarnings = error`` turns into one.
+swaps or cuts lines, inserts stray ``BEGIN IONS``/``END IONS`` lines or an
+indented comment, puts an odd value into a header or a peak, or a form feed
+or U+2028 inside a line; the lines end at "\n", "\r\n" or "\r". Every
+command must end with exit code 0 or 2 within 2 s, and an exit 2 for a fault
+in the file must name the file. An exception that leaves ``main`` fails the
+test, and so does a numpy warning, which ``filterwarnings = error`` turns
+into one.
 """
 
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +32,10 @@ VALID = ("\n".join(LINES) + "\n").encode("utf-8")
 ODD_VALUES = [
     "nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "9" * 400, "2+ and 3+", "",
 ]
+# Characters that str.splitlines, but no input reader, ends a line at.
+INSIDE = ["\x0c", "\u2028"]
+COMMENTS = ["  # indented", "\t#x"]
+ENDINGS = ["\n", "\r\n", "\r"]
 
 COMMANDS = [
     ["preprocess", "{mgf}", "{out}"],
@@ -58,7 +66,7 @@ def mutated_mgf(draw) -> bytes:
         # At most four of the 51 lines are deleted, so some are always left.
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(
-            ["delete", "duplicate", "swap", "cut", "stray", "value"]
+            ["delete", "duplicate", "swap", "cut", "stray", "value", "inside", "comment"]
         ))
         if kind == "delete":
             del lines[i]
@@ -71,10 +79,16 @@ def mutated_mgf(draw) -> bytes:
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
         elif kind == "stray":
             lines.insert(i, draw(st.sampled_from(["BEGIN IONS", "END IONS"])))
+        elif kind == "inside":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(INSIDE)) + lines[i][at:]
+        elif kind == "comment":
+            lines.insert(i, draw(st.sampled_from(COMMENTS)))
         else:
             value = draw(st.sampled_from(ODD_VALUES))
             lines[i] = with_value(lines[i], value, draw(st.integers(0, 1)))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    ending = draw(st.sampled_from(ENDINGS))
+    data = (ending.join(lines) + ending).encode("utf-8")
     if draw(st.integers(0, 19)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
@@ -92,8 +106,15 @@ def work(tmp_path_factory):
 def test_commands_exit_0_or_2_on_a_mutated_mgf(work, data):
     mgf, out = work / "fuzz.mgf", work / "fuzz.out"
     mgf.write_bytes(data)
+    start = perf_counter()
     for command in COMMANDS:
         argv = [arg.format(mgf=mgf, out=out) for arg in command]
-        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2), argv
+        if code == 2:
+            message = err.getvalue().splitlines()[-1]
+            if message != "error: all sequencing runs failed":
+                assert message.startswith(f"error: {mgf}:"), argv
+    assert perf_counter() - start < 2.0

@@ -1,11 +1,13 @@
 """Mutated results and truth TSVs through `evaluate`.
 
 Each mutation starts from a valid results/truth pair and deletes,
-duplicates, swaps or cuts lines, drops a cell, or puts an odd value into a
-cell; one example in twenty also gets a byte that is not UTF-8, and --tau
-is drawn from valid and invalid values. `evaluate` must end with exit code
-0 or 2 within 2 s; an exception that leaves ``main`` fails the test, and so
-does a warning, which ``filterwarnings = error`` turns into one.
+duplicates, swaps or cuts lines, inserts an indented comment, drops a cell,
+or puts an odd value, a form feed or U+2028 into a cell; each file's lines
+end at "\n", "\r\n" or "\r", one example in twenty also gets a byte that is
+not UTF-8, and --tau is drawn from valid and invalid values. `evaluate` must
+end with exit code 0 or 2 within 2 s, and an exit 2 for a fault in a file
+must name that file. An exception that leaves ``main`` fails the test, and
+so does a warning, which ``filterwarnings = error`` turns into one.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -33,11 +35,15 @@ TRUTH = [
 ]
 
 ODD_VALUES = ["", "nan", "-1", "9" * 400, "#x", "X", "\t", "\ufeff"]
+# Characters that str.splitlines, but no input reader, ends a line at.
+INSIDE = ["\x0c", "\u2028"]
+COMMENTS = ["  # indented", "\t#x"]
+ENDINGS = ["\n", "\r\n", "\r"]
 TAUS = ["0.5", "nan", "-1", "inf", "1e308"]
 
 
-def encode(lines: list[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def encode(lines: list[str], ending: str = "\n") -> bytes:
+    return (ending.join(lines) + ending).encode("utf-8")
 
 
 @st.composite
@@ -49,7 +55,7 @@ def mutated_pair(draw) -> tuple[bytes, bytes]:
             continue
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(
-            ["delete", "duplicate", "swap", "cut", "drop", "value"]
+            ["delete", "duplicate", "swap", "cut", "comment", "drop", "value", "inside"]
         ))
         if kind == "delete":
             del lines[i]
@@ -60,15 +66,20 @@ def mutated_pair(draw) -> tuple[bytes, bytes]:
             lines[i], lines[j] = lines[j], lines[i]
         elif kind == "cut":
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif kind == "comment":
+            lines.insert(i, draw(st.sampled_from(COMMENTS)))
         else:
             cells = lines[i].split("\t")
             k = draw(st.integers(0, len(cells) - 1))
             if kind == "drop":
                 del cells[k]
-            else:
+            elif kind == "value":
                 cells[k] = draw(st.sampled_from(ODD_VALUES))
+            else:
+                at = draw(st.integers(0, len(cells[k])))
+                cells[k] = cells[k][:at] + draw(st.sampled_from(INSIDE)) + cells[k][at:]
             lines[i] = "\t".join(cells)
-    data = [encode(lines) for lines in files]
+    data = [encode(lines, draw(st.sampled_from(ENDINGS))) for lines in files]
     if draw(st.integers(0, 19)) == 0:
         which = draw(st.integers(0, 1))
         at = draw(st.integers(0, len(data[which])))
@@ -90,7 +101,12 @@ def test_evaluate_exits_0_or_2_on_mutated_tsvs(work, pair, tau):
     truth.write_bytes(pair[1])
     argv = ["evaluate", str(results), str(truth), "--tau", tau, "-o", str(out)]
     start = perf_counter()
-    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
         code = main(argv)
     assert perf_counter() - start < 2.0, argv
     assert code in (0, 2), argv
+    if code == 2:
+        message = err.getvalue().splitlines()[-1]
+        if not message.startswith("error: tau must be finite and positive"):
+            assert message.startswith((f"error: {results}:", f"error: {truth}:")), argv
