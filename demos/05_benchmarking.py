@@ -39,9 +39,9 @@ for run_index in range(runs):
     print(f"run {run_index}: precision {metrics.precision:.3f}  "
           f"recall {metrics.recall:.3f}  peptide recall {metrics.peptide_recall:.3f}")
 
-summary = aggregate_runs(per_run)
-print(f"\nover {summary.n_runs} runs:")
-print(f"  precision      {summary.mean.precision:.3f} ± {summary.std.precision:.3f}")
-print(f"  recall         {summary.mean.recall:.3f} ± {summary.std.recall:.3f}")
-print(f"  peptide recall {summary.mean.peptide_recall:.3f} ± {summary.std.peptide_recall:.3f}")
-print(f"  avg predicted length {summary.mean.avg_len_predicted:.2f}")
+mean, std = aggregate_runs(per_run)
+print(f"\nover {len(per_run)} runs:")
+print(f"  precision      {mean.precision:.3f} ± {std.precision:.3f}")
+print(f"  recall         {mean.recall:.3f} ± {std.recall:.3f}")
+print(f"  peptide recall {mean.peptide_recall:.3f} ± {std.peptide_recall:.3f}")
+print(f"  avg predicted length {mean.avg_len_predicted:.2f}")

@@ -62,9 +62,7 @@ __version__ = "0.1.0"
 # loads their module only when one of them is first read (PEP 562).
 _EVALUATION_NAMES = frozenset(
     {
-        "GroundTruthRecord",
         "Metrics",
-        "MetricsSummary",
         "SynthConfig",
         "aggregate_runs",
         "compute_metrics",
@@ -95,13 +93,11 @@ __all__ = [
     "EvolutionError",
     "EvolveResult",
     "GaConfig",
-    "GroundTruthRecord",
     "Individual",
     "InvalidPeptideError",
     "InvalidResidueError",
     "InvalidSpectrumError",
     "Metrics",
-    "MetricsSummary",
     "MgfParseError",
     "Peak",
     "PreprocessConfig",

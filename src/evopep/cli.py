@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
+import os
 import random
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
 
-from .chem import InvalidPeptideError, InvalidResidueError, validate_peptide
+from .chem import validate_peptide
 from .engine import OPERATORS, EvolutionError, GaConfig, evolve
 from .spectrum import (
     MgfParseError,
@@ -419,8 +420,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         per_run.append(metrics)
         cells = (f"{getattr(metrics, name):.6f}" for name in rates)
         lines.append("\t".join([str(run_index), *cells, str(getattr(metrics, count))]))
-    summary = aggregate_runs(per_run)
-    mean, std = summary.mean, summary.std
+    mean, std = aggregate_runs(per_run)
     cells = (f"{getattr(mean, name):.6f}±{getattr(std, name):.6f}" for name in rates)
     lines.append("\t".join(["aggregate", *cells, str(getattr(mean, count))]))
     _write_output("\n".join(lines) + "\n", args.output)
@@ -428,40 +428,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .evaluation import (
-        GroundTruthRecord,
-        SynthConfig,
-        ground_truth_tsv,
-        synthesize_spectrum,
-    )
+    from .evaluation import SynthConfig, synthesize_spectrum
 
     options = _effective_options(args)
     synth_cfg = SynthConfig(
         noise_peaks=options["noise"],
         dropout=options["dropout"],
     )
-    peptides: list[str] = []
-    for number, line in content_lines(_lines(args.input)):
-        line = line.strip()
-        try:
-            seq = validate_peptide(line)
-        except (InvalidResidueError, InvalidPeptideError) as exc:
-            raise ValueError(f"{args.input}:{number}: {exc}") from exc
-        if len(seq) < 2:
-            raise ValueError(
-                f"{args.input}:{number}: theoretical spectrum requires length >= 2"
-            )
-        peptides.append(line)
+    truth_path = args.truth or str(Path(args.output).with_suffix(".truth.tsv"))
+    # Writing both would leave only the truth. Path.resolve raises
+    # RuntimeError on a symlink loop before Python 3.13; realpath does not.
+    if os.path.realpath(truth_path) == os.path.realpath(args.output):
+        raise ValueError(
+            f"--truth {truth_path} and -o {args.output} are the same file"
+        )
     spectra = []
-    records = []
-    for index, peptide in enumerate(peptides):
+    # The truth TSV that _read_truth reads: each spectrum's title and the
+    # peptide as listed, upper-cased but not folded I to L.
+    truth = ["spectrum_id\tpeptide"]
+    for index, (number, line) in enumerate(content_lines(_lines(args.input))):
+        peptide = line.strip()
         rng = random.Random(f"{options['seed']}|synth|{index}")
         title = f"synth-{index:05d}"
-        spectra.append(synthesize_spectrum(peptide, synth_cfg, rng, title=title))
-        records.append(GroundTruthRecord(spectrum_id=title, peptide=peptide.upper()))
+        try:
+            spectra.append(synthesize_spectrum(peptide, synth_cfg, rng, title=title))
+        except ValueError as exc:
+            raise ValueError(f"{args.input}:{number}: {exc}") from None
+        truth.append(f"{title}\t{peptide.upper()}")
     Path(args.output).write_text(emit_mgf(spectra), encoding="utf-8")
-    truth_path = args.truth or str(Path(args.output).with_suffix(".truth.tsv"))
-    Path(truth_path).write_text(ground_truth_tsv(records), encoding="utf-8")
+    Path(truth_path).write_text("\n".join(truth) + "\n", encoding="utf-8")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Accuracy metrics, ground-truth handling and the synthetic-spectrum oracle.
+"""Accuracy metrics and the synthetic-spectrum oracle.
 
 Amino-acid matches are established by prefix-mass alignment: a predicted
 residue counts when its symbol equals a truth residue whose N-terminal prefix
@@ -54,12 +54,6 @@ _NATURAL_WEIGHTS = tuple(_NATURAL_RESIDUE_WEIGHTS.values())
 
 
 @dataclass(frozen=True)
-class GroundTruthRecord:
-    spectrum_id: str
-    peptide: str
-
-
-@dataclass(frozen=True)
 class Metrics:
     """Amino-acid and peptide-level accuracy over a batch of predictions."""
 
@@ -69,15 +63,6 @@ class Metrics:
     avg_len_partial_matches: float
     avg_len_predicted: float
     n_spectra: int
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    """Per-field mean and standard deviation over several runs."""
-
-    mean: Metrics
-    std: Metrics
-    n_runs: int
 
 
 @dataclass(frozen=True)
@@ -191,8 +176,9 @@ def synthesize_spectrum(
     return make_spectrum(title or f"synthetic:{seq}", pepmass, 2, mz, intensity)
 
 
-def aggregate_runs(per_run: Iterable[Metrics]) -> MetricsSummary:
-    """Per-field sample mean and standard deviation across runs.
+def aggregate_runs(per_run: Iterable[Metrics]) -> tuple[Metrics, Metrics]:
+    """Per-field sample mean and standard deviation across runs, as the pair
+    (mean, std).
 
     A single run reports a standard deviation of zero.
     """
@@ -215,11 +201,4 @@ def aggregate_runs(per_run: Iterable[Metrics]) -> MetricsSummary:
         stds[name] = std
     means["n_spectra"] = int(means["n_spectra"])
     stds["n_spectra"] = int(stds["n_spectra"])
-    return MetricsSummary(mean=Metrics(**means), std=Metrics(**stds), n_runs=n)
-
-
-def ground_truth_tsv(records: Iterable[GroundTruthRecord]) -> str:
-    """Serialize ground-truth records as TSV with a header row."""
-    lines = ["spectrum_id\tpeptide"]
-    lines.extend(f"{r.spectrum_id}\t{r.peptide}" for r in records)
-    return "\n".join(lines) + "\n"
+    return Metrics(**means), Metrics(**stds)

@@ -17,7 +17,6 @@ from evopep import cli
 from evopep.chem import CANONICAL_ALPHABET, PROTON_MASS, residue_mass
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, _read_truth, main
 from evopep.engine import GaConfig, evolve
-from evopep.evaluation import GroundTruthRecord, ground_truth_tsv
 from evopep.spectrum import (
     Spectrum,
     content_lines,
@@ -103,6 +102,33 @@ def test_synth_one_residue_peptide_errors_at_its_line(tmp_path, capsys):
     assert run("synth", peps, "-o", str(tmp_path / "x.mgf")) == 2
     err = capsys.readouterr().err
     assert f"error: {peps}:4: theoretical spectrum requires length >= 2" in err
+
+
+def test_synth_truth_rows_number_content_lines_and_keep_isoleucine(tmp_path):
+    # Truth peptides are the listed ones upper-cased, not folded I to L, and
+    # the spectrum index counts content lines only.
+    peps = write(tmp_path / "peps.txt", "  lgvIyk  \n# note\n\nAAALAAADAR\n")
+    mgf, truth = tmp_path / "x.mgf", tmp_path / "t.tsv"
+    assert run("synth", peps, "-o", str(mgf), "--truth", str(truth)) == 0
+    titles = [line for line in mgf.read_text().splitlines() if line.startswith("TITLE=")]
+    assert titles == ["TITLE=synth-00000", "TITLE=synth-00001"]
+    assert truth.read_text() == (
+        "spectrum_id\tpeptide\nsynth-00000\tLGVIYK\nsynth-00001\tAAALAAADAR\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "truth", ["x.mgf", "./x.mgf", "sub/../x.mgf", "link.tsv"], ids=str
+)
+def test_synth_refuses_a_truth_path_that_is_the_output(
+    tmp_path, monkeypatch, peptide_file, capsys, truth
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.tsv").symlink_to("x.mgf")
+    assert run("synth", peptide_file, "-o", "x.mgf", "--truth", truth) == 2
+    assert "error: --truth " in capsys.readouterr().err
+    assert not (tmp_path / "x.mgf").exists()
 
 
 def test_synth_dropout_noise_counts(tmp_path, peptide_file):
@@ -779,10 +805,10 @@ peptides = st.text(CANONICAL_ALPHABET, min_size=1, max_size=64)
     st.lists(st.tuples(accepted_ids, peptides), max_size=6, unique_by=lambda r: r[0])
 )
 def test_ground_truth_round_trip(tmp_path_factory, rows):
-    records = [GroundTruthRecord(spectrum_id=sid, peptide=pep) for sid, pep in rows]
     path = tmp_path_factory.mktemp("truth") / "t.tsv"
-    path.write_text(ground_truth_tsv(records), "utf-8")
-    if not records:  # a header with no rows under it is refused
+    text = "spectrum_id\tpeptide\n" + "".join(f"{sid}\t{pep}\n" for sid, pep in rows)
+    path.write_text(text, "utf-8")
+    if not rows:  # a header with no rows under it is refused
         with pytest.raises(ValueError, match="no rows under the header"):
             _read_truth(str(path))
     else:

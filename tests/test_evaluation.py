@@ -15,11 +15,7 @@ from evopep import (
 )
 from evopep.chem import CANONICAL_ALPHABET, parent_mass
 from evopep.cli import _read_truth
-from evopep.evaluation import (
-    ground_truth_tsv,
-    random_tryptic_peptide,
-)
-from evopep import GroundTruthRecord
+from evopep.evaluation import random_tryptic_peptide
 
 TAU = 0.5
 
@@ -125,15 +121,15 @@ def test_self_fitness_beats_single_flips():
 
 def test_aggregate_single_run_zero_std():
     m = compute_metrics([("AAAK", "AAAK")])
-    summary = aggregate_runs([m])
-    assert summary.std.precision == 0.0
-    assert summary.n_runs == 1
+    mean, std = aggregate_runs([m])
+    assert mean == m
+    assert std.precision == 0.0
 
 
 def test_aggregate_constant_zero_std():
     m = compute_metrics([("AAAK", "AAAK")])
-    summary = aggregate_runs([m, m, m])
-    assert summary.std.recall == 0.0
+    _, std = aggregate_runs([m, m, m])
+    assert std.recall == 0.0
 
 
 def test_aggregate_hand_fixture():
@@ -147,9 +143,9 @@ def test_aggregate_hand_fixture():
             n_spectra=1,
         )
 
-    summary = aggregate_runs([with_recall(0.8), with_recall(0.9), with_recall(1.0)])
-    assert summary.mean.recall == pytest.approx(0.9, abs=1e-12)
-    assert summary.std.recall == pytest.approx(0.1, abs=1e-9)
+    mean, std = aggregate_runs([with_recall(0.8), with_recall(0.9), with_recall(1.0)])
+    assert mean.recall == pytest.approx(0.9, abs=1e-12)
+    assert std.recall == pytest.approx(0.1, abs=1e-9)
 
 
 def test_aggregate_adds_left_to_right():
@@ -174,19 +170,17 @@ def test_aggregate_adds_left_to_right():
     squares = 0.0
     for value in values:
         squares += (value - mean) ** 2
-    summary = aggregate_runs(runs)
+    summary_mean, summary_std = aggregate_runs(runs)
     assert total == 0.6000000000000001
-    assert summary.mean.precision == mean
-    assert summary.std.precision == math.sqrt(squares / 2)
+    assert summary_mean.precision == mean
+    assert summary_std.precision == math.sqrt(squares / 2)
 
 
 def test_ground_truth_round_trip(tmp_path):
-    records = [
-        GroundTruthRecord("s1", "LGVTLYK"),
-        GroundTruthRecord("s2", "AAALAAADAR"),
-    ]
     path = tmp_path / "truth.tsv"
-    path.write_text(ground_truth_tsv(records), encoding="utf-8")
+    path.write_text(
+        "spectrum_id\tpeptide\ns1\tLGVTLYK\ns2\tAAALAAADAR\n", encoding="utf-8"
+    )
     assert _read_truth(str(path)) == {"s1": "LGVTLYK", "s2": "AAALAAADAR"}
 
 

@@ -493,3 +493,71 @@ def test_match_table_of_a_peak_one_tolerance_above_zero():
     table = _match_table(spec, 1.0)
     segment = table.bounds.searchsorted([-1e-15, 0.0, 2.0, 2.0 + 1e-15])
     assert table.peak[segment].tolist() == [1, 0, 0, 1]
+
+
+# numpy's float64 sum is a pairwise sum (``pairwise_sum_DOUBLE``), and the
+# fitness rests on its bits twice: the matched intensity and
+# ``Spectrum.total_intensity``. It is restated here, so that a numpy that
+# changes the order fails a named test rather than only a golden digest.
+
+
+def pairwise_sum(values):
+    """The float64 sum of ``values`` in numpy's pairwise order."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        whole = n - n % 8
+        for start in range(8, whole, 8):
+            for j in range(8):
+                r[j] += values[start + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[whole:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def pairwise_case(seed):
+    """A peptide of 2-64 residues, a spectrum of 0-3000 peaks, some on its
+    ions and the rest spread over its mass range, and a tolerance."""
+    rng = random.Random(seed)
+    peptide = "".join(rng.choices(CANONICAL_ALPHABET, k=rng.randint(2, 64)))
+    theo = theoretical_spectrum(peptide)
+    ions = [*theo.b_ions, *theo.y_ions, *theo.internal_ions]
+    n = rng.choice([rng.randint(0, 8), rng.randint(8, 140), rng.randint(140, 3000)])
+    on_ions = rng.randint(0, n)
+    top = parent_mass(peptide) + 20.0
+    mz = [rng.choice(ions) + rng.uniform(-0.3, 0.3) for _ in range(on_ions)]
+    mz += [rng.uniform(1.0, top) for _ in range(n - on_ions)]
+    scale = rng.choice([1.0, 1e-3, 1e4])
+    intensity = [scale * rng.lognormvariate(0.0, 2.0) for _ in mz]
+    pepmass = (parent_mass(peptide) + 2 * PROTON_MASS) / 2
+    return peptide, make_spectrum("p", pepmass, 2, mz, intensity), TAU
+
+
+def test_intensity_sums_follow_the_pairwise_order():
+    hit_counts = []
+    for seed in range(200):
+        peptide, spec, tau = pairwise_case(seed)
+        values = spec.intensity.tolist()
+        assert spec.total_intensity.hex() == pairwise_sum(values).hex()
+        if not values:
+            continue
+        theo = theoretical_spectrum(peptide)
+        ions = np.array([*theo.b_ions, *theo.y_ions, *theo.internal_ions])
+        nearest, dist = nearest_peaks(spec.mz, ions)
+        hits = sorted(set(nearest[dist <= tau].tolist()))
+        hit_counts.append(len(hits))
+        matched = _evaluate(canonical(peptide), spec, _match_table(spec, tau))[0]
+        assert matched.hex() == pairwise_sum([values[i] for i in hits]).hex()
+    # Each branch of the restatement is reached, the split more than once.
+    assert min(hit_counts) < 8
+    assert any(8 <= k <= 128 for k in hit_counts)
+    assert max(hit_counts) > 2 * 128
