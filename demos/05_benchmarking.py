@@ -32,7 +32,8 @@ for run_index in range(runs):
             synthesize_spectrum(peptide, SynthConfig(), random.Random(index)),
             PreprocessConfig(),
         )
-        result = evolve(spec, GaConfig(seed=f"demo|{run_index}|{index}"))
+        rng = random.Random(f"demo|{run_index}|{index}")
+        result = evolve(spec, GaConfig(), rng)
         pairs.append((result.best.peptide, peptide))
     metrics = compute_metrics(pairs)
     per_run.append(metrics)

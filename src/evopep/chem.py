@@ -61,6 +61,10 @@ CONFLICT_REPLACEMENTS: dict[str, tuple[str, ...]] = {
 
 MAX_PEPTIDE_LENGTH = 64
 
+# Fragment tolerances stay below half the glycine residue mass: from there on,
+# two b-ions one residue apart can match the same peak.
+TOLERANCE_LIMIT = RESIDUE_MASSES["G"] / 2
+
 TRYPTIC_TERMINALS = ("K", "R")
 
 
@@ -121,6 +125,18 @@ def unchecked_parent_mass(sequence: str) -> float:
     for symbol in sequence:
         mass += _ANY_CASE_MASSES[symbol]
     return mass + H2O_MASS
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Refuse a fragment tolerance that is not finite and positive, or that
+    reaches TOLERANCE_LIMIT."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    if value >= TOLERANCE_LIMIT:
+        raise ValueError(
+            f"{name} must be below {TOLERANCE_LIMIT:.4f} Da, half the glycine "
+            f"residue mass, got {value}"
+        )
 
 
 def left_to_right_sum(values: Iterable[float]) -> float:

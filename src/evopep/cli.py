@@ -16,7 +16,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
@@ -87,6 +87,8 @@ def _count(key: str, minimum: int) -> Callable[[str], int]:
             raise _OptionError(str(exc)) from None
         if value < minimum:
             raise _OptionError(f"{key} must be >= {minimum}, got {value}")
+        if value > sys.maxsize:  # no list holds more; `sequence` lists each run
+            raise _OptionError(f"{key} must be at most {sys.maxsize}")
         return value
 
     return parse
@@ -279,7 +281,7 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
     """
     spec, cfg, seed, spec_index, run_index, spectrum_id = task
     try:
-        result = evolve(spec, replace(cfg, seed=f"{seed}|{spec_index}|{run_index}"))
+        result = evolve(spec, cfg, random.Random(f"{seed}|{spec_index}|{run_index}"))
     except (EvolutionError, ValueError) as exc:
         logger.warning(
             "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc

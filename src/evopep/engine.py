@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .chem import (
     CANONICAL_ALPHABET,
     CONFLICT_REPLACEMENTS,
     MAX_PEPTIDE_LENGTH,
+    check_tolerance,
     left_to_right_sum,
     parent_mass,
     unchecked_parent_mass,
@@ -77,7 +79,6 @@ class GaConfig:
     # Draw rates of the operators, in the order of ``OPERATORS``.
     rates: tuple[float, float, float, float] = (0.40, 0.35, 0.10, 0.15)
     tau: float = 0.5
-    seed: int | str | None = None
 
     def __post_init__(self):
         rates = self.rates
@@ -98,6 +99,11 @@ class GaConfig:
             )
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
+        # A run holds pool_size candidates, population individuals and a trace
+        # row per generation, and no list holds more than sys.maxsize items.
+        for name in ("pool_size", "population", "generations"):
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must be at most {sys.maxsize}")
         if self.tournament_k < 1:
             raise ValueError("tournament_k must be >= 1")
         if self.tournament_k > self.population:
@@ -108,8 +114,7 @@ class GaConfig:
                 f"{self.tournament_k}: entrants are drawn with replacement, so "
                 "a larger tournament only adds draws"
             )
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        check_tolerance("tau", self.tau)
 
     @property
     def sub_pool(self) -> int:
@@ -341,19 +346,18 @@ def _initial_population(
     return selected[: cfg.population]
 
 
-def evolve(spec: Spectrum, cfg: GaConfig) -> EvolveResult:
-    """Run the full GA on one (preprocessed) spectrum.
+def evolve(spec: Spectrum, cfg: GaConfig, rng: random.Random) -> EvolveResult:
+    """Run the full GA on one (preprocessed) spectrum, drawing from ``rng``.
 
     Returns the all-time best individual by fitness and a per-generation
-    trace. Identical seeds produce identical results. A precursor that no
-    pool member can reach is refused before any draw.
+    trace. Generators in the same state produce identical results. A
+    precursor that no pool member can reach is refused before any draw.
     """
     if not precursor_reachable(spec.precursor_mass, cfg.tau):
         raise EvolutionError(
             "no peptide the GA can build comes near the precursor mass of "
             f"spectrum {spec.title!r}, {spec.precursor_mass:.4f} Da"
         )
-    rng = random.Random(cfg.seed)
     scorer = Scorer(spec, cfg.tau)
     pool = build_init_pool(scorer, cfg.pool_size, rng)
     if not pool:

@@ -20,7 +20,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .chem import PROTON_MASS, precursor_mass
+from .chem import PROTON_MASS, check_tolerance, precursor_mass
 
 if TYPE_CHECKING:  # numpy.typing would cost every process an import
     from numpy.typing import ArrayLike
@@ -61,10 +61,7 @@ class PreprocessConfig:
     tolerance: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance}"
-            )
+        check_tolerance("tolerance", self.tolerance)
 
 
 @dataclass(frozen=True, eq=False)

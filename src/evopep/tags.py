@@ -38,7 +38,7 @@ logger = logging.getLogger(__name__)
 _LABELED_MASSES: tuple[tuple[str, float], ...] = tuple(
     (sym, RESIDUE_MASSES[sym]) for sym in CANONICAL_ALPHABET
 )
-_MASSES = tuple(mass for _, mass in _LABELED_MASSES)
+_MASSES = np.array([mass for _, mass in _LABELED_MASSES])
 _LABELS = len(_MASSES)
 # The labels' ASCII codes, indexed by their rank in CANONICAL_ALPHABET.
 _ALPHABET = np.frombuffer("".join(CANONICAL_ALPHABET).encode("ascii"), np.uint8)
@@ -162,30 +162,29 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     n = len(mz)
     limit = _MAX_RESIDUE_MASS + tau
     # Each label's window mass ± tau is widened by far more than the float
-    # tests can round; it only picks candidate pairs (i, j > i), row-major.
+    # tests can round; it only picks candidate pairs (i, j > i). Row r of the
+    # (19, n) window bounds is label r's, so candidates come label-major.
     slack = 1e-9 * (mz[-1] + limit) if n else 0.0
+    masses = _MASSES[:, None]
     after = np.arange(1, n + 1)
-    keys = []
-    for rank, mass in enumerate(_MASSES):
-        start = np.maximum(np.searchsorted(mz, mz + (mass - tau - slack)), after)
-        counts = np.searchsorted(mz, mz + (mass + tau + slack), side="right") - start
-        np.maximum(counts, 0, out=counts)
-        source = np.repeat(np.arange(n), counts)
-        first = start - np.cumsum(counts) + counts
-        target = np.arange(len(source)) + np.repeat(first, counts)
-        gap = mz[target] - mz[source]
-        keep = (gap <= limit) & (np.abs(gap - mass) <= tau)
-        keys.append((source[keep] * n + target[keep]) * _LABELS + rank)
+    start = np.maximum(np.searchsorted(mz, mz + (masses - tau - slack)), after)
+    counts = np.searchsorted(mz, mz + (masses + tau + slack), side="right") - start
+    counts = np.maximum(counts, 0).ravel()
+    rank, source = np.divmod(np.repeat(np.arange(_LABELS * n), counts), n)
+    first = start.ravel() - np.cumsum(counts) + counts
+    target = np.arange(len(source)) + np.repeat(first, counts)
+    gap = mz[target] - mz[source]
+    keep = (gap <= limit) & (np.abs(gap - _MASSES[rank]) <= tau)
     # Keys are unique, so any sort gives (source, target, label) order. The
     # stable one merges the 19 already sorted runs; the default quicksort
     # raised peak RSS by up to 0.2 MB, likely by loading numpy's SIMD sort.
-    key = np.concatenate(keys)
+    key = ((source * n + target) * _LABELS + rank)[keep]
+    # The candidates are no longer needed, and the peak of memory is ahead.
+    del rank, source, target, gap, keep, start, counts, first
     key.sort(kind="stable")
     source, rest = np.divmod(key, n * _LABELS)
     target, label = np.divmod(rest, _LABELS)
-    # These are edge-sized, as are the last label's candidates, and the peak
-    # of memory is still ahead.
-    del keys, key, rest, start, counts, first, gap, keep
+    del key, rest
     offsets = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
     # Paths that start with each edge: 2-edge ones end on an edge leaving
     # its target, 3-edge ones on a 2-edge path leaving it.

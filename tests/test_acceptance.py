@@ -57,7 +57,8 @@ def run_corpus(corpus, synth_cfg, spectrum_seed_base, ga_seed_prefix):
         )
         spec = preprocess(raw, PreprocessConfig(tolerance=TAU))
         for seed in range(SEEDS_PER_SPECTRUM):
-            result = evolve(spec, GaConfig(seed=f"{ga_seed_prefix}{index}|{seed}"))
+            rng = random.Random(f"{ga_seed_prefix}{index}|{seed}")
+            result = evolve(spec, GaConfig(), rng)
             pairs.append((result.best.peptide, peptide))
             traces.append([row.best_fitness for row in result.trace])
     return pairs, traces

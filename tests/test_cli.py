@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import logging
+import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from functools import cached_property
@@ -14,10 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopep import cli
-from evopep.chem import CANONICAL_ALPHABET, PROTON_MASS, residue_mass
+from evopep.chem import (
+    CANONICAL_ALPHABET,
+    PROTON_MASS,
+    TOLERANCE_LIMIT,
+    residue_mass,
+)
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, _read_truth, main
 from evopep.engine import GaConfig, evolve
 from evopep.spectrum import (
+    PreprocessConfig,
     Spectrum,
     content_lines,
     emit_mgf,
@@ -200,9 +208,9 @@ def test_sequence_runs_leave_spectra_plain_values(tmp_path, peptide_file, monkey
     runs = []
     extracted = []
 
-    def spy(spec, cfg):
+    def spy(spec, cfg, rng):
         before = len(extracted)
-        result = evolve(spec, cfg)
+        result = evolve(spec, cfg, rng)
         runs.append((spec, len(extracted) - before))
         return result
 
@@ -230,9 +238,11 @@ def test_sequence_runs_leave_spectra_plain_values(tmp_path, peptide_file, monkey
     assert all(set(vars(spec)) <= fields | cached for spec, _ in runs)
     # So runs on one spectrum object give what runs on fresh copies give.
     spec = runs[0][0]
-    configs = [GaConfig(pool_size=60, population=30, generations=3, seed=s) for s in "ab"]
-    again = [evolve(spec, cfg) for cfg in configs]
-    fresh = [evolve(pickle.loads(pickle.dumps(spec)), cfg) for cfg in configs]
+    cfg = GaConfig(pool_size=60, population=30, generations=3)
+    again = [evolve(spec, cfg, random.Random(s)) for s in "ab"]
+    fresh = [
+        evolve(pickle.loads(pickle.dumps(spec)), cfg, random.Random(s)) for s in "ab"
+    ]
     assert again == fresh
 
 
@@ -505,9 +515,9 @@ def test_sequence_skips_spectrum_no_peptide_can_reach(
 
     evolved = []
 
-    def spy(spec, cfg):
+    def spy(spec, cfg, rng):
         evolved.append(spec.title)
-        return evolve(spec, cfg)
+        return evolve(spec, cfg, rng)
 
     monkeypatch.setattr(evopep.cli, "evolve", spy)
     one = write(tmp_path / "one.txt", "LGVTLYK\n")
@@ -930,6 +940,19 @@ def test_tags_too_few_peaks_gives_no_rows(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["runs", "jobs"])
+def test_count_no_list_can_hold_is_refused(tmp_path, capsys, key):
+    # `sequence` lists one task per run: --runs 10**400 grew that list until
+    # a MemoryError traceback.
+    huge = "9" * 400
+    message = f"{key} must be at most {sys.maxsize}"
+    assert run("sequence", "x.mgf", f"--{key}", huge) == 1
+    assert message in capsys.readouterr().err
+    config = write(tmp_path / "run.cfg", f"{key}={huge}\n")
+    assert run("sequence", "x.mgf", "--config", config) == 2
+    assert f"run.cfg:1: {message}\n" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert run("sequence") == 1
     assert run("unknown-command") == 1
@@ -989,6 +1012,49 @@ def test_non_finite_tau_errors(tmp_path, peptide_file, capsys, command, tau):
     assert run(command, str(mgf), *output, "--tau", tau) == 2
     message = f"error: tolerance must be finite and positive, got {tau}"
     assert message in capsys.readouterr().err
+
+
+def test_tags_refuses_a_tau_that_makes_every_peak_pair_an_edge(tmp_path, peptide_file):
+    # At tau 1e308 every peak pair matches every residue, so the rows would
+    # never end. The command runs in a process of its own, so that a hang
+    # fails the test on its timeout.
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = tmp_path / "wide.tsv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "evopep.cli", "tags", str(mgf), "--tau", "1e308",
+         "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: tolerance must be below 28.5107 Da, half the glycine residue "
+        "mass, got 1e+308\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "tags", "sequence"])
+@pytest.mark.parametrize("tau", [TOLERANCE_LIMIT, 30.0])
+def test_tau_of_half_a_glycine_or_more_is_refused(
+    tmp_path, peptide_file, capsys, command, tau
+):
+    mgf, _ = synth(tmp_path, peptide_file)
+    out = tmp_path / "out"
+    output = [str(out)] if command == "preprocess" else ["-o", str(out)]
+    capsys.readouterr()
+    assert run(command, str(mgf), *output, "--tau", repr(tau)) == 2
+    name = "tau" if command == "sequence" else "tolerance"
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert (
+        f"error: {name} must be below 28.5107 Da, half the glycine residue mass, "
+        f"got {tau}\n"
+    ) in err
+    assert not out.exists()
+    # Just below the bound, both configurations are accepted.
+    below = math.nextafter(TOLERANCE_LIMIT, 0)
+    assert GaConfig(tau=below).tau == PreprocessConfig(tolerance=below).tolerance
 
 
 def test_config_file_precedence(tmp_path, peptide_file):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -82,6 +83,17 @@ def test_config_refuses_tournament_above_population(tournament_k):
     assert GaConfig(population=30, tournament_k=30).tournament_k == 30
     with pytest.raises(ValueError, match=f"<= population \\(30\\), got {tournament_k}:"):
         GaConfig(population=30, tournament_k=tournament_k)
+
+
+@pytest.mark.parametrize("name", ["pool_size", "population", "generations"])
+def test_config_refuses_a_count_no_list_can_hold(name):
+    # A run keeps pool_size candidates, population individuals and a trace
+    # row per generation. A population of 10**400 once grew a `sequence`
+    # process past 3 GB before its first generation.
+    settings = {"pool_size": 60, "population": 30, "generations": 3}
+    assert GaConfig(**{**settings, name: sys.maxsize})
+    with pytest.raises(ValueError, match=f"^{name} must be at most {sys.maxsize}$"):
+        GaConfig(**{**settings, name: 10**400})
 
 
 def test_config_sub_pool_derived():
@@ -506,23 +518,21 @@ def test_nterm_cterm_crossover_returns_capped_tryptic_peptide(
 
 
 def test_evolve_zero_generations_returns_pool_best(aaal_spectrum):
-    cfg = GaConfig(generations=0, seed=5)
-    result = evolve(aaal_spectrum, cfg)
+    result = evolve(aaal_spectrum, GaConfig(generations=0), random.Random(5))
     assert result.generations_used == 0
     assert len(result.trace) == 1
     assert result.best.fitness == result.trace[0].best_fitness
 
 
 def test_evolve_deterministic(aaal_spectrum):
-    cfg = GaConfig(generations=5, seed=123)
-    a = evolve(aaal_spectrum, cfg)
-    b = evolve(aaal_spectrum, cfg)
+    cfg = GaConfig(generations=5)
+    a = evolve(aaal_spectrum, cfg, random.Random(123))
+    b = evolve(aaal_spectrum, cfg, random.Random(123))
     assert a == b
 
 
 def test_evolve_population_invariants(aaal_spectrum):
-    cfg = GaConfig(generations=6, seed=3)
-    result = evolve(aaal_spectrum, cfg)
+    result = evolve(aaal_spectrum, GaConfig(generations=6), random.Random(3))
     assert len(result.trace) == 7
     fits = [row.best_fitness for row in result.trace]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
@@ -531,26 +541,30 @@ def test_evolve_population_invariants(aaal_spectrum):
 
 def test_evolve_recovers_ground_truth(aaal_spectrum):
     hits = sum(
-        evolve(aaal_spectrum, GaConfig(seed=f"run|{s}")).best.peptide == "AAALAAADAR"
+        evolve(aaal_spectrum, GaConfig(), random.Random(f"run|{s}")).best.peptide
+        == "AAALAAADAR"
         for s in range(30)
     )
     assert hits >= 24
 
 
-def test_evolve_refuses_an_unreachable_precursor_before_drawing(monkeypatch):
-    import evopep.engine
+class _NoDraws(random.Random):
+    """A generator whose every draw fails the test."""
 
-    def no_pool(*args):
-        raise AssertionError("the init pool was built")
+    def _draw(self, *args):
+        raise AssertionError("a draw was made")
 
-    monkeypatch.setattr(evopep.engine, "build_init_pool", no_pool)
+    random = getrandbits = _randbelow = _draw
+
+
+def test_evolve_refuses_an_unreachable_precursor_before_drawing():
     # 20,000 Da is above any peptide of at most 64 residues.
     spec = clean_spectrum("LGVTLYK")
     far = make_spectrum(
         "far", (20000.0 + 2 * PROTON_MASS) / 2, 2, spec.mz, spec.intensity
     )
     with pytest.raises(EvolutionError, match=r"'far', 20000\.0000 Da"):
-        evolve(far, GaConfig(seed=1))
+        evolve(far, GaConfig(), _NoDraws())
 
 
 def test_operators_fall_back_at_length_cap():
@@ -591,7 +605,8 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
         synthesize_spectrum(truth, SynthConfig(noise_peaks=20, dropout=0.1), rng)
     )
     with fitness_calls() as peptides:
-        evolve(spec, GaConfig(population=30, pool_size=60, generations=5, seed=1))
+        cfg = GaConfig(population=30, pool_size=60, generations=5)
+        evolve(spec, cfg, random.Random(1))
     assert peptides
     assert all(
         2 <= len(peptide) <= MAX_PEPTIDE_LENGTH and peptide.endswith(TRYPTIC_TERMINALS)
@@ -610,7 +625,6 @@ def ga_settings(draw):
         generations=draw(st.integers(0, 5)),
         tournament_k=draw(st.integers(1, min(7, population))),
         rates=rates,
-        seed=draw(st.integers(0, 2**32)),
     )
 
 
@@ -620,15 +634,18 @@ def ga_settings(draw):
     st.sampled_from(TRYPTIC_TERMINALS),
     ga_settings(),
     st.integers(0, 2**32),
+    rngs,
 )
-def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(body, terminal, cfg, seed):
+def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(
+    body, terminal, cfg, seed, ga_rng
+):
     rng = random.Random(seed)
     spec = preprocess(
         synthesize_spectrum(body + terminal, SynthConfig(noise_peaks=10, dropout=0.1), rng)
     )
     with fitness_calls() as peptides:
         try:
-            result = evolve(spec, cfg)
+            result = evolve(spec, cfg, ga_rng)
         except EvolutionError:  # no candidate reached the precursor mass
             result = None
     assert all(
@@ -676,27 +693,18 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("generations", sorted(PINNED_RUNS))
-def test_tiny_run_keeps_its_trace_and_stream(monkeypatch, generations):
-    import evopep.engine
-
-    made = []
-
-    class Recording(GuardedRandom):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
-    monkeypatch.setattr(evopep.engine, "random", SimpleNamespace(Random=Recording))
+def test_tiny_run_keeps_its_trace_and_stream(generations):
     raw = synthesize_spectrum("LGVTLYKDAR", SynthConfig(), random.Random(3))
-    cfg = GaConfig(pool_size=60, population=30, generations=generations, seed=11)
-    result = evolve(preprocess(raw), cfg)
+    cfg = GaConfig(pool_size=60, population=30, generations=generations)
+    rng = GuardedRandom(11)
+    result = evolve(preprocess(raw), cfg, rng)
     trace, next_bits = PINNED_RUNS[generations]
     assert trace_to_tsv(result.trace) == trace
-    assert [rng.getrandbits(64) for rng in made] == [next_bits]
+    assert rng.getrandbits(64) == next_bits
 
 
 def test_trace_tsv_shape(aaal_spectrum):
-    result = evolve(aaal_spectrum, GaConfig(generations=2, seed=1))
+    result = evolve(aaal_spectrum, GaConfig(generations=2), random.Random(1))
     text = trace_to_tsv(result.trace)
     lines = text.strip().splitlines()
     assert lines[0].split("\t") == [

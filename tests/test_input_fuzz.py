@@ -43,9 +43,7 @@ VALID = {
     "noise": ["0", "5"],
 }
 ODD = ["nan", "inf", "-inf", "1e308", "-1", "0", "", "abc", "9" * 400, "1,nan,0,0", "1,2,3"]
-# Each command, its file arguments, and the options it takes. `tags` takes
-# the options of `preprocess`, but its output grows without bound with --tau:
-# a tau of 1e308 makes every peak pair an edge for every residue.
+# Each command, its file arguments, and the options it takes.
 COMMANDS = {
     "sequence": (
         ["in.mgf", "-o", "out"],
@@ -54,6 +52,7 @@ COMMANDS = {
     ),
     "synth": (["peptides.txt", "-o", "out"], ["seed", "dropout", "noise"]),
     "preprocess": (["in.mgf", "out"], ["tau"]),
+    "tags": (["in.mgf", "-o", "out"], ["tau"]),
     "evaluate": (["results.tsv", "truth.tsv", "-o", "out"], ["tau"]),
 }
 # The options whose defaults would make a run of `sequence` take seconds.
