@@ -26,19 +26,22 @@ spec = preprocess(
 
 # A tag is three residues read off four peaks whose consecutive gaps each
 # match a residue mass within the tolerance. The index reads as the tags'
-# residues (tags[t]); tags.tag(t) decodes tag t with its peaks.
+# residues (tags[t]); tags.tag(t) decodes tag t with its peaks, and the
+# first peak's m/z is read from the spectrum.
 tags = extract_tags(spec, tau=0.5)
 print(f"extracted {len(tags)} tags from {len(spec.mz)} peaks; first few:")
 for tag in map(tags.tag, range(min(5, len(tags)))):
-    print(f"  {tag.residues}  start m/z {tag.start_mz:8.3f}  peaks {tag.peak_indices}")
+    start_mz = spec.mz[tag.peak_indices[0]]
+    print(f"  {tag.residues}  start m/z {start_mz:8.3f}  peaks {tag.peak_indices}")
 
 # Initialization concatenates 2-4 random tags, appends K or R, then inserts
 # or removes residues until the mass sits within one glycine of the
-# precursor. The distinct candidates are scored once all draws are done,
-# through a Scorer: the spectrum's match table at tau, built once, and a memo
-# of every peptide scored with it.
+# precursor. It returns the distinct peptides unscored; evolve scores them,
+# as here, through a Scorer: the spectrum's match table at tau, built once,
+# and a memo of every peptide scored with it.
+peptides = build_init_pool(spec, tau=0.5, pool_size=1000, rng=random.Random(1))
 scorer = Scorer(spec, tau=0.5)
-pool = build_init_pool(scorer, pool_size=1000, rng=random.Random(1))
+pool = [Individual.score(peptide, scorer) for peptide in peptides]
 best = max(pool, key=lambda c: c.fitness)
 print(f"\npool of {len(pool)} candidates")
 print(f"best tag-based candidate: {best.peptide}  fitness {best.fitness:.3f}")

@@ -473,12 +473,13 @@ def cmd_tags(args: argparse.Namespace) -> int:
             # (start_mz, ...). Rows are written as they come, so memory holds
             # at most one start peak's tags.
             tags = extract_tags(prepared, options["tau"])
+            mz = prepared.mz.tolist()
             rows = map(tags.tag, range(len(tags)))
-            for _, group in groupby(rows, key=lambda t: t.peak_indices[0]):
+            for start, group in groupby(rows, key=lambda t: t.peak_indices[0]):
                 for tag in sorted(group, key=lambda t: (t.residues, t.peak_indices)):
                     indices = ",".join(str(i) for i in tag.peak_indices)
                     out.write(
-                        f"{spectrum_id}\t{tag.start_mz:.6f}"
+                        f"{spectrum_id}\t{mz[start]:.6f}"
                         f"\t{tag.residues}\t{indices}\n"
                     )
     return 0

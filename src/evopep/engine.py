@@ -5,10 +5,10 @@ Cterm pool, tournament pool), creates offspring with one of four operators
 drawn at configured rates, and carries over three elites: the best by
 fitness, by Nterm score and by Cterm score. Each population is ranked once in
 each of these three orders, by ``_rankings``.
-Candidates are variable-length tryptic sequences. The operators map peptide
-strings to peptide strings and never score; ``evolve`` scores each
-generation's children against the run's spectrum in one place, after the
-operator loop.
+Candidates are variable-length tryptic sequences. The initialization pool
+and the operators produce peptide strings and never score; ``evolve`` scores
+every candidate against the run's spectrum through one ``Scorer``: the pool
+once it is drawn, and each generation's children after the operator loop.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def conflict_mass_mutation(seq: str, rng: random.Random) -> str:
 
 
 def _initial_population(
-    candidates: tuple[Individual, ...], cfg: GaConfig
+    candidates: list[Individual], cfg: GaConfig
 ) -> list[Individual]:
     """Top third by fitness, by Nterm and by Cterm from the init pool;
     shortfalls are refilled with the next-best by fitness."""
@@ -358,19 +358,19 @@ def evolve(spec: Spectrum, cfg: GaConfig, rng: random.Random) -> EvolveResult:
             "no peptide the GA can build comes near the precursor mass of "
             f"spectrum {spec.title!r}, {spec.precursor_mass:.4f} Da"
         )
-    scorer = Scorer(spec, cfg.tau)
-    pool = build_init_pool(scorer, cfg.pool_size, rng)
+    pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
     if not pool:
         raise EvolutionError(
             f"initialization pool for spectrum {spec.title!r} is empty; "
             "the spectrum may be degenerate or the precursor mass unreachable"
         )
-    population = _initial_population(pool, cfg)
+    scorer = Scorer(spec, cfg.tau)
+    score = Individual.score
+    population = _initial_population([score(seq, scorer) for seq in pool], cfg)
     best = max(population, key=_FITNESS)
     trace = [_trace_row(0, population, best)]
 
     draw, tau, precursor = rng._randbelow, cfg.tau, spec.precursor_mass
-    score = Individual.score
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
         nterm_pool, cterm_pool, helper = pools.nterm_pool, pools.cterm_pool, pools.helper

@@ -18,6 +18,7 @@ from typing import Iterable
 from .chem import (
     PROTON_MASS,
     RESIDUE_MASSES,
+    check_tolerance,
     left_to_right_sum,
     parent_mass,
     validate_peptide,
@@ -100,6 +101,7 @@ def matched_amino_acids(predicted: str, truth: str, tau: float = 0.5) -> int:
     ``tau``; every truth residue is consumed at most once, scanning both
     sequences left to right.
     """
+    check_tolerance("tau", tau)
     pred = validate_peptide(predicted)
     true = validate_peptide(truth)
     pred_prefix = _prefix_masses(pred)
@@ -122,8 +124,7 @@ def compute_metrics(
 
     An empty predicted sequence is allowed and counts as a complete miss.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    check_tolerance("tau", tau)
     pairs = list(results)
     if not pairs:
         raise ValueError("compute_metrics needs at least one (predicted, truth) pair")

@@ -23,6 +23,7 @@ from .chem import (
     RESIDUE_MASSES,
     InvalidPeptideError,
     canonical,
+    check_tolerance,
     parent_mass,
     validate_peptide,
 )
@@ -182,6 +183,7 @@ def _match_table(spec: Spectrum, tau: float) -> MatchTable:
     ``_last_true``. Those cut each gap into three segments: matched to ``a``,
     unmatched, matched to ``b`` (any of them may be empty).
     """
+    check_tolerance("tau", tau)
     n = len(spec.mz)
     padded = np.concatenate(([-np.inf], spec.mz, [np.inf]))
     a, b = padded[:-1], padded[1:]

@@ -26,10 +26,10 @@ from .chem import (
     MAX_PEPTIDE_LENGTH,
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
+    check_tolerance,
     parent_mass,
     unchecked_parent_mass,
 )
-from .scoring import Individual, Scorer
 from .spectrum import Spectrum
 
 logger = logging.getLogger(__name__)
@@ -75,7 +75,6 @@ class Tag:
 
     peak_indices: tuple[int, int, int, int]
     residues: str
-    start_mz: float
 
 
 class TagIndex(Sequence[str]):
@@ -93,8 +92,7 @@ class TagIndex(Sequence[str]):
     or less per entry.
     """
 
-    def __init__(self, mz, target, symbol, offsets, paths2, paths3):
-        self._mz = mz
+    def __init__(self, target, symbol, offsets, paths2, paths3):
         self._target = target
         self._symbol = symbol
         self._offsets = offsets
@@ -129,7 +127,7 @@ class TagIndex(Sequence[str]):
         return symbol[first] + symbol[second] + symbol[third]
 
     def tag(self, t: int) -> Tag:
-        """Tag ``t`` with its peaks and start m/z."""
+        """Tag ``t`` with its peaks."""
         first, second, third = self._edges(t)
         # The peak whose edges include the first one is the tag's start.
         start = bisect_right(self._offsets, first) - 1
@@ -137,7 +135,6 @@ class TagIndex(Sequence[str]):
         return Tag(
             peak_indices=(start, target[first], target[second], target[third]),
             residues=symbol[first] + symbol[second] + symbol[third],
-            start_mz=self._mz[start],
         )
 
 
@@ -158,6 +155,7 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     ``CANONICAL_ALPHABET`` order. Only the residue edges are kept; the
     returned ``TagIndex`` decodes a tag when it is read.
     """
+    check_tolerance("tau", tau)
     mz = spec.mz
     n = len(mz)
     limit = _MAX_RESIDUE_MASS + tau
@@ -192,7 +190,6 @@ def extract_tags(spec: Spectrum, tau: float) -> TagIndex:
     prefix2 = np.concatenate(([0], np.cumsum(count2)))
     count3 = (prefix2[offsets[1:]] - prefix2[offsets[:-1]])[target]
     return TagIndex(
-        mz=mz.tolist(),
         target=_packed(target),
         symbol=_ALPHABET[label].tobytes().decode("ascii"),
         offsets=_packed(offsets),
@@ -279,17 +276,15 @@ def precursor_reachable(precursor: float, tau: float) -> bool:
 
 
 def build_init_pool(
-    scorer: Scorer, pool_size: int, rng: random.Random
-) -> tuple[Individual, ...]:
-    """Fill a pool of scored, mass-adjusted tag-based candidates.
+    spec: Spectrum, tau: float, pool_size: int, rng: random.Random
+) -> tuple[str, ...]:
+    """Fill a pool of distinct, mass-adjusted tag-based peptides.
 
     Repeats concatenate -> append-terminal -> adjust until ``pool_size``
-    distinct valid candidates are collected, giving up after 50 * pool_size
+    distinct valid peptides are collected, giving up after 50 * pool_size
     attempts (the pool is then returned partially filled, with a warning).
-    The candidates are scored through ``scorer`` once, after the draws, in
-    the order they were first drawn.
+    The peptides come in the order they were first drawn.
     """
-    spec, tau = scorer.spec, scorer.tau
     tags = extract_tags(spec, tau)
     if not tags:
         logger.warning(
@@ -315,4 +310,4 @@ def build_init_pool(
             pool_size,
             attempts,
         )
-    return tuple(Individual.score(seq, scorer) for seq in peptides)
+    return tuple(peptides)

@@ -157,7 +157,8 @@ def test_criterion_06_initialization_superiority():
     tag_delta = []
     random_delta = []
     for seed in range(30):
-        pool = build_init_pool(scorer, 1000, random.Random(f"init|{seed}"))
+        peptides = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
+        pool = [Individual.score(peptide, scorer) for peptide in peptides]
         rng = random.Random(f"rand|{seed}")
         baseline = [
             Individual.score(random_peptide(rng), scorer) for _ in range(1000)
@@ -189,7 +190,8 @@ def test_criterion_07_crossover_effectiveness():
     scorer = Scorer(spec, TAU)
     gains_n, gains_c, gains_h = [], [], []
     for seed in range(30):
-        pool = build_init_pool(scorer, 1000, random.Random(f"init|{seed}"))
+        peptides = build_init_pool(spec, TAU, 1000, random.Random(f"init|{seed}"))
+        pool = [Individual.score(peptide, scorer) for peptide in peptides]
         anchored_n = [c for c in pool if c.nterm >= 1]
         anchored_c = [c for c in pool if c.cterm >= 1]
         assert anchored_n and anchored_c, "pool lacks anchored parents"

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evopep import chem
+from evopep import (
+    Scorer,
+    chem,
+    compute_metrics,
+    extract_tags,
+    fitness,
+    matched_amino_acids,
+)
+from tests.conftest import clean_spectrum
 
 # Monoisotopic element masses, used to recompute residue masses from their
 # elemental formulas as an independent check of the table.
@@ -161,3 +169,25 @@ def test_left_to_right_sum_is_a_plain_loop(values):
         expected += value
     assert chem.left_to_right_sum(values) == expected
     assert chem.left_to_right_sum(iter(values)) == expected
+
+
+# Each library entry that takes a fragment tolerance, called at ``tau``.
+TOLERANCE_TAKERS = {
+    "fitness": lambda spec, tau: fitness("LGVTLYK", spec, tau),
+    "Scorer": Scorer,
+    "extract_tags": extract_tags,
+    "matched_amino_acids": lambda spec, tau: matched_amino_acids(
+        "LGVTLYK", "LGVTLYK", tau
+    ),
+    "compute_metrics": lambda spec, tau: compute_metrics([("LGVTLYK", "LGVTLYK")], tau),
+}
+
+
+@pytest.mark.parametrize("tau", [float("nan"), -1.0, 0.0, float("inf"), 28.52])
+@pytest.mark.parametrize("name", TOLERANCE_TAKERS)
+def test_every_tolerance_taker_refuses_what_check_tolerance_refuses(name, tau):
+    # Unchecked, nan matched no peak (fitness 0.65 in place of 2.03 at 0.5),
+    # a negative tau gave a negative fitness, and a wide one made every peak
+    # pair a tag edge.
+    with pytest.raises(ValueError, match=r"^tau must be (finite and positive|below)"):
+        TOLERANCE_TAKERS[name](clean_spectrum("LGVTLYK"), tau)

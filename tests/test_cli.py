@@ -745,6 +745,21 @@ def test_evaluate_refuses_bad_tau(tmp_path, capsys, tau):
     assert message in capsys.readouterr().err
 
 
+def test_evaluate_refuses_a_tau_of_half_a_glycine_or_more(tmp_path, capsys):
+    truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
+    results = write(
+        tmp_path / "r.tsv",
+        "spectrum_id\trun_index\tpredicted_peptide\ns1\t0\tLGVTLYK\n",
+    )
+    report = tmp_path / "m.tsv"
+    assert run("evaluate", results, truth, "--tau", "30", "-o", str(report)) == 2
+    assert (
+        "error: tau must be below 28.5107 Da, half the glycine residue mass, "
+        "got 30.0\n"
+    ) in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_evaluate_empty_results_errors(tmp_path):
     truth = write(tmp_path / "t.tsv", "spectrum_id\tpeptide\ns1\tLGVTLYK\n")
     empty = write(tmp_path / "r.tsv", "")
@@ -881,12 +896,14 @@ def test_tags_rows_equal_a_full_sort(tmp_path):
     assert run("tags", mgf, "-o", str(out)) == 0
 
     (parsed,) = parse_mgf((tmp_path / "mixed.mgf").read_text(encoding="utf-8"))
-    index = extract_tags(preprocess(parsed), 0.5)
+    prepared = preprocess(parsed)
+    index = extract_tags(prepared, 0.5)
     tags = [index.tag(t) for t in range(len(index))]
-    key = lambda t: (t.start_mz, t.residues, t.peak_indices)
+    start_mz = lambda t: prepared.mz[t.peak_indices[0]]
+    key = lambda t: (start_mz(t), t.residues, t.peak_indices)
     assert tags != sorted(tags, key=key)
     expected = [
-        f"mixed\t{t.start_mz:.6f}\t{t.residues}\t{','.join(map(str, t.peak_indices))}"
+        f"mixed\t{start_mz(t):.6f}\t{t.residues}\t{','.join(map(str, t.peak_indices))}"
         for t in sorted(tags, key=key)
     ]
     assert out.read_text().splitlines()[1:] == expected

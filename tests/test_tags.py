@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evopep import Scorer, build_init_pool, extract_tags, make_spectrum
+from evopep import Individual, Scorer, build_init_pool, extract_tags, make_spectrum
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
@@ -73,7 +73,7 @@ def reference_tags(spec, tau):
                 if abs(gap - RESIDUE_MASSES[sym]) <= tau:
                     edges[i].append((j, sym))
     return [
-        Tag((i, j, k, m), a + b + c, mz[i])
+        Tag((i, j, k, m), a + b + c)
         for i in range(len(mz))
         for j, a in edges[i]
         for k, b in edges[j]
@@ -241,7 +241,7 @@ def test_hand_built_all_tag():
     spec = spectrum_at([200.0, 271.037, 384.121, 497.205])
     tags = extract_tags(spec, TAU)
     assert list(tags) == ["ALL"]
-    assert tags.tag(0) == Tag((0, 1, 2, 3), "ALL", 200.0)
+    assert tags.tag(0) == Tag((0, 1, 2, 3), "ALL")
 
 
 def test_too_few_peaks_gives_no_tags():
@@ -406,7 +406,7 @@ def test_build_init_pool_extracts_tags_once(monkeypatch):
 
     monkeypatch.setattr(evopep.tags, "extract_tags", extract_spy)
     for seed in range(3):
-        build_init_pool(Scorer(spec, TAU), 20, random.Random(seed))
+        build_init_pool(spec, TAU, 20, random.Random(seed))
     # Once per call, through the module-level name; the spectrum keeps no
     # tags between calls.
     assert calls == [TAU] * 3
@@ -445,29 +445,46 @@ def test_precursor_reachable(precursor, reachable):
 def test_build_init_pool_invariants():
     spec = clean_spectrum("AAALAAADAR")
     rng = random.Random(77)
-    pool = build_init_pool(Scorer(spec, TAU), 200, rng)
+    pool = build_init_pool(spec, TAU, 200, rng)
     assert len(pool) == 200
-    for cand in pool:
+    scorer = Scorer(spec, TAU)
+    for cand in (Individual.score(peptide, scorer) for peptide in pool):
         assert cand.peptide.endswith(TRYPTIC_TERMINALS)
         assert abs(cand.delta_mass) < DELTA_BOUND
 
 
 def test_build_init_pool_zero_size():
     spec = clean_spectrum("AAALAAADAR")
-    pool = build_init_pool(Scorer(spec, TAU), 0, random.Random(1))
+    pool = build_init_pool(spec, TAU, 0, random.Random(1))
     assert pool == ()
 
 
 def test_build_init_pool_reproducible():
     spec = clean_spectrum("LGVTLYK")
-    a = build_init_pool(Scorer(spec, TAU), 150, random.Random("seed"))
-    b = build_init_pool(Scorer(spec, TAU), 150, random.Random("seed"))
-    assert [c.peptide for c in a] == [c.peptide for c in b]
-    assert [c.fitness for c in a] == [c.fitness for c in b]
+    a = build_init_pool(spec, TAU, 150, random.Random("seed"))
+    b = build_init_pool(spec, TAU, 150, random.Random("seed"))
+    assert a == b
+    fitnesses = [
+        [Individual.score(peptide, scorer).fitness for peptide in pool]
+        for pool, scorer in ((a, Scorer(spec, TAU)), (b, Scorer(spec, TAU)))
+    ]
+    assert fitnesses[0] == fitnesses[1]
+
+
+def test_build_init_pool_draws_peptides_and_scores_none(monkeypatch):
+    import evopep.scoring
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("build_init_pool scored a peptide")
+
+    monkeypatch.setattr(evopep.scoring, "fitness", no_scoring)
+    pool = build_init_pool(clean_spectrum("LGVTLYK"), TAU, 50, random.Random(3))
+    assert len(pool) == 50
+    assert all(type(peptide) is str for peptide in pool)
+    assert len(set(pool)) == len(pool)
 
 
 def test_build_init_pool_candidates_distinct():
     spec = clean_spectrum("LGVTLYK")
-    pool = build_init_pool(Scorer(spec, TAU), 150, random.Random(5))
-    peptides = [c.peptide for c in pool]
+    peptides = build_init_pool(spec, TAU, 150, random.Random(5))
     assert len(set(peptides)) == len(peptides)
