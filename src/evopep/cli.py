@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
 
 from .chem import validate_peptide
-from .engine import OPERATORS, EvolutionError, GaConfig, evolve
+from .engine import OPERATORS, EvolutionError, GaConfig, evolve, refusal
 from .spectrum import (
     MgfParseError,
     PreprocessConfig,
@@ -33,7 +33,7 @@ from .spectrum import (
     parse_mgf,
     preprocess,
 )
-from .tags import extract_tags, precursor_reachable
+from .tags import extract_tags
 
 if TYPE_CHECKING:  # the module loads only where a pool is made
     from concurrent.futures import Executor
@@ -282,7 +282,7 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
     spec, cfg, seed, spec_index, run_index, spectrum_id = task
     try:
         result = evolve(spec, cfg, random.Random(f"{seed}|{spec_index}|{run_index}"))
-    except (EvolutionError, ValueError) as exc:
+    except EvolutionError as exc:
         logger.warning(
             "sequencing failed for %s run %d: %s", spectrum_id, run_index, exc
         )
@@ -308,25 +308,13 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     options = _effective_options(args)
     ga = _ga_config(options)
     spectra = list(_spectra(args.input, ga.tau))
-    live = []
+    runs, jobs, seed = options["runs"], options["jobs"], options["seed"]
+    tasks = []
     for index, (sid, _, spec) in enumerate(spectra):
-        if spec.total_intensity <= 0:
-            logger.warning("skipping %s: spectrum has no positive intensity", sid)
-        elif not precursor_reachable(spec.precursor_mass, ga.tau):
-            logger.warning(
-                "skipping %s: no peptide the GA can build comes near its "
-                "precursor mass of %.4f Da",
-                sid,
-                spec.precursor_mass,
-            )
+        if reason := refusal(spec, ga.tau):
+            logger.warning("skipping %s: %s", sid, reason)
         else:
-            live.append((spec, index, sid))
-    runs, jobs = options["runs"], options["jobs"]
-    tasks = [
-        (spec, ga, options["seed"], index, run_index, sid)
-        for spec, index, sid in live
-        for run_index in range(runs)
-    ]
+            tasks += [(spec, ga, seed, index, run, sid) for run in range(runs)]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import BrokenExecutor
 

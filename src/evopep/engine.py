@@ -346,23 +346,34 @@ def _initial_population(
     return selected[: cfg.population]
 
 
+def refusal(spec: Spectrum, tau: float) -> str | None:
+    """Why no GA run can sequence ``spec`` at tolerance ``tau``, or None.
+    ``evolve`` applies this rule before its first draw, and ``sequence``
+    skips each spectrum that it refuses."""
+    if spec.total_intensity <= 0:
+        return "spectrum has no positive intensity"
+    if not precursor_reachable(spec.precursor_mass, tau):
+        return (
+            "no peptide the GA can build comes near its precursor mass of "
+            f"{spec.precursor_mass:.4f} Da"
+        )
+    return None
+
+
 def evolve(spec: Spectrum, cfg: GaConfig, rng: random.Random) -> EvolveResult:
     """Run the full GA on one (preprocessed) spectrum, drawing from ``rng``.
 
     Returns the all-time best individual by fitness and a per-generation
     trace. Generators in the same state produce identical results. A
-    precursor that no pool member can reach is refused before any draw.
+    spectrum that ``refusal`` refuses raises ``EvolutionError`` before the
+    first draw.
     """
-    if not precursor_reachable(spec.precursor_mass, cfg.tau):
-        raise EvolutionError(
-            "no peptide the GA can build comes near the precursor mass of "
-            f"spectrum {spec.title!r}, {spec.precursor_mass:.4f} Da"
-        )
+    if reason := refusal(spec, cfg.tau):
+        raise EvolutionError(f"cannot sequence spectrum {spec.title!r}: {reason}")
     pool = build_init_pool(spec, cfg.tau, cfg.pool_size, rng)
     if not pool:
         raise EvolutionError(
-            f"initialization pool for spectrum {spec.title!r} is empty; "
-            "the spectrum may be degenerate or the precursor mass unreachable"
+            f"initialization pool for spectrum {spec.title!r} is empty"
         )
     scorer = Scorer(spec, cfg.tau)
     score = Individual.score

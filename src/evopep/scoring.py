@@ -130,12 +130,15 @@ class MatchTable(NamedTuple):
     ``peak[j]`` is the index of the peak it matches, or the peak count when
     its nearest peak is farther than tau, and ``code[j]`` is a byte:
     ``UNMATCHED``, ``MATCHED``, or ``ANCHORED`` when the matched peak's
-    precursor complement has a peak within ``2 * tau``.
+    precursor complement has a peak within ``2 * tau``. ``spec`` and ``tau``
+    are what the table was built for.
     """
 
     bounds: np.ndarray
     peak: np.ndarray
     code: np.ndarray
+    spec: Spectrum
+    tau: float
 
 
 # The outcome bytes of ``MatchTable.code``.
@@ -203,7 +206,7 @@ def _match_table(spec: Spectrum, tau: float) -> MatchTable:
     code = np.append(
         np.where(spec.partner_distance <= 2 * tau, ANCHORED, MATCHED), UNMATCHED
     ).astype(np.uint8)[peak]
-    return MatchTable(bounds, peak, code)
+    return MatchTable(bounds, peak, code, spec, tau)
 
 
 class Scorer:
@@ -265,9 +268,10 @@ def fitness(
     fitness, terminus scores and precursor mass difference.
 
     A call without ``table``, the spectrum's ``MatchTable`` at ``tau``,
-    builds it, which takes far longer than the scoring itself. Many
-    peptides scored against one spectrum should go through one ``Scorer``
-    and ``Individual.score``, which build the table once and memoize."""
+    builds it, which takes far longer than the scoring itself; a table
+    built for another spectrum or tolerance is refused. Many peptides
+    scored against one spectrum should go through one ``Scorer`` and
+    ``Individual.score``, which build the table once and memoize."""
     mass = parent_mass(peptide)  # validates the peptide
     seq = canonical(peptide)
     if len(seq) < 2:
@@ -277,6 +281,10 @@ def fitness(
         raise InvalidSpectrumError("spectrum has no positive intensity")
     if table is None:
         table = _match_table(spec, tau)
+    elif table.spec is not spec:
+        raise ValueError("match table was built for another spectrum")
+    elif table.tau != tau:  # also for a NaN tau
+        raise ValueError(f"match table was built for tau {table.tau}, not {tau}")
     matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, table)
     precursor = spec.precursor_mass
     delta = precursor - mass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,24 +198,14 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def _parse_charge(value: str, line_number: int) -> int:
     # Accept "2+", "+2", "2"; multi-charge lists ("2+ and 3+", "2+,3+") take
-    # the first value.
-    first = value.replace(",", " ").split()[0] if value.split() else ""
-    token = first.strip()
-    sign = 1
-    if token.endswith("+"):
-        token = token[:-1]
-    elif token.endswith("-"):
-        sign = -1
-        token = token[:-1]
-    if token.startswith("+"):
-        token = token[1:]
-    elif token.startswith("-"):
-        sign = -1
-        token = token[1:]
+    # the first value. Either sign may be "-", and then the charge is negative.
+    first = (value.replace(",", " ").split() or [""])[0]
+    match = re.fullmatch(r"([+-]?)(\d+)([+-]?)", first)
     try:
-        if not token.isdecimal():
+        if match is None:
             raise ValueError
-        charge = sign * int(token)
+        lead, digits, trail = match.groups()
+        charge = (-1 if "-" in lead + trail else 1) * int(digits)
     except ValueError:  # not digits, or more digits than int() reads
         raise MgfParseError(f"malformed CHARGE value {value!r}", line_number) from None
     if charge < 1:

@@ -557,6 +557,18 @@ def test_non_positive_pepmass_errors_at_its_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["sequence", "tags"])
+def test_comma_charge_errors_at_its_line(tmp_path, capsys, command):
+    mgf = write(
+        tmp_path / "bad.mgf",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500\nCHARGE=,\n150.0 1.0\nEND IONS\n",
+    )
+    assert run(command, mgf, "-o", str(tmp_path / "out.tsv")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {mgf}:4: malformed CHARGE value ','" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sequence", "tags"])
 def test_precursor_at_or_below_one_proton_errors_at_its_line(tmp_path, capsys, command):
     mgf = write(
         tmp_path / "bad.mgf",

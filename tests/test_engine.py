@@ -563,8 +563,22 @@ def test_evolve_refuses_an_unreachable_precursor_before_drawing():
     far = make_spectrum(
         "far", (20000.0 + 2 * PROTON_MASS) / 2, 2, spec.mz, spec.intensity
     )
-    with pytest.raises(EvolutionError, match=r"'far', 20000\.0000 Da"):
+    with pytest.raises(
+        EvolutionError,
+        match=r"'far': no peptide .* precursor mass of 20000\.0000 Da",
+    ):
         evolve(far, GaConfig(), _NoDraws())
+
+
+def test_evolve_refuses_a_zero_intensity_spectrum_before_drawing():
+    spec = clean_spectrum("LGVTLYK")
+    zero = make_spectrum(
+        "zero", spec.pepmass, spec.charge, spec.mz, [0.0] * len(spec.mz)
+    )
+    with pytest.raises(
+        EvolutionError, match="'zero': spectrum has no positive intensity"
+    ):
+        evolve(zero, GaConfig(), _NoDraws())
 
 
 def test_operators_fall_back_at_length_cap():

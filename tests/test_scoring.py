@@ -290,6 +290,27 @@ def test_individual_score_is_fitness_memoized(case):
     assert list(scorer.scores) == list(dict.fromkeys(peptides))
 
 
+@pytest.mark.parametrize("tau", [2.0, float("nan"), -1.0])
+def test_fitness_refuses_a_table_built_for_another_tau(tau):
+    spec = preprocess(
+        synthesize_spectrum("LGVTLYK", SynthConfig(noise_peaks=5), random.Random(1)),
+        PreprocessConfig(),
+    )
+    with pytest.raises(ValueError, match="match table was built for tau 0.5"):
+        fitness("LGVTLYK", spec, tau, table=_match_table(spec, 0.5))
+
+
+def test_fitness_refuses_a_table_built_for_another_spectrum(ladder_aaal):
+    # An equal spectrum is still another one: the table is checked by identity.
+    twin = make_spectrum(
+        ladder_aaal.title, ladder_aaal.pepmass, ladder_aaal.charge,
+        ladder_aaal.mz, ladder_aaal.intensity,
+    )
+    assert twin == ladder_aaal
+    with pytest.raises(ValueError, match="match table was built for another spectrum"):
+        fitness("AAALAAADAR", ladder_aaal, TAU, table=_match_table(twin, TAU))
+
+
 def test_individual_is_slotted_and_round_trips(ladder_aaal):
     # A run's memo holds thousands of Individuals, so they carry no __dict__.
     ind = fitness("AAALAAADAR", ladder_aaal, TAU)

@@ -173,10 +173,11 @@ def test_global_charge_applies_only_after_it():
     assert err.value.line_number == 4
 
 
-@pytest.mark.parametrize("value", ["2²", "1_0"])
+@pytest.mark.parametrize("value", ["2²", "1_0", ",", " , "])
 @pytest.mark.parametrize("where", ["record", "global"])
 def test_bad_charge_refused_at_its_line(value, where):
-    # A superscript digit passes str.isdigit, but int() refuses it.
+    # A superscript digit passes str.isdigit, but int() refuses it. Commas
+    # and blanks alone hold no first value of a charge list.
     if where == "record":
         mgf, line = f"BEGIN IONS\nPEPMASS=500\nCHARGE={value}\n100 1\nEND IONS\n", 3
     else:
