@@ -17,11 +17,13 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from operator import attrgetter
+
+import numpy as np
 
 from .chem import (
     CANONICAL_ALPHABET,
@@ -55,6 +57,10 @@ RELAXED_CX_BOUND = 100.0
 _FITNESS = attrgetter("fitness")
 _NTERM = attrgetter("nterm")
 _CTERM = attrgetter("cterm")
+
+# Draws still missing below which ``_draws_below`` goes on with single
+# ``_randbelow`` calls, which cost less than another batch round.
+_BATCH_FLOOR = 16
 
 # What flip_aa_mutation may put in place of each residue: every other symbol
 # of the alphabet, in alphabet order.
@@ -177,6 +183,45 @@ def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:
     ]
 
 
+def _leaders(
+    ranking: list[Individual], score: Callable[[Individual], int], k: int
+) -> tuple[Individual, ...]:
+    """The members among the first ``k`` of a ranking, best first by
+    ``score``, whose score is at least one: a prefix, found by bisection."""
+    head = ranking[:k]
+    return tuple(head[: bisect_right(head, -1, key=lambda ind: -score(ind))])
+
+
+def _draws_below(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng._randbelow(n) for _ in range(count)]`` as an array, leaving
+    ``rng`` in the same state.
+
+    ``_randbelow(n)`` takes 32-bit words until one's top ``n.bit_length()``
+    bits are below ``n``, and keeps those bits. For a plain
+    ``random.Random`` and ``n`` of at most 32 bits, each round takes one
+    ``getrandbits(32 * m)``, which is ``m`` such words, the first in the
+    lowest bits, and keeps those below ``n``. ``m`` is the number of draws
+    still missing, so no round takes a word that the calls would not take.
+    The last few draws, and every draw of a subclass, which may change how
+    it draws, are ``_randbelow`` calls. ``tests/test_rng_stream.py`` pins
+    the two CPython facts this relies on.
+    """
+    shift = 32 - n.bit_length()
+    parts = []
+    if type(rng) is random.Random and shift >= 0:
+        while count >= _BATCH_FLOOR:
+            bits = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+            words = np.frombuffer(bits, dtype="<u4")
+            # A word's top bits are below n exactly when the word is below
+            # n << shift, which is below 2**32.
+            kept = words[words < n << shift] >> shift
+            parts.append(kept)
+            count -= len(kept)
+    draw = rng._randbelow
+    parts.append(np.array([draw(n) for _ in range(count)], dtype=np.int64))
+    return np.concatenate(parts)
+
+
 def select_pools(
     population: list[Individual], cfg: GaConfig, rng: random.Random
 ) -> Pools:
@@ -186,23 +231,27 @@ def select_pools(
     and may therefore be under-filled or empty. The tournament pool holds
     winners of size-``tournament_k`` fitness tournaments drawn with
     replacement. The elites are the head of each ranking.
+
+    All entrants of the tournaments are drawn at once by ``_draws_below``,
+    on the stream of one ``_randbelow`` call per entrant. Each winner is the
+    first entrant of greatest fitness, the one ``max`` would pick: fitness
+    is finite, so the first maximum that ``argmax`` finds is that entrant.
     """
     if not population:
         raise IndexError("cannot select pools from an empty population")
     k = cfg.sub_pool
     by_fitness, by_nterm, by_cterm = _rankings(population)
-    draw, size, entrants = rng._randbelow, len(population), range(cfg.tournament_k)
-    tournament = tuple(
-        max([population[draw(size)] for _ in entrants], key=_FITNESS)
-        for _ in range(k)
-    )
+    size = len(population)
+    entrants = _draws_below(rng, size, k * cfg.tournament_k).reshape(k, -1)
+    fitness = np.fromiter(map(_FITNESS, population), float, size)
+    winners = entrants[np.arange(k), fitness[entrants].argmax(axis=1)]
     # Members with a score of at least one lead their terminus ranking, in
     # the order that a stable sort of those members alone gives.
     return Pools(
         helper=tuple(by_fitness[:k]),
-        nterm_pool=tuple(takewhile(lambda ind: ind.nterm >= 1, by_nterm[:k])),
-        cterm_pool=tuple(takewhile(lambda ind: ind.cterm >= 1, by_cterm[:k])),
-        tournament=tournament,
+        nterm_pool=_leaders(by_nterm, _NTERM, k),
+        cterm_pool=_leaders(by_cterm, _CTERM, k),
+        tournament=tuple(map(population.__getitem__, winners.tolist())),
         elites=(by_fitness[0], by_nterm[0], by_cterm[0]),
     )
 
@@ -284,13 +333,10 @@ def two_point_crossover(s1: str, s2: str, rng: random.Random) -> tuple[str, str]
         return s1, s2
 
     draw = rng._randbelow
-
-    def cuts(length: int) -> tuple[int, int]:
-        a = 1 + draw(length - 2)
-        return a, a + 1 + draw(length - a - 1)
-
-    a1, b1 = cuts(len(s1))
-    a2, b2 = cuts(len(s2))
+    a1 = 1 + draw(len(s1) - 2)
+    b1 = a1 + 1 + draw(len(s1) - a1 - 1)
+    a2 = 1 + draw(len(s2) - 2)
+    b2 = a2 + 1 + draw(len(s2) - a2 - 1)
     o1 = s1[:a1] + s2[a2:b2] + s1[b1:]
     o2 = s2[:a2] + s1[a1:b1] + s2[b2:]
     return (
@@ -382,11 +428,11 @@ def evolve(spec: Spectrum, cfg: GaConfig, rng: random.Random) -> EvolveResult:
     trace = [_trace_row(0, population, best)]
 
     draw, tau, precursor = rng._randbelow, cfg.tau, spec.precursor_mass
+    target = cfg.population - ELITES
     for generation in range(1, cfg.generations + 1):
         pools = select_pools(population, cfg, rng)
         nterm_pool, cterm_pool, helper = pools.nterm_pool, pools.cterm_pool, pools.helper
         tournament = [ind.peptide for ind in pools.tournament]
-        target = cfg.population - ELITES
         children: list[str] = []
         while len(children) < target:
             op = choose_operator(cfg, rng)

@@ -288,14 +288,9 @@ def fitness(
     matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, table)
     precursor = spec.precursor_mass
     delta = precursor - mass
+    # Both calls pass their arguments by position, which is cheaper per call.
     value = fitness_from_terms(
-        intensity_fraction=matched_intensity / total,
-        delta_penalty=abs(delta) / precursor,
-        nterm=nterm,
-        cterm=cterm,
-        n_unmatched=n_unmatched,
-        length=len(seq),
+        matched_intensity / total, abs(delta) / precursor, nterm, cterm,
+        n_unmatched, len(seq),
     )
-    return Individual(
-        peptide=peptide, fitness=value, nterm=nterm, cterm=cterm, delta_mass=delta
-    )
+    return Individual(peptide, value, nterm, cterm, delta)

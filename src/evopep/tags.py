@@ -90,6 +90,11 @@ class TagIndex(Sequence[str]):
     three residues and ``index.tag(t)`` the whole ``Tag``. The target, offset
     and path columns are ``array('q')`` and the labels one ``str``, 8 bytes
     or less per entry.
+
+    ``index[t]`` keeps the residues it decodes in a dict by ``t``, since the
+    initialization pool draws the same tags again and again. The dict holds
+    one entry per tag read: in ``build_init_pool``, which reads at most 4
+    tags per attempt, at most 4 * INIT_ATTEMPT_FACTOR * pool_size entries.
     """
 
     def __init__(self, target, symbol, offsets, paths2, paths3):
@@ -98,6 +103,7 @@ class TagIndex(Sequence[str]):
         self._offsets = offsets
         self._paths2 = paths2
         self._paths3 = paths3
+        self._decoded: dict[int, str] = {}
 
     def __len__(self) -> int:
         return self._paths3[-1]
@@ -122,9 +128,13 @@ class TagIndex(Sequence[str]):
         return first, second, offsets[target[second]] + rank - paths2[second]
 
     def __getitem__(self, t: int) -> str:
-        first, second, third = self._edges(t)
-        symbol = self._symbol
-        return symbol[first] + symbol[second] + symbol[third]
+        residues = self._decoded.get(t)
+        if residues is None:
+            first, second, third = self._edges(t)
+            symbol = self._symbol
+            residues = symbol[first] + symbol[second] + symbol[third]
+            self._decoded[t] = residues
+        return residues
 
     def tag(self, t: int) -> Tag:
         """Tag ``t`` with its peaks."""

@@ -30,6 +30,7 @@ from evopep.chem import (
     residue_mass,
 )
 from evopep.engine import (
+    _draws_below,
     _initial_population,
     _trace_row,
     choose_operator,
@@ -273,17 +274,61 @@ def peptides_of(individuals):
 @given(tied_populations(), st.integers(0, 2**32))
 def test_rankings_match_the_filtered_sorts_and_max_elites(case, seed):
     population, cfg = case
-    pools = select_pools(population, cfg, random.Random(seed))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    pools = select_pools(population, cfg, rng)
     helper, nterm_pool, cterm_pool = reference_pools(population, cfg)
     assert peptides_of(pools.helper) == peptides_of(helper)
     assert peptides_of(pools.nterm_pool) == peptides_of(nterm_pool)
     assert peptides_of(pools.cterm_pool) == peptides_of(cterm_pool)
-    tournament = reference_tournament(population, cfg, random.Random(seed))
+    tournament = reference_tournament(population, cfg, reference_rng)
     assert peptides_of(pools.tournament) == peptides_of(tournament)
+    # The batched draw takes no word that rng.choice would not take.
+    assert rng.getstate() == reference_rng.getstate()
     elites = reference_elites(population)
     assert peptides_of(pools.elites) == peptides_of(elites)
     initial = reference_initial_population(population, cfg)
     assert peptides_of(_initial_population(tuple(population), cfg)) == peptides_of(initial)
+
+
+# Bounds of _randbelow: small ones, whose batches take several rounds, powers
+# of two, which reject almost half their words, and bounds of 32 bits or more
+# around the last one that a 32-bit word can serve.
+BOUNDS = st.one_of(
+    st.integers(1, 1000),
+    st.integers(0, 34).map(lambda e: 2**e),
+    st.integers(2**32 - 3, 2**32 + 3),
+    st.integers(1, 2**34),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), BOUNDS, st.integers(0, 1000))
+def test_batched_draws_keep_the_randbelow_stream(seed, n, count):
+    batched, single = random.Random(seed), random.Random(seed)
+    draws = _draws_below(batched, n, count)
+    assert draws.tolist() == [single._randbelow(n) for _ in range(count)]
+    assert batched.getstate() == single.getstate()
+
+
+class CountingRandom(random.Random):
+    """A subclass, which may change how it draws: it counts its draws."""
+
+    calls = 0
+
+    def _randbelow(self, n):
+        self.calls += 1
+        return super()._randbelow(n)
+
+
+def test_a_subclass_draws_each_entrant_on_the_stream():
+    population = [Individual(f"P{i}K", i % 7 - 3.0, 0, 0, 0.0) for i in range(300)]
+    cfg = GaConfig()
+    plain, counting = random.Random(4), CountingRandom(4)
+    batched = select_pools(population, cfg, plain)
+    single = select_pools(population, cfg, counting)
+    assert counting.calls == cfg.sub_pool * cfg.tournament_k
+    assert peptides_of(batched.tournament) == peptides_of(single.tournament)
+    assert plain.getstate() == counting.getstate()
 
 
 def test_nterm_cterm_crossover_published_reconstruction(aaal_spectrum):
@@ -711,6 +756,19 @@ def test_tiny_run_keeps_its_trace_and_stream(generations):
     raw = synthesize_spectrum("LGVTLYKDAR", SynthConfig(), random.Random(3))
     cfg = GaConfig(pool_size=60, population=30, generations=generations)
     rng = GuardedRandom(11)
+    result = evolve(preprocess(raw), cfg, rng)
+    trace, next_bits = PINNED_RUNS[generations]
+    assert trace_to_tsv(result.trace) == trace
+    assert rng.getrandbits(64) == next_bits
+
+
+@pytest.mark.parametrize("generations", sorted(PINNED_RUNS))
+def test_batched_tournaments_keep_the_run_and_stream(generations):
+    # A plain generator draws each generation's entrants in batches, where
+    # GuardedRandom above draws them one at a time.
+    raw = synthesize_spectrum("LGVTLYKDAR", SynthConfig(), random.Random(3))
+    cfg = GaConfig(pool_size=60, population=30, generations=generations)
+    rng = random.Random(11)
     result = evolve(preprocess(raw), cfg, rng)
     trace, next_bits = PINNED_RUNS[generations]
     assert trace_to_tsv(result.trace) == trace

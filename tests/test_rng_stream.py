@@ -71,3 +71,27 @@ def test_mixed_draws_keep_one_stream(seed, calls):
             assert 1 + direct._randbelow(size) == public.randint(1, size)
         assert direct.random() == public.random()
     assert direct.getstate() == public.getstate()
+
+
+# The GA's tournaments take their entrants from one getrandbits(32 * m) call
+# and cut each 32-bit word as _randbelow would (evopep.engine._draws_below).
+# That rests on two more facts, pinned with their generator state.
+WORDS = st.integers(1, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, WORDS)
+def test_wide_getrandbits_is_successive_words_first_lowest(seed, words):
+    wide, narrow = both(seed)
+    value = wide.getrandbits(32 * words)
+    assert value == sum(narrow.getrandbits(32) << (32 * i) for i in range(words))
+    assert wide.getstate() == narrow.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(1, 32), DRAWS)
+def test_narrow_getrandbits_is_the_top_bits_of_one_word(seed, bits, draws):
+    narrow, word = both(seed)
+    for _ in range(draws):
+        assert narrow.getrandbits(bits) == word.getrandbits(32) >> (32 - bits)
+    assert narrow.getstate() == word.getstate()
