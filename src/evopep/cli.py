@@ -319,8 +319,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         from concurrent.futures import BrokenExecutor
 
         try:
-            # The pool forks all its workers at the first submit.
-            with _process_pool(min(jobs, len(tasks))) as pool:
+            # The pool forks all its workers at the first submit, so it
+            # starts no more than there are tasks or CPUs to keep busy.
+            with _process_pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
                 results = list(pool.map(_sequence_job, tasks))
         except BrokenExecutor as exc:
             # A worker died (killed, or out of memory): main exits 2.

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +66,7 @@ class Individual:
         cached = scorer.scores.get(peptide)
         if cached is None:
             cached = scorer.scores[peptide] = fitness(
-                peptide, scorer.spec, scorer.tau, table=scorer.table
+                peptide, scorer.spec, scorer.tau, scorer=scorer
             )
         return cached
 
@@ -121,27 +120,7 @@ def theoretical_spectrum(peptide: str) -> TheoreticalSpectrum:
     )
 
 
-class MatchTable(NamedTuple):
-    """What an ion matches, as one lookup per ion.
-
-    Segment ``j = bounds.searchsorted(x)`` holds every m/z with
-    ``bounds[j - 1] < x <= bounds[j]``, and every ion in it has the same
-    outcome under ``spectrum.nearest_peaks`` and ``distance <= tau``:
-    ``peak[j]`` is the index of the peak it matches, or the peak count when
-    its nearest peak is farther than tau, and ``code[j]`` is a byte:
-    ``UNMATCHED``, ``MATCHED``, or ``ANCHORED`` when the matched peak's
-    precursor complement has a peak within ``2 * tau``. ``spec`` and ``tau``
-    are what the table was built for.
-    """
-
-    bounds: np.ndarray
-    peak: np.ndarray
-    code: np.ndarray
-    spec: Spectrum
-    tau: float
-
-
-# The outcome bytes of ``MatchTable.code``.
+# The outcome bytes of ``Scorer.code``.
 UNMATCHED, MATCHED, ANCHORED = 0, 1, 2
 _ANCHORED_BYTE = bytes([ANCHORED])
 
@@ -175,8 +154,11 @@ def _last_true(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return _ordered(lo).view(np.float64)
 
 
-def _match_table(spec: Spectrum, tau: float) -> MatchTable:
-    """The ``MatchTable`` of a spectrum at tolerance ``tau``.
+def _match_table(
+    spec: Spectrum, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The match table of a spectrum at tolerance ``tau``: ``bounds``,
+    ``peak`` and ``code``, as ``Scorer`` describes them.
 
     ``nearest_peaks`` puts an ion x with ``a < x <= b`` (``a``, ``b``
     neighbouring peaks, or -inf and inf past the ends) in gap ``(a, b]`` and
@@ -206,30 +188,41 @@ def _match_table(spec: Spectrum, tau: float) -> MatchTable:
     code = np.append(
         np.where(spec.partner_distance <= 2 * tau, ANCHORED, MATCHED), UNMATCHED
     ).astype(np.uint8)[peak]
-    return MatchTable(bounds, peak, code, spec, tau)
+    return bounds, peak, code
 
 
 class Scorer:
-    """One GA run's scoring state: a spectrum, a tolerance, their
-    ``MatchTable`` and the memo of the peptides that the run has scored."""
+    """One GA run's scoring state: a spectrum, a tolerance, their match
+    table and the memo of the peptides that the run has scored.
+
+    The match table answers what an ion matches with one lookup. Segment
+    ``j = bounds.searchsorted(x)`` holds every m/z with
+    ``bounds[j - 1] < x <= bounds[j]``, and every ion in it has the same
+    outcome under ``spectrum.nearest_peaks`` and ``distance <= tau``:
+    ``peak[j]`` is the index of the peak it matches, or the peak count when
+    its nearest peak is farther than tau, and ``code[j]`` is a byte:
+    ``UNMATCHED``, ``MATCHED``, or ``ANCHORED`` when the matched peak's
+    precursor complement has a peak within ``2 * tau``.
+    """
 
     def __init__(self, spec: Spectrum, tau: float):
         self.spec, self.tau = spec, tau
-        self.table = _match_table(spec, tau)
+        self.bounds, self.peak, self.code = _match_table(spec, tau)
         self.scores: dict[str, Individual] = {}
 
 
-def _evaluate(seq: str, spec: Spectrum, table: MatchTable) -> tuple[float, int, int, int]:
+def _evaluate(seq: str, scorer: Scorer) -> tuple[float, int, int, int]:
     """Matched intensity, unmatched b/y count, nterm and cterm of a sequence.
 
-    A peak hit by several ions counts its intensity once. ``spec`` must hold a
-    peak: ``fitness``, the one caller, refuses a spectrum without intensity.
+    A peak hit by several ions counts its intensity once. The spectrum must
+    hold a peak: ``fitness``, the one caller, refuses one without intensity.
     """
     cuts = len(seq) - 1
     n_by = 2 * cuts
+    spec = scorer.spec
     n = len(spec.mz)
-    segment = table.bounds.searchsorted(_ions(seq))
-    peak = table.peak[segment]
+    segment = scorer.bounds.searchsorted(_ions(seq))
+    peak = scorer.peak[segment]
     # The mask sums each hit peak once, in m/z order; slot n takes the misses.
     hit = np.zeros(n + 1, dtype=bool)
     hit[peak] = True
@@ -238,7 +231,7 @@ def _evaluate(seq: str, spec: Spectrum, table: MatchTable) -> tuple[float, int, 
     # cleavage usually shows both of its complementary ions; so only ions
     # whose complement is observed extend a terminus-anchored run. A run of
     # k anchored ions from a terminus scores its k - 1 consecutive pairs.
-    codes = table.code[segment[:n_by]].tobytes()
+    codes = scorer.code[segment[:n_by]].tobytes()
     b_codes, y_codes = codes[:cuts], codes[cuts:]
     nterm = max(cuts - len(b_codes.lstrip(_ANCHORED_BYTE)) - 1, 0)
     cterm = max(cuts - len(y_codes.lstrip(_ANCHORED_BYTE)) - 1, 0)
@@ -262,16 +255,16 @@ def fitness_from_terms(
 
 
 def fitness(
-    peptide: str, spec: Spectrum, tau: float, *, table: MatchTable | None = None
+    peptide: str, spec: Spectrum, tau: float, *, scorer: Scorer | None = None
 ) -> Individual:
     """Score a peptide-spectrum match: the peptide as passed, with its
     fitness, terminus scores and precursor mass difference.
 
-    A call without ``table``, the spectrum's ``MatchTable`` at ``tau``,
-    builds it, which takes far longer than the scoring itself; a table
-    built for another spectrum or tolerance is refused. Many peptides
-    scored against one spectrum should go through one ``Scorer`` and
-    ``Individual.score``, which build the table once and memoize."""
+    A call without ``scorer``, the run's ``Scorer`` of ``spec`` at ``tau``,
+    builds one, whose match table takes far longer than the scoring itself;
+    a scorer built for another spectrum or tolerance is refused. Many
+    peptides scored against one spectrum should go through one ``Scorer``
+    and ``Individual.score``, which build the table once and memoize."""
     mass = parent_mass(peptide)  # validates the peptide
     seq = canonical(peptide)
     if len(seq) < 2:
@@ -279,13 +272,13 @@ def fitness(
     total = spec.total_intensity
     if total <= 0:
         raise InvalidSpectrumError("spectrum has no positive intensity")
-    if table is None:
-        table = _match_table(spec, tau)
-    elif table.spec is not spec:
-        raise ValueError("match table was built for another spectrum")
-    elif table.tau != tau:  # also for a NaN tau
-        raise ValueError(f"match table was built for tau {table.tau}, not {tau}")
-    matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, spec, table)
+    if scorer is None:
+        scorer = Scorer(spec, tau)
+    elif scorer.spec is not spec:
+        raise ValueError("scorer was built for another spectrum")
+    elif scorer.tau != tau:  # also for a NaN tau
+        raise ValueError(f"scorer was built for tau {scorer.tau}, not {tau}")
+    matched_intensity, n_unmatched, nterm, cterm = _evaluate(seq, scorer)
     precursor = spec.precursor_mass
     delta = precursor - mass
     # Both calls pass their arguments by position, which is cheaper per call.

@@ -350,6 +350,7 @@ def test_sequence_output_ignores_how_tasks_fall_on_workers(tmp_path, monkeypatch
 def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monkeypatch):
     import evopep.cli
 
+    monkeypatch.setattr(evopep.cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
     _RecordingPool.started.clear()
     mgf, _ = synth(tmp_path, peptide_file)
@@ -360,6 +361,27 @@ def test_sequence_forks_no_more_workers_than_tasks(tmp_path, peptide_file, monke
     (pool,) = _RecordingPool.started
     assert len(pool.tasks) == 2
     assert pool.max_workers == 2
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_sequence_forks_no_more_workers_than_cpus(
+    tmp_path, peptide_file, monkeypatch, cpus, workers
+):
+    import evopep.cli
+
+    # A --jobs above the CPU count only adds processes that wait for a core;
+    # os.cpu_count() is None where the count cannot be read.
+    monkeypatch.setattr(evopep.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(evopep.cli, "_process_pool", _RecordingPool)
+    _RecordingPool.started.clear()
+    mgf, _ = synth(tmp_path, peptide_file)
+    assert run(
+        "sequence", str(mgf), "--runs", "4", "--generations", "0", "--population",
+        "30", "--pool-size", "60", "--jobs", "8", "-o", str(tmp_path / "r.tsv"),
+    ) == 0
+    (pool,) = _RecordingPool.started
+    assert len(pool.tasks) == 8
+    assert pool.max_workers == workers
 
 
 def test_sequence_zero_runs_starts_no_pool(tmp_path, peptide_file, monkeypatch):

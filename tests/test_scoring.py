@@ -32,7 +32,7 @@ from evopep.chem import (
     parent_mass,
 )
 from evopep.evaluation import random_tryptic_peptide
-from evopep.scoring import _evaluate, _match_table, fitness_from_terms
+from evopep.scoring import _evaluate, fitness_from_terms
 from evopep.spectrum import nearest_peaks
 from tests.conftest import clean_spectrum
 
@@ -42,7 +42,7 @@ TAU = 0.5
 def match_terms(peptide, spec, tau=TAU):
     """Matched intensity, unmatched b/y count, nterm and cterm, as ``fitness``
     computes them."""
-    return _evaluate(canonical(peptide), spec, _match_table(spec, tau))
+    return _evaluate(canonical(peptide), Scorer(spec, tau))
 
 
 def test_ladder_lgvtlyk_matches_published_values():
@@ -296,19 +296,19 @@ def test_fitness_refuses_a_table_built_for_another_tau(tau):
         synthesize_spectrum("LGVTLYK", SynthConfig(noise_peaks=5), random.Random(1)),
         PreprocessConfig(),
     )
-    with pytest.raises(ValueError, match="match table was built for tau 0.5"):
-        fitness("LGVTLYK", spec, tau, table=_match_table(spec, 0.5))
+    with pytest.raises(ValueError, match="scorer was built for tau 0.5"):
+        fitness("LGVTLYK", spec, tau, scorer=Scorer(spec, 0.5))
 
 
 def test_fitness_refuses_a_table_built_for_another_spectrum(ladder_aaal):
-    # An equal spectrum is still another one: the table is checked by identity.
+    # An equal spectrum is still another one: the scorer is checked by identity.
     twin = make_spectrum(
         ladder_aaal.title, ladder_aaal.pepmass, ladder_aaal.charge,
         ladder_aaal.mz, ladder_aaal.intensity,
     )
     assert twin == ladder_aaal
-    with pytest.raises(ValueError, match="match table was built for another spectrum"):
-        fitness("AAALAAADAR", ladder_aaal, TAU, table=_match_table(twin, TAU))
+    with pytest.raises(ValueError, match="scorer was built for another spectrum"):
+        fitness("AAALAAADAR", ladder_aaal, TAU, scorer=Scorer(twin, TAU))
 
 
 def test_individual_is_slotted_and_round_trips(ladder_aaal):
@@ -438,7 +438,7 @@ def test_kernel_equals_reference_bit_for_bit(case):
     peptide, spec, tau = case
     individual, terms, total = reference_fitness(peptide, spec, tau)
     assert fitness(peptide, spec, tau) == individual
-    assert _evaluate(canonical(peptide), spec, _match_table(spec, tau)) == terms
+    assert _evaluate(canonical(peptide), Scorer(spec, tau)) == terms
     assert spec.total_intensity == total
     b, y, internal = reference_ions(canonical(peptide))
     assert theoretical_spectrum(peptide) == TheoreticalSpectrum(
@@ -476,11 +476,11 @@ def assert_table_matches_nearest_peaks(spec, tau):
     """The table's outcome at every bound, every peak, every ``mz +- tau``,
     every midpoint between peaks, and 1-3 ulps either side of each, equals
     that of ``nearest_peaks`` and ``dist <= tau``."""
-    table = _match_table(spec, tau)
+    scorer = Scorer(spec, tau)
     mz = spec.mz
     # Skip the infinite bounds, and the largest float (a bound past the last
     # peak), whose next float would overflow.
-    bounds = table.bounds[np.abs(table.bounds) < np.finfo(np.float64).max]
+    bounds = scorer.bounds[np.abs(scorer.bounds) < np.finfo(np.float64).max]
     centres = np.concatenate([bounds, mz, mz - tau, mz + tau, (mz[:-1] + mz[1:]) / 2])
     points = [centres]
     up = down = centres
@@ -490,14 +490,14 @@ def assert_table_matches_nearest_peaks(spec, tau):
     x = np.concatenate(points)
     nearest, dist = nearest_peaks(mz, x)
     matched = dist <= tau
-    segment = table.bounds.searchsorted(x)
+    segment = scorer.bounds.searchsorted(x)
     expected_peak = np.where(matched, nearest, len(mz))
     expected_anchored = matched & (spec.partner_distance[nearest] <= 2 * tau)
     # 0 unmatched, 1 matched, 2 matched and anchored.
     expected_code = matched.astype(np.uint8) + expected_anchored
-    assert (table.peak[segment] == expected_peak).all()
-    assert table.code.dtype == np.uint8
-    assert (table.code[segment] == expected_code).all()
+    assert (scorer.peak[segment] == expected_peak).all()
+    assert scorer.code.dtype == np.uint8
+    assert (scorer.code[segment] == expected_code).all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,9 +511,9 @@ def test_match_table_of_a_peak_one_tolerance_above_zero():
     # through the subnormals before reaching the threshold near -1.1e-16.
     spec = make_spectrum("one", 2.0, 1, [1.0], [1.0])
     assert_table_matches_nearest_peaks(spec, 1.0)
-    table = _match_table(spec, 1.0)
-    segment = table.bounds.searchsorted([-1e-15, 0.0, 2.0, 2.0 + 1e-15])
-    assert table.peak[segment].tolist() == [1, 0, 0, 1]
+    scorer = Scorer(spec, 1.0)
+    segment = scorer.bounds.searchsorted([-1e-15, 0.0, 2.0, 2.0 + 1e-15])
+    assert scorer.peak[segment].tolist() == [1, 0, 0, 1]
 
 
 # numpy's float64 sum is a pairwise sum (``pairwise_sum_DOUBLE``), and the
@@ -576,7 +576,7 @@ def test_intensity_sums_follow_the_pairwise_order():
         nearest, dist = nearest_peaks(spec.mz, ions)
         hits = sorted(set(nearest[dist <= tau].tolist()))
         hit_counts.append(len(hits))
-        matched = _evaluate(canonical(peptide), spec, _match_table(spec, tau))[0]
+        matched = _evaluate(canonical(peptide), Scorer(spec, tau))[0]
         assert matched.hex() == pairwise_sum([values[i] for i in hits]).hex()
     # Each branch of the restatement is reached, the split more than once.
     assert min(hit_counts) < 8
