@@ -22,8 +22,9 @@ spec = preprocess(
 )
 print(f"target peptide: {truth}  ({len(spec.mz)} peaks after preprocessing)")
 
-# Default configuration: pool 1000, population 300, 50 generations, four
-# operators at rates 0.40/0.35/0.10/0.15, tournament size 7, three elites.
+# Default configuration: pool 1000, population 300, 50 generations, tau 0.5.
+# The operator rates 0.40/0.35/0.10/0.15 (engine.RATES), the tournament size
+# 7 (engine.TOURNAMENT_K) and the three elites are the published constants.
 # The run takes every draw from the generator it is given, so a generator
 # seeded alike gives the same run.
 result = evolve(spec, GaConfig(), random.Random(2026))

@@ -24,7 +24,6 @@ from .chem import (
     InvalidResidueError,
     parent_mass,
     precursor_mass,
-    residue_mass,
 )
 from .engine import (
     EvolutionError,
@@ -124,7 +123,6 @@ __all__ = [
     "parse_mgf",
     "precursor_mass",
     "preprocess",
-    "residue_mass",
     "synthesize_spectrum",
     "theoretical_spectrum",
 ]

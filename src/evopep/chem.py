@@ -76,14 +76,6 @@ class InvalidPeptideError(ValueError):
     """Raised for peptide strings violating length or residue constraints."""
 
 
-def residue_mass(symbol: str) -> float:
-    """Monoisotopic residue mass of a single amino-acid symbol."""
-    try:
-        return RESIDUE_MASSES[symbol]
-    except KeyError:
-        raise InvalidResidueError(f"unknown amino-acid symbol {symbol!r}") from None
-
-
 def canonical(sequence: str) -> str:
     """Uppercase a residue string and fold I into L."""
     return sequence.upper().replace("I", "L")

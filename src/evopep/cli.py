@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
 
 from .chem import validate_peptide
-from .engine import OPERATORS, EvolutionError, GaConfig, evolve, refusal
+from .engine import EvolutionError, GaConfig, evolve, refusal
 from .spectrum import (
     MgfParseError,
     PreprocessConfig,
@@ -64,21 +64,6 @@ class _OptionError(ValueError, argparse.ArgumentTypeError):
     plain ValueError it would print only "invalid <parser> value"."""
 
 
-_RATE_NAMES = ",".join(op.replace("_", "-") for op in OPERATORS)
-
-
-def _parse_rates(text: str) -> tuple[float, float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(OPERATORS):
-        raise _OptionError(
-            f"rates must be {len(OPERATORS)} comma-separated numbers: {_RATE_NAMES}"
-        )
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise _OptionError(str(exc)) from None
-
-
 def _count(key: str, minimum: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
@@ -108,9 +93,7 @@ _OPTIONS = {
     "generations": _Option(GaConfig.generations, int, "GA generations"),
     "population": _Option(GaConfig.population, int, "GA population size"),
     "pool_size": _Option(GaConfig.pool_size, int, "initialization pool size"),
-    "tournament": _Option(GaConfig.tournament_k, int, "tournament size"),
     "tau": _Option(GaConfig.tau, float, "fragment mass tolerance (Da)"),
-    "rates": _Option(GaConfig.rates, _parse_rates, f"operator rates: {_RATE_NAMES}"),
     "jobs": _Option(1, _count("jobs", 1), "parallel worker count"),
     "dropout": _Option(0.0, float, "per-ion dropout probability"),
     "noise": _Option(0, int, "noise peaks per spectrum"),
@@ -156,8 +139,6 @@ def _ga_config(options: dict) -> GaConfig:
         pool_size=options["pool_size"],
         population=options["population"],
         generations=options["generations"],
-        tournament_k=options["tournament"],
-        rates=options["rates"],
         tau=options["tau"],
     )
 
@@ -514,9 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generations",
         "population",
         "pool_size",
-        "tournament",
         "tau",
-        "rates",
         "jobs",
     )
     p.add_argument("-o", "--output", help=output_help)

@@ -1,10 +1,10 @@
 """The genetic algorithm: selection pools, variation operators, evolution loop.
 
 Each generation builds four pools (fitness-ranked helper pool, Nterm pool,
-Cterm pool, tournament pool), creates offspring with one of four operators
-drawn at configured rates, and carries over three elites: the best by
-fitness, by Nterm score and by Cterm score. Each population is ranked once in
-each of these three orders, by ``_rankings``.
+Cterm pool, size-7 tournament pool), creates offspring with one of four
+operators drawn at the published rates, and carries over three elites: the
+best by fitness, by Nterm score and by Cterm score. Each population is
+ranked once in each of these three orders, by ``_rankings``.
 Candidates are variable-length tryptic sequences. The initialization pool
 and the operators produce peptide strings and never score; ``evolve`` scores
 every candidate against the run's spectrum through one ``Scorer``: the pool
@@ -13,13 +13,11 @@ once it is drawn, and each generation's children after the operator loop.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
 
@@ -42,8 +40,14 @@ OPERATOR_NTERM_CTERM = "nterm_cterm"
 OPERATOR_TWO_POINT = "two_point"
 OPERATOR_FLIP = "flip"
 OPERATOR_CONFLICT = "conflict"
-# The order of the operators in ``GaConfig.rates`` and in ``--rates``.
 OPERATORS = (OPERATOR_NTERM_CTERM, OPERATOR_TWO_POINT, OPERATOR_FLIP, OPERATOR_CONFLICT)
+# The published draw rate of each operator, in the order of ``OPERATORS``,
+# and the upper draw edge of each but the last, added left to right.
+RATES = (0.40, 0.35, 0.10, 0.15)
+_RATE_EDGES = tuple(accumulate(RATES[:-1]))
+
+# Entrants of each tournament, drawn with replacement.
+TOURNAMENT_K = 7
 
 # Individuals carried over into each generation: the head of each ranking.
 ELITES = 3
@@ -81,22 +85,9 @@ class GaConfig:
     pool_size: int = 1000
     population: int = 300
     generations: int = 50
-    tournament_k: int = 7
-    # Draw rates of the operators, in the order of ``OPERATORS``.
-    rates: tuple[float, float, float, float] = (0.40, 0.35, 0.10, 0.15)
     tau: float = 0.5
 
     def __post_init__(self):
-        rates = self.rates
-        if len(rates) != len(OPERATORS):
-            raise ValueError(
-                f"operator rates must be {len(OPERATORS)} numbers, got {rates}"
-            )
-        # Written so that NaN, which fails every comparison, is refused too.
-        if not all(math.isfinite(r) and r >= 0 for r in rates):
-            raise ValueError(f"operator rates must be finite and >= 0, got {rates}")
-        if abs(sum(rates) - 1.0) > 1e-9:
-            raise ValueError(f"operator rates must sum to 1.0, got {sum(rates)}")
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.population <= ELITES:
@@ -110,27 +101,11 @@ class GaConfig:
         for name in ("pool_size", "population", "generations"):
             if getattr(self, name) > sys.maxsize:
                 raise ValueError(f"{name} must be at most {sys.maxsize}")
-        if self.tournament_k < 1:
-            raise ValueError("tournament_k must be >= 1")
-        if self.tournament_k > self.population:
-            # Each generation draws tournament_k entrants for each of
-            # population // 3 winners, so a huge value would never finish.
-            raise ValueError(
-                f"tournament_k must be <= population ({self.population}), got "
-                f"{self.tournament_k}: entrants are drawn with replacement, so "
-                "a larger tournament only adds draws"
-            )
         check_tolerance("tau", self.tau)
 
     @property
     def sub_pool(self) -> int:
         return self.population // 3
-
-    @cached_property
-    def rate_edges(self) -> tuple[float, ...]:
-        """Upper draw edge of each operator but the last, in ``OPERATORS``
-        order; ``accumulate`` adds the rates left to right."""
-        return tuple(accumulate(self.rates[:-1]))
 
 
 @dataclass(frozen=True)
@@ -160,10 +135,10 @@ class EvolveResult:
     generations_used: int
 
 
-def choose_operator(cfg: GaConfig, rng: random.Random) -> str:
-    """Draw one operator name according to the configured rates."""
+def choose_operator(rng: random.Random) -> str:
+    """Draw one operator name at the published rates."""
     # The first operator whose edge lies above the draw, or the last.
-    return OPERATORS[bisect_right(cfg.rate_edges, rng.random())]
+    return OPERATORS[bisect_right(_RATE_EDGES, rng.random())]
 
 
 def _rankings(population: Sequence[Individual]) -> list[list[Individual]]:
@@ -229,7 +204,7 @@ def select_pools(
 
     The Nterm/Cterm pools only admit individuals with a score of at least one
     and may therefore be under-filled or empty. The tournament pool holds
-    winners of size-``tournament_k`` fitness tournaments drawn with
+    winners of size-``TOURNAMENT_K`` fitness tournaments drawn with
     replacement. The elites are the head of each ranking.
 
     All entrants of the tournaments are drawn at once by ``_draws_below``,
@@ -242,7 +217,7 @@ def select_pools(
     k = cfg.sub_pool
     by_fitness, by_nterm, by_cterm = _rankings(population)
     size = len(population)
-    entrants = _draws_below(rng, size, k * cfg.tournament_k).reshape(k, -1)
+    entrants = _draws_below(rng, size, k * TOURNAMENT_K).reshape(k, -1)
     fitness = np.fromiter(map(_FITNESS, population), float, size)
     winners = entrants[np.arange(k), fitness[entrants].argmax(axis=1)]
     # Members with a score of at least one lead their terminus ranking, in
@@ -435,7 +410,7 @@ def evolve(spec: Spectrum, cfg: GaConfig, rng: random.Random) -> EvolveResult:
         tournament = [ind.peptide for ind in pools.tournament]
         children: list[str] = []
         while len(children) < target:
-            op = choose_operator(cfg, rng)
+            op = choose_operator(rng)
             if op == OPERATOR_NTERM_CTERM and (not nterm_pool or not cterm_pool):
                 op = OPERATOR_TWO_POINT
             # Every pool drawn from here holds at least one member: the

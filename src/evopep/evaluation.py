@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Iterable
@@ -78,6 +79,10 @@ class SynthConfig:
             raise ValueError("dropout must be within [0, 1]")
         if self.noise_peaks < 0:
             raise ValueError("noise_peaks must be >= 0")
+        # The noise peaks of a spectrum are one list, which holds at most
+        # sys.maxsize items; a larger count would be drawn without end.
+        if self.noise_peaks > sys.maxsize:
+            raise ValueError(f"noise_peaks must be at most {sys.maxsize}")
 
 
 def random_tryptic_peptide(rng: random.Random) -> str:

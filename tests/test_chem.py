@@ -29,7 +29,7 @@ def formula_mass(c, h, n, o, s=0):
 
 def test_glycine_mass_matches_elemental_formula():
     # glycine residue C2H3NO
-    assert chem.residue_mass("G") == pytest.approx(formula_mass(2, 3, 1, 1), abs=1e-5)
+    assert chem.RESIDUE_MASSES["G"] == pytest.approx(formula_mass(2, 3, 1, 1), abs=1e-5)
 
 
 def test_alphabet_has_twenty_entries():
@@ -38,25 +38,26 @@ def test_alphabet_has_twenty_entries():
 
 
 def test_isoleucine_equals_leucine():
-    assert chem.residue_mass("I") == chem.residue_mass("L")
+    assert chem.RESIDUE_MASSES["I"] == chem.RESIDUE_MASSES["L"]
 
 
 def test_glycine_is_strictly_smallest():
     others = [m for sym, m in chem.RESIDUE_MASSES.items() if sym != "G"]
-    assert chem.residue_mass("G") < min(others)
+    assert chem.RESIDUE_MASSES["G"] < min(others)
 
 
 def test_nominal_masses_match_published_tables():
     # single residues from the conflict-mass table
-    assert round(chem.residue_mass("W")) == 186
-    assert round(chem.residue_mass("R")) == 156
-    assert round(chem.residue_mass("Q")) == 128
-    assert round(chem.residue_mass("N")) == 114
+    assert round(chem.RESIDUE_MASSES["W"]) == 186
+    assert round(chem.RESIDUE_MASSES["R"]) == 156
+    assert round(chem.RESIDUE_MASSES["Q"]) == 128
+    assert round(chem.RESIDUE_MASSES["N"]) == 114
 
 
 def test_unknown_symbol_rejected():
-    with pytest.raises(chem.InvalidResidueError):
-        chem.residue_mass("B")
+    # parent_mass validates before it sums; "B" (Asx) is no residue here.
+    with pytest.raises(chem.InvalidResidueError, match="unknown amino-acid symbol 'B'"):
+        chem.parent_mass("GBK")
 
 
 def test_parent_mass_lgvtlyk_nominal():
@@ -127,9 +128,9 @@ def test_conflict_dictionary_contents():
 
 def test_conflict_masses_agree_at_nominal_and_monoisotopic():
     for single, replacements in chem.CONFLICT_REPLACEMENTS.items():
-        single_mass = chem.residue_mass(single)
+        single_mass = chem.RESIDUE_MASSES[single]
         for pair in replacements:
-            pair_mass = sum(chem.residue_mass(sym) for sym in pair)
+            pair_mass = sum(chem.RESIDUE_MASSES[sym] for sym in pair)
             assert round(pair_mass) == round(single_mass)
             assert abs(single_mass - pair_mass) < 0.05
 

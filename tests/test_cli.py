@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import resource
 import subprocess
 import sys
 from functools import cached_property
@@ -19,11 +20,11 @@ from evopep import cli
 from evopep.chem import (
     CANONICAL_ALPHABET,
     PROTON_MASS,
+    RESIDUE_MASSES,
     TOLERANCE_LIMIT,
-    residue_mass,
 )
 from evopep.cli import SEQUENCE_COLUMNS, _read_results, _read_truth, main
-from evopep.engine import GaConfig, evolve
+from evopep.engine import RATES, TOURNAMENT_K, GaConfig, evolve
 from evopep.spectrum import (
     PreprocessConfig,
     Spectrum,
@@ -71,9 +72,12 @@ def test_defaults_match_published_parameters():
     assert cfg.population == 300
     assert cfg.sub_pool == 100
     assert cfg.generations == 50
-    assert cfg.tournament_k == 7
-    assert cfg.rates == (0.40, 0.35, 0.10, 0.15)
     assert cfg.tau == 0.5
+    assert [f.name for f in dataclasses.fields(GaConfig)] == [
+        "pool_size", "population", "generations", "tau"
+    ]
+    assert RATES == (0.40, 0.35, 0.10, 0.15)
+    assert TOURNAMENT_K == 7
 
 
 def test_synth_writes_ladder_and_truth(tmp_path, peptide_file):
@@ -632,7 +636,7 @@ def test_sequence_non_finite_mgf_value_errors(tmp_path, capsys, header, peak):
         f"BEGIN IONS\n{header}\nCHARGE=2+\n150.0 1.0\n{peak}\nEND IONS\n",
     )
     code = run("sequence", mgf, "--runs", "1", "--generations", "0",
-               "--pool-size", "5", "--population", "4", "--tournament", "4")
+               "--pool-size", "5", "--population", "4")
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {mgf}:" in err and "must be finite" in err
@@ -922,7 +926,7 @@ def test_tags_output_contains_known_tag(tmp_path, peptide_file):
 def test_tags_rows_equal_a_full_sort(tmp_path):
     # From peak 0, the tag through peak 1 ("GAS") precedes the one through
     # peak 2 ("AGS") in the index, but follows it in the sorted rows.
-    gly, ala, ser, val = (residue_mass(sym) for sym in "GASV")
+    gly, ala, ser, val = (RESIDUE_MASSES[sym] for sym in "GASV")
     steps = [0.0, gly, ala, gly + ala, gly + ala + ser, gly + ala + ser + val]
     spec = make_spectrum("mixed", 800.0, 1, [100.0 + m for m in steps], [1.0] * 6)
     mgf = write(tmp_path / "mixed.mgf", emit_mgf([spec]))
@@ -1007,7 +1011,6 @@ def test_count_no_list_can_hold_is_refused(tmp_path, capsys, key):
 def test_usage_errors_exit_one(tmp_path):
     assert run("sequence") == 1
     assert run("unknown-command") == 1
-    assert run("sequence", "x.mgf", "--rates", "0.5,0.5") == 1
     assert run("sequence", "x.mgf", "--runs", "-1") == 1
     assert run("sequence", "x.mgf", "--jobs", "0") == 1
     assert run("sequence", "x.mgf", "--jobs", "-3") == 1
@@ -1017,12 +1020,11 @@ def test_usage_errors_exit_one(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--rates", "nan,0,0,1"], "operator rates must be finite and >= 0"),
         (["--tau", "nan"], "tau must be finite and positive, got nan"),
         (["--pool-size", "0"], "pool_size must be >= 1, got 0"),
         (["--population", "3"], "population must exceed elitism (3), got 3"),
     ],
-    ids=["nan-rate", "nan-tau", "empty-pool", "population-at-elitism"],
+    ids=["nan-tau", "empty-pool", "population-at-elitism"],
 )
 def test_sequence_refuses_bad_ga_setting(
     tmp_path, peptide_file, capsys, flags, message
@@ -1034,23 +1036,50 @@ def test_sequence_refuses_bad_ga_setting(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("tournament", [31, 10**9])
-def test_sequence_refuses_tournament_above_population(
-    tmp_path, peptide_file, capsys, source, tournament
+@pytest.mark.parametrize("population", [4, 5, 6])
+def test_sequence_runs_a_population_below_the_tournament_size(
+    tmp_path, peptide_file, population
 ):
-    # select_pools draws tournament_k entrants per winner, so 10**9 would
-    # never finish a generation; it is refused before any run starts.
+    # Tournament entrants are drawn with replacement, so a population smaller
+    # than TOURNAMENT_K still fills its tournaments.
     mgf, _ = synth(tmp_path, peptide_file)
     out = tmp_path / "out.tsv"
-    if source == "flag":
-        options = ["--tournament", str(tournament)]
-    else:
-        options = ["--config", write(tmp_path / "run.cfg", f"tournament={tournament}\n")]
-    argv = ["sequence", str(mgf), "--runs", "1", "--population", "30", "-o", str(out)]
-    assert run(*argv, *options) == 2
-    message = f"error: tournament_k must be <= population (30), got {tournament}"
-    assert message in capsys.readouterr().err
+    assert run(
+        "sequence", str(mgf), "--runs", "1", "--generations", "2", "--pool-size", "20",
+        "--population", str(population), "-o", str(out),
+    ) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("key", ["rates", "tournament"])
+def test_rates_and_tournament_are_unknown_options(tmp_path, capsys, key):
+    # GA-Novo's operator rates and tournament size are constants, RATES and
+    # TOURNAMENT_K; neither a flag nor a config line sets them.
+    assert run("sequence", "x.mgf", f"--{key}", "7") == 1
+    assert f"unrecognized arguments: --{key} 7" in capsys.readouterr().err
+    config = write(tmp_path / "run.cfg", f"runs=1\n{key}=7\n")
+    assert run("sequence", "x.mgf", "--config", config) == 2
+    assert f"error: {config}:2: unknown option {key!r}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [str(sys.maxsize + 1), "9" * 400])
+def test_synth_refuses_more_noise_peaks_than_a_list_can_hold(tmp_path, peptide_file, noise):
+    # Such a count used to draw noise peaks without end. The command runs in
+    # a process of its own, with its address space capped, so that a hang
+    # fails the test on its timeout and does not fill the machine's memory.
+    out = tmp_path / "noise.mgf"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "evopep.cli", "synth", peptide_file, "-o", str(out),
+         "--noise", noise],
+        env=env, capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: noise_peaks must be at most {sys.maxsize}\n"
     assert not out.exists()
 
 
@@ -1135,9 +1164,7 @@ OPTION_TEXTS = {
     "generations": ("sequence", "7", 7),
     "population": ("sequence", "40", 40),
     "pool_size": ("sequence", "80", 80),
-    "tournament": ("sequence", "5", 5),
     "tau": ("sequence", "0.3", 0.3),
-    "rates": ("sequence", "0.1, 0.2,0.3,0.4", (0.1, 0.2, 0.3, 0.4)),
     "jobs": ("sequence", "2", 2),
     "dropout": ("synth", "0.25", 0.25),
     "noise": ("synth", "12", 12),

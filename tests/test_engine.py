@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,15 +22,19 @@ from evopep import (
     preprocess,
     synthesize_spectrum,
 )
+from evopep import engine
 from evopep.chem import (
     CANONICAL_ALPHABET,
     MAX_PEPTIDE_LENGTH,
     PROTON_MASS,
+    RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     parent_mass,
-    residue_mass,
 )
 from evopep.engine import (
+    OPERATORS,
+    RATES,
+    TOURNAMENT_K,
     _draws_below,
     _initial_population,
     _trace_row,
@@ -44,7 +49,7 @@ from evopep.engine import (
 from tests.conftest import GuardedRandom, clean_spectrum
 
 TAU = 0.5
-DELTA_BOUND = residue_mass("G") + TAU
+DELTA_BOUND = RESIDUE_MASSES["G"] + TAU
 
 
 @pytest.fixture(scope="module")
@@ -70,20 +75,22 @@ def fitness_calls():
         yield seen
 
 
-def test_config_validates_rates():
-    with pytest.raises(ValueError):
-        GaConfig(rates=(0.40, 0.35, 0.20, 0.15))  # rates no longer sum to 1
-    with pytest.raises(ValueError):
-        GaConfig(rates=(0.40, 0.35, -0.10, 0.35))
-    with pytest.raises(ValueError, match="must be 4 numbers"):
-        GaConfig(rates=(0.50, 0.35, 0.15))  # sums to 1, one operator short
+def test_rates_are_the_published_ones():
+    assert dict(zip(OPERATORS, RATES)) == {
+        "nterm_cterm": 0.40, "two_point": 0.35, "flip": 0.10, "conflict": 0.15
+    }
+    assert math.isclose(sum(RATES), 1.0)
+    assert engine._RATE_EDGES == (0.40, 0.40 + 0.35, 0.40 + 0.35 + 0.10)
+    assert TOURNAMENT_K == 7
 
 
-@pytest.mark.parametrize("tournament_k", [31, 10**9])
-def test_config_refuses_tournament_above_population(tournament_k):
-    assert GaConfig(population=30, tournament_k=30).tournament_k == 30
-    with pytest.raises(ValueError, match=f"<= population \\(30\\), got {tournament_k}:"):
-        GaConfig(population=30, tournament_k=tournament_k)
+@pytest.mark.parametrize("population", [4, 5, 6])
+def test_population_below_the_tournament_size_runs(aaal_spectrum, population):
+    # Entrants are drawn with replacement, so a tournament may hold more
+    # entrants than the population has members.
+    cfg = GaConfig(pool_size=20, population=population, generations=2)
+    result = evolve(aaal_spectrum, cfg, random.Random(population))
+    assert result.generations_used == 2
 
 
 @pytest.mark.parametrize("name", ["pool_size", "population", "generations"])
@@ -103,19 +110,18 @@ def test_config_sub_pool_derived():
 
 
 def test_operator_draw_frequencies():
-    cfg = GaConfig()
     rng = random.Random(99)
-    counts = Counter(choose_operator(cfg, rng) for _ in range(100_000))
+    counts = Counter(choose_operator(rng) for _ in range(100_000))
     assert counts["nterm_cterm"] / 100_000 == pytest.approx(0.40, abs=0.01)
     assert counts["two_point"] / 100_000 == pytest.approx(0.35, abs=0.01)
     assert counts["flip"] / 100_000 == pytest.approx(0.10, abs=0.01)
     assert counts["conflict"] / 100_000 == pytest.approx(0.15, abs=0.01)
 
 
-def reference_choose_operator(cfg, rng):
+def reference_choose_operator(rng):
     """The draw as an explicit walk over the rate edges, in operator order."""
     draw = rng.random()
-    nterm_cterm, two_point, flip, _ = cfg.rates
+    nterm_cterm, two_point, flip, _ = RATES
     edge = nterm_cterm
     if draw < edge:
         return "nterm_cterm"
@@ -133,29 +139,27 @@ def fixed_draw(value):
     return SimpleNamespace(random=lambda: value)
 
 
-@st.composite
-def rates_and_draws(draw):
-    """Rates with zeros among them, and draws on, just below and just above
-    each edge of the walk, besides arbitrary ones."""
-    weights = draw(
-        st.lists(st.sampled_from([0, 1, 2, 3, 7]), min_size=4, max_size=4).filter(any)
-    )
-    rates = tuple(w / sum(weights) for w in weights)
-    edges = [0.0, rates[0], rates[0] + rates[1], rates[0] + rates[1] + rates[2]]
-    around = [math.nextafter(e, toward) for e in edges for toward in (0.0, 1.0)]
-    values = st.one_of(
-        st.sampled_from(edges + around), st.floats(0.0, 1.0, exclude_max=True)
-    )
-    return GaConfig(rates=rates), draw(st.lists(values, min_size=1, max_size=20))
+# Each edge of the walk, and the draws just below and just above it.
+_EDGES = [0.0, RATES[0], RATES[0] + RATES[1], RATES[0] + RATES[1] + RATES[2]]
+_AROUND_EDGES = _EDGES + [
+    math.nextafter(edge, toward) for edge in _EDGES for toward in (0.0, 1.0)
+]
 
 
 @settings(max_examples=300, deadline=None)
-@given(rates_and_draws())
-def test_choose_operator_matches_the_edge_walk(case):
-    cfg, values = case
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_AROUND_EDGES), st.floats(0.0, 1.0, exclude_max=True)
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_choose_operator_matches_the_edge_walk(values):
     for value in values:
-        expected = reference_choose_operator(cfg, fixed_draw(value))
-        assert choose_operator(cfg, fixed_draw(value)) == expected
+        expected = reference_choose_operator(fixed_draw(value))
+        assert choose_operator(fixed_draw(value)) == expected
 
 
 def test_select_pools_identical_population(aaal_spectrum):
@@ -231,7 +235,7 @@ def reference_elites(population):
 
 def reference_tournament(population, cfg, rng):
     return [
-        max((rng.choice(population) for _ in range(cfg.tournament_k)), key=fitness_key)
+        max((rng.choice(population) for _ in range(TOURNAMENT_K)), key=fitness_key)
         for _ in range(cfg.sub_pool)
     ]
 
@@ -261,9 +265,7 @@ def tied_populations(draw):
         Individual(f"P{index}K", fit, nterm, cterm, 0.0)
         for index, (fit, nterm, cterm) in enumerate(rows)
     ]
-    size = draw(st.integers(4, 60))
-    cfg = GaConfig(population=size, tournament_k=draw(st.integers(1, min(7, size))))
-    return population, cfg
+    return population, GaConfig(population=draw(st.integers(4, 60)))
 
 
 def peptides_of(individuals):
@@ -326,7 +328,7 @@ def test_a_subclass_draws_each_entrant_on_the_stream():
     plain, counting = random.Random(4), CountingRandom(4)
     batched = select_pools(population, cfg, plain)
     single = select_pools(population, cfg, counting)
-    assert counting.calls == cfg.sub_pool * cfg.tournament_k
+    assert counting.calls == cfg.sub_pool * TOURNAMENT_K
     assert peptides_of(batched.tournament) == peptides_of(single.tournament)
     assert plain.getstate() == counting.getstate()
 
@@ -497,7 +499,7 @@ rngs = st.integers(0, 2**32).map(GuardedRandom)
 
 
 def nominal_mass(seq):
-    return sum(round(residue_mass(sym)) for sym in seq)
+    return sum(round(RESIDUE_MASSES[sym]) for sym in seq)
 
 
 @settings(deadline=None)
@@ -675,16 +677,17 @@ def test_evolve_scores_only_capped_tryptic_peptides_on_long_precursor(length):
 
 @st.composite
 def ga_settings(draw):
-    population = draw(st.integers(6, 30))
+    """Small GA settings, and operator rate edges that may leave one operator
+    alone, to patch in for the published ones."""
+    population = draw(st.integers(4, 30))
     weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
-    rates = tuple(w / sum(weights) for w in weights)
-    return GaConfig(
+    rates = [w / sum(weights) for w in weights]
+    cfg = GaConfig(
         pool_size=draw(st.integers(population, 60)),
         population=population,
         generations=draw(st.integers(0, 5)),
-        tournament_k=draw(st.integers(1, min(7, population))),
-        rates=rates,
     )
+    return cfg, tuple(accumulate(rates[:-1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -696,13 +699,14 @@ def ga_settings(draw):
     rngs,
 )
 def test_evolve_scores_capped_tryptic_peptides_and_keeps_its_best(
-    body, terminal, cfg, seed, ga_rng
+    body, terminal, settings_and_edges, seed, ga_rng
 ):
+    cfg, edges = settings_and_edges
     rng = random.Random(seed)
     spec = preprocess(
         synthesize_spectrum(body + terminal, SynthConfig(noise_peaks=10, dropout=0.1), rng)
     )
-    with fitness_calls() as peptides:
+    with mock.patch.object(engine, "_RATE_EDGES", edges), fitness_calls() as peptides:
         try:
             result = evolve(spec, cfg, ga_rng)
         except EvolutionError:  # no candidate reached the precursor mass

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -103,6 +104,12 @@ def test_synthesize_validates_config():
         SynthConfig(dropout=1.5)
     with pytest.raises(ValueError):
         SynthConfig(noise_peaks=-1)
+
+
+def test_synth_config_refuses_more_noise_peaks_than_a_list_can_hold():
+    assert SynthConfig(noise_peaks=sys.maxsize).noise_peaks == sys.maxsize
+    with pytest.raises(ValueError, match=f"^noise_peaks must be at most {sys.maxsize}$"):
+        SynthConfig(noise_peaks=sys.maxsize + 1)
 
 
 def test_self_fitness_beats_single_flips():

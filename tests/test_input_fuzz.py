@@ -2,10 +2,10 @@
 
 A config file is a few lines drawn from: every option, an unknown key and a
 repeated key; a line without '=', one with '=' and no value, a comment and a
-blank line; and values that include nan, inf, 1e308 and -1 for every option,
-and operator rates that do not sum to 1. A flag keeps each GA option that the
-file leaves unset small. A peptide list is a few lines of upper- and
-lower-case residues, 'I', one residue, comments and blank lines, or nothing.
+blank line; and values that include nan, inf, 1e308, -1 and 400 nines for
+every option. A flag keeps each GA option that the file leaves unset small.
+A peptide list is a few lines of upper- and lower-case residues, 'I', one
+residue, comments and blank lines, or nothing.
 Lines end at "\\n", "\\r\\n" or "\\r". Every example must end within 2 s with
 exit code 0 or 2, or 1 with a usage message, and never with an exception out
 of ``main``; an exit 2 from `synth` must name the peptide list.
@@ -34,21 +34,17 @@ VALID = {
     "generations": ["1", "0", "2"],
     "population": ["6", "4", "3"],
     "pool_size": ["5", "1"],
-    "tournament": ["2", "1", "7"],
     "tau": ["0.5", "0.05", "1e308"],
-    # The last three do not sum to 1.
-    "rates": ["0.4,0.35,0.1,0.15", "1,1,1,1", "0.5,0,0,0", "0,0,0,0"],
     "jobs": ["1"],
     "dropout": ["0", "0.5", "1"],
     "noise": ["0", "5"],
 }
-ODD = ["nan", "inf", "-inf", "1e308", "-1", "0", "", "abc", "9" * 400, "1,nan,0,0", "1,2,3"]
+ODD = ["nan", "inf", "-inf", "1e308", "-1", "0", "", "abc", "9" * 400]
 # Each command, its file arguments, and the options it takes.
 COMMANDS = {
     "sequence": (
         ["in.mgf", "-o", "out"],
-        ["seed", "runs", "generations", "population", "pool_size", "tournament", "tau",
-         "rates", "jobs"],
+        ["seed", "runs", "generations", "population", "pool_size", "tau", "jobs"],
     ),
     "synth": (["peptides.txt", "-o", "out"], ["seed", "dropout", "noise"]),
     "preprocess": (["in.mgf", "out"], ["tau"]),
@@ -56,7 +52,7 @@ COMMANDS = {
     "evaluate": (["results.tsv", "truth.tsv", "-o", "out"], ["tau"]),
 }
 # The options whose defaults would make a run of `sequence` take seconds.
-SHORT_RUN = ["runs", "generations", "population", "pool_size", "tournament"]
+SHORT_RUN = ["runs", "generations", "population", "pool_size"]
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 PEPTIDE_LINES = st.one_of(
@@ -134,6 +130,7 @@ def run_main(argv: list[str]) -> tuple[int, str]:
 @given(config_file())
 @example(("sequence", b"runs=1\nrates=1,1,1,1\n"))
 @example(("sequence", b"seed=1\nseed=2\ntau=\n"))
+@example(("synth", b"noise=" + b"9" * 400 + b"\n"))
 def test_commands_exit_0_1_or_2_on_a_mutated_config_file(work, drawn):
     command, data = drawn
     config = work / "fuzz.cfg"

@@ -43,7 +43,7 @@ COMMANDS = [
     ["sequence", "{mgf}", "--runs", "0", "-o", "{out}"],
     [
         "sequence", "{mgf}", "--runs", "1", "--generations", "1", "--population", "6",
-        "--pool-size", "5", "--tournament", "2", "-o", "{out}",
+        "--pool-size", "5", "-o", "{out}",
     ],
 ]
 

@@ -22,7 +22,6 @@ from evopep.chem import (
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     parent_mass,
-    residue_mass,
 )
 from evopep.engine import RELAXED_CX_BOUND, nterm_cterm_crossover
 from evopep.scoring import Individual
@@ -34,7 +33,7 @@ _LABELED_MASSES = tuple((sym, RESIDUE_MASSES[sym]) for sym in CANONICAL_ALPHABET
 
 
 def reference_adjust_mass(seq, precursor, rng, tau):
-    bound = residue_mass("G") + tau
+    bound = RESIDUE_MASSES["G"] + tau
     delta = precursor - parent_mass(seq)
     for _ in range(evopep.tags.ADJUST_MAX_ITERATIONS):
         if abs(delta) < bound:

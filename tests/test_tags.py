@@ -16,7 +16,6 @@ from evopep.chem import (
     RESIDUE_MASSES,
     TRYPTIC_TERMINALS,
     parent_mass,
-    residue_mass,
     unchecked_parent_mass,
 )
 from evopep.tags import (
@@ -29,7 +28,7 @@ from evopep.tags import (
 from tests.conftest import clean_spectrum
 
 TAU = 0.5
-DELTA_BOUND = residue_mass("G") + TAU
+DELTA_BOUND = RESIDUE_MASSES["G"] + TAU
 
 
 def spectrum_at(mzs, pepmass=600.0, charge=2):
