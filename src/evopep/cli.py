@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import fields
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TextIO
@@ -39,6 +40,7 @@ if TYPE_CHECKING:  # the module loads only where a pool is made
     from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
+_LOG_FORMAT = "%(levelname)s: %(message)s"
 
 SEQUENCE_COLUMNS = (
     "spectrum_id",
@@ -279,10 +281,14 @@ def _sequence_job(task: tuple[Spectrum, GaConfig, str, int, int, str]) -> str | 
 def _process_pool(max_workers: int) -> Executor:
     """A pool of ``max_workers`` processes. Its module, which loads
     ``multiprocessing``, is imported here, so a run without a pool never
-    loads it."""
+    loads it. Each worker logs at the parent's root level in ``main``'s
+    format under every start method; a forked worker keeps the handler it
+    inherits, as ``basicConfig`` changes nothing once one exists."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=max_workers)
+    level = logging.getLogger().level
+    setup = partial(logging.basicConfig, level=level, format=_LOG_FORMAT)
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=setup)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -529,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING, format=_LOG_FORMAT)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

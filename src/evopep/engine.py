@@ -13,6 +13,7 @@ once it is drawn, and each generation's children after the operator loop.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from bisect import bisect_right
@@ -371,8 +372,11 @@ def refusal(spec: Spectrum, tau: float) -> str | None:
     """Why no GA run can sequence ``spec`` at tolerance ``tau``, or None.
     ``evolve`` applies this rule before its first draw, and ``sequence``
     skips each spectrum that it refuses."""
-    if spec.total_intensity <= 0:
+    total = spec.total_intensity
+    if total <= 0:
         return "spectrum has no positive intensity"
+    if math.isinf(total):
+        return "spectrum's total intensity overflows to inf"
     if not precursor_reachable(spec.precursor_mass, tau):
         return (
             "no peptide the GA can build comes near its precursor mass of "

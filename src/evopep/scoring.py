@@ -10,6 +10,7 @@ normalized by peptide length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -23,6 +24,7 @@ from .chem import (
     InvalidPeptideError,
     canonical,
     check_tolerance,
+    left_to_right_sum,
     parent_mass,
     validate_peptide,
 )
@@ -223,10 +225,10 @@ def _evaluate(seq: str, scorer: Scorer) -> tuple[float, int, int, int]:
     n = len(spec.mz)
     segment = scorer.bounds.searchsorted(_ions(seq))
     peak = scorer.peak[segment]
-    # The mask sums each hit peak once, in m/z order; slot n takes the misses.
+    # The mask takes each hit peak once, in m/z order; slot n takes the misses.
     hit = np.zeros(n + 1, dtype=bool)
     hit[peak] = True
-    matched_intensity = float(spec.intensity[hit[:n]].sum())
+    matched_intensity = left_to_right_sum(spec.intensity[hit[:n]].tolist())
     # Noise peaks land on single b or y m/z values by chance, while a real
     # cleavage usually shows both of its complementary ions; so only ions
     # whose complement is observed extend a terminus-anchored run. A run of
@@ -272,6 +274,8 @@ def fitness(
     total = spec.total_intensity
     if total <= 0:
         raise InvalidSpectrumError("spectrum has no positive intensity")
+    if math.isinf(total):
+        raise InvalidSpectrumError("spectrum's total intensity overflows to inf")
     if scorer is None:
         scorer = Scorer(spec, tau)
     elif scorer.spec is not spec:

@@ -21,7 +21,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .chem import PROTON_MASS, check_tolerance, precursor_mass
+from .chem import PROTON_MASS, check_tolerance, left_to_right_sum, precursor_mass
 
 if TYPE_CHECKING:  # numpy.typing would cost every process an import
     from numpy.typing import ArrayLike
@@ -118,7 +118,7 @@ class Spectrum:
 
     @cached_property
     def total_intensity(self) -> float:
-        return float(self.intensity.sum())
+        return left_to_right_sum(self.intensity.tolist())
 
     def __getstate__(self):
         # The cached properties are rebuilt on demand; keep pickles lean.

@@ -416,6 +416,50 @@ def test_importing_the_cli_loads_no_process_pool():
         assert done.stdout.split() == ["False"] * len(lazy), module
 
 
+# Runs `main` with every process pool made under the start method named by
+# argv[1]: the real _process_pool and its initializer run, with no option.
+_UNDER_START_METHOD = """
+import concurrent.futures, functools, multiprocessing, sys
+concurrent.futures.ProcessPoolExecutor = functools.partial(
+    concurrent.futures.ProcessPoolExecutor,
+    mp_context=multiprocessing.get_context(sys.argv[1]),
+)
+from evopep.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_sequence_output_is_the_same_under_every_start_method(tmp_path):
+    # Neither spectrum yields a tag, so each worker warns. Workers started by
+    # forkserver or spawn do not inherit main's logging set-up; without the
+    # pool's initializer their warnings lost the "WARNING: " prefix.
+    import multiprocessing
+
+    one_peak = "PEPMASS=807.5\nCHARGE=1\n300.0 10.0\nEND IONS\n"
+    mgf = write(tmp_path / "tagless.mgf", "".join(
+        f"BEGIN IONS\nTITLE={title}\n{one_peak}" for title in "ab"
+    ))
+    argv = ["sequence", mgf, "--runs", "1", "--generations", "1", "--population",
+            "20", "--pool-size", "20", "--jobs", "2", "-o", "-"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = {}
+    for method in multiprocessing.get_all_start_methods():
+        done = subprocess.run(
+            [sys.executable, "-c", _UNDER_START_METHOD, method, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # The two workers' warnings come in either order, even under fork.
+        outputs[method] = done.stdout, sorted(done.stderr.splitlines())
+    _, (rows, warnings) = outputs.popitem()
+    assert len(rows.splitlines()) == 1 + 2
+    assert warnings == [
+        f"WARNING: spectrum {title!r} yielded no tags; falling back to random sequences"
+        for title in "ab"
+    ]
+    assert all(output == (rows, warnings) for output in outputs.values())
+
+
 class _BrokenPool(_RecordingPool):
     """A pool whose worker died before it returned a result."""
 

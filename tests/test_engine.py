@@ -628,6 +628,21 @@ def test_evolve_refuses_a_zero_intensity_spectrum_before_drawing():
         evolve(zero, GaConfig(), _NoDraws())
 
 
+def test_evolve_refuses_a_spectrum_whose_total_intensity_overflows():
+    # Each intensity is finite, but seven of 1e308 add up to inf, which would
+    # make every fitness NaN.
+    spec = clean_spectrum("LGVTLYK")
+    huge = make_spectrum("huge", spec.pepmass, spec.charge, spec.mz[:7], [1e308] * 7)
+    assert huge.total_intensity == math.inf
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(
+        EvolutionError, match="'huge': spectrum's total intensity overflows to inf"
+    ):
+        evolve(huge, GaConfig(), rng)
+    assert rng.getstate() == state
+
+
 def test_operators_fall_back_at_length_cap():
     # The precursor is far heavier than any 64-residue G/A candidate, so every
     # crossover of these parents would outgrow MAX_PEPTIDE_LENGTH somewhere.

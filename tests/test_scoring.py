@@ -29,6 +29,7 @@ from evopep.chem import (
     RESIDUE_MASSES,
     InvalidPeptideError,
     canonical,
+    left_to_right_sum,
     parent_mass,
 )
 from evopep.evaluation import random_tryptic_peptide
@@ -233,6 +234,15 @@ def test_fitness_rejects_zero_intensity():
         fitness("LGVTLYK", spec, TAU)
 
 
+def test_fitness_rejects_a_total_intensity_that_overflows():
+    # Each intensity is finite, but their sum is inf: the matched fraction
+    # would be inf / inf, a NaN fitness.
+    mz = [100.0 * k for k in range(1, 8)]
+    spec = make_spectrum("huge", 400.0, 2, mz, [1e308] * 7)
+    with pytest.raises(InvalidSpectrumError, match="overflows to inf"):
+        fitness("LGVTLYK", spec, TAU)
+
+
 @pytest.mark.parametrize("pepmass,charge", [(PROTON_MASS, 1), (0.5, 2)])
 def test_fitness_refuses_non_positive_precursor(pepmass, charge):
     # A zero precursor would divide the mass penalty by zero, and a negative
@@ -369,9 +379,14 @@ def reference_fitness(peptide, spec, tau):
     _, partner_distance = reference_nearest(spec.mz, spec.partner_mz)
     nearest, dist = reference_nearest(spec.mz, np.concatenate([b, y, internal]))
     matched = dist <= tau
-    matched_intensity = float(spec.intensity[np.unique(nearest[matched])].sum())
+    intensity = spec.intensity.tolist()
+    matched_intensity = 0.0
+    for peak in sorted(set(nearest[matched].tolist())):
+        matched_intensity += intensity[peak]
     anchored = matched[:n_by] & (partner_distance[nearest[:n_by]] <= 2 * tau)
-    total = float(spec.intensity.sum())
+    total = 0.0
+    for value in intensity:
+        total += value
     mass = 0.0
     for sym in seq:
         mass += RESIDUE_MASSES[sym]
@@ -516,36 +531,7 @@ def test_match_table_of_a_peak_one_tolerance_above_zero():
     assert scorer.peak[segment].tolist() == [1, 0, 0, 1]
 
 
-# numpy's float64 sum is a pairwise sum (``pairwise_sum_DOUBLE``), and the
-# fitness rests on its bits twice: the matched intensity and
-# ``Spectrum.total_intensity``. It is restated here, so that a numpy that
-# changes the order fails a named test rather than only a golden digest.
-
-
-def pairwise_sum(values):
-    """The float64 sum of ``values`` in numpy's pairwise order."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r = list(values[:8])
-        whole = n - n % 8
-        for start in range(8, whole, 8):
-            for j in range(8):
-                r[j] += values[start + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[whole:]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
-def pairwise_case(seed):
+def intensity_sum_case(seed):
     """A peptide of 2-64 residues, a spectrum of 0-3000 peaks, some on its
     ions and the rest spread over its mass range, and a tolerance."""
     rng = random.Random(seed)
@@ -563,12 +549,14 @@ def pairwise_case(seed):
     return peptide, make_spectrum("p", pepmass, 2, mz, intensity), TAU
 
 
-def test_intensity_sums_follow_the_pairwise_order():
-    hit_counts = []
+def test_intensity_sums_add_left_to_right():
+    hit_counts, numpy_differs = [], 0
     for seed in range(200):
-        peptide, spec, tau = pairwise_case(seed)
+        peptide, spec, tau = intensity_sum_case(seed)
         values = spec.intensity.tolist()
-        assert spec.total_intensity.hex() == pairwise_sum(values).hex()
+        total = left_to_right_sum(values)
+        assert spec.total_intensity.hex() == total.hex()
+        numpy_differs += total != spec.intensity.sum()
         if not values:
             continue
         theo = theoretical_spectrum(peptide)
@@ -577,8 +565,11 @@ def test_intensity_sums_follow_the_pairwise_order():
         hits = sorted(set(nearest[dist <= tau].tolist()))
         hit_counts.append(len(hits))
         matched = _evaluate(canonical(peptide), Scorer(spec, tau))[0]
-        assert matched.hex() == pairwise_sum([values[i] for i in hits]).hex()
-    # Each branch of the restatement is reached, the split more than once.
+        assert matched.hex() == left_to_right_sum([values[i] for i in hits]).hex()
+        numpy_differs += matched != spec.intensity[hits].sum()
+    # Hit counts below 8, from 8 to 128 and above 128 all occur, and some sum
+    # differs from numpy's ``sum()``: the pin fails on a return to it.
     assert min(hit_counts) < 8
     assert any(8 <= k <= 128 for k in hit_counts)
-    assert max(hit_counts) > 2 * 128
+    assert max(hit_counts) > 128
+    assert numpy_differs > 0
